@@ -13,12 +13,18 @@
 //!
 //! Execution is trace-once/simulate-many: each (workload, input, scale)
 //! trio's branch stream is recorded exactly once into a columnar
-//! [`btrace::RecordedTrace`] (its own cacheable job), and every simulation
-//! of that trio replays the trace through a tight decode loop instead of
-//! re-executing the workload generator. Results pass through three cache
-//! tiers — an in-memory memo, the disk cache, then computation — each
-//! counted distinctly. Callers name work with the [`ProfileRequest`]
-//! builder, which resolves to a spec and a [`TraceRef`].
+//! [`btrace::RecordedTrace`] (its own cacheable job), and every accuracy
+//! or 2D simulation of that trio takes one path, `Engine::fan_out`, which
+//! replays the trace once for all the jobs it is handed. Inside it one
+//! choice is made, from the input: a trace with at least two jobs whose
+//! predictor has a bit-sliced lane serves them from one shared lane group,
+//! and every other job runs in a chunked scalar slot. A batch hands
+//! `fan_out` all of a trace's jobs; [`Engine::run_one`] hands it one.
+//! Branch counts are read from the trace header. Results pass through
+//! three cache tiers — an in-memory memo, the disk cache, then
+//! computation — each counted distinctly. Callers name work with the
+//! [`ProfileRequest`] builder, which resolves to a spec and a
+//! [`TraceRef`].
 //!
 //! ```
 //! use twodprof_engine::{Engine, EngineConfig, JobSpec};
@@ -44,8 +50,8 @@ pub use cache::{payload_checksum, CacheLookup, DiskCache, JobOutput};
 pub use request::{ProfileMode, ProfileRequest, TraceRef};
 pub use spec::{scale_id, JobKind, JobSpec, CACHE_SCHEMA_VERSION, MAX_SPEC_NAME_LEN};
 
-use bpred::{AccuracyProfile, BranchPredictor, PredictorHost, PredictorKind, PredictorSim};
-use btrace::{CountingTracer, RecordedTrace, SiteId, Tracer};
+use bpred::{BranchPredictor, PredictorHost, PredictorKind, PredictorSim};
+use btrace::{RecordedTrace, SiteId, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -56,7 +62,7 @@ use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use workloads::Scale;
 
 /// Engine configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads for [`Engine::run_jobs`]; `0` means
     /// `std::thread::available_parallelism()`.
@@ -66,39 +72,6 @@ pub struct EngineConfig {
     pub cache_dir: Option<PathBuf>,
     /// Emit periodic progress lines on stderr during sweeps.
     pub progress: bool,
-    /// Record each (workload, input, scale) branch stream once and replay
-    /// it for every simulation (the default). `false` re-executes the
-    /// workload generator per job — the seed behavior, kept for the
-    /// `trace_replay` bench baseline and equivalence tests.
-    pub replay: bool,
-    /// Serve eligible fused-replay jobs from the bit-sliced lane group
-    /// (transposed two-bit-counter planes, 64 lanes per word) instead of
-    /// per-event scalar slots. On by default; results are bit-identical
-    /// either way. The `TWODPROF_BITSLICE=off` environment variable (also
-    /// `0`/`false`) disables it as an escape hatch.
-    pub bitslice: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            jobs: 0,
-            cache_dir: None,
-            progress: false,
-            replay: true,
-            bitslice: bitslice_default(),
-        }
-    }
-}
-
-/// Reads the `TWODPROF_BITSLICE` escape hatch: any of `off`, `0`, or
-/// `false` disables the bit-sliced replay path; everything else (including
-/// the variable being unset) leaves it on.
-fn bitslice_default() -> bool {
-    !matches!(
-        std::env::var("TWODPROF_BITSLICE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
 }
 
 /// How a job's result was obtained (or lost).
@@ -183,8 +156,6 @@ pub struct Engine {
     jobs: usize,
     cache: Option<DiskCache>,
     progress: bool,
-    replay: bool,
-    bitslice: bool,
     counters: Mutex<EngineCounters>,
     /// In-memory read-through memo of every finished job, keyed by
     /// [`JobSpec::content_hash`]. Outputs are `Arc`-backed, so a memo hit
@@ -211,8 +182,6 @@ impl Engine {
             jobs: config.jobs,
             cache,
             progress: config.progress,
-            replay: config.replay,
-            bitslice: config.bitslice,
             counters: Mutex::new(EngineCounters::default()),
             memo: Mutex::new(HashMap::new()),
         }
@@ -388,20 +357,17 @@ impl Engine {
     /// order. Failures are isolated per job; the returned vector always has
     /// one entry per spec.
     ///
-    /// In replay mode this is two-stage: stage one records the deduplicated
+    /// The batch runs in two stages: stage one records the deduplicated
     /// set of (workload, input, scale) traces the batch needs — each exactly
     /// once — and stage two fans the simulations out against those traces.
-    /// Simulations that share a trace are *fused*: the worker decodes the
-    /// recorded stream once and feeds every simulation per event, so a
-    /// K-predictor sweep pays one generation and one decode per trace
-    /// instead of K of each. After the batch, recorded traces are dropped
-    /// from the in-memory memo (the disk cache keeps them) so sweep memory
-    /// stays bounded at Full scale.
+    /// Simulations that share a trace are *fused* into one
+    /// [`fan_out`](Self::fan_out) unit, so a K-predictor sweep pays one
+    /// generation and one decode per trace instead of K of each. Fused
+    /// units are scheduled in the order each trace first appears in
+    /// `specs`. After the batch, recorded traces are dropped from the
+    /// in-memory memo (the disk cache keeps them) so sweep memory stays
+    /// bounded at Full scale.
     pub fn run_jobs(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        if !self.replay {
-            let units = (0..specs.len()).map(Unit::Single).collect();
-            return self.run_pool(specs, units);
-        }
         // only jobs whose results aren't already memoized need a trace;
         // without this filter a repeated sweep would re-record streams the
         // post-sweep memo release dropped, violating record-exactly-once
@@ -418,21 +384,25 @@ impl Engine {
         // fuse the simulations of each trace into one work unit; counts
         // (served from the trace header), trace jobs, and memoized results
         // stay singles — their replay path is O(1)
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut group_of: HashMap<u64, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut units: Vec<Unit> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
             let fusible = matches!(spec.kind, JobKind::Accuracy(_) | JobKind::TwoD(_))
                 && !self.memoized(spec);
             if fusible {
-                groups
+                let g = *group_of
                     .entry(TraceRef::of_spec(spec).spec().content_hash())
-                    .or_default()
-                    .push(i);
+                    .or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                groups[g].push(i);
             } else {
                 units.push(Unit::Single(i));
             }
         }
-        units.extend(groups.into_values().map(Unit::Fused));
+        units.extend(groups.into_iter().map(Unit::Fused));
         let results = self.run_pool(specs, units);
         self.release_traces();
         results
@@ -599,11 +569,12 @@ impl Engine {
         out
     }
 
-    /// The fused replay loop: one [`RecordedTrace`] decode pass per lane
-    /// family. Jobs whose predictor kind has a bit-sliced lane (and the
-    /// engine has bit-slicing enabled) are served by the shared lane group
-    /// in [`bitgroup`]; the rest are seated in per-event scalar slots fed
-    /// by a second decode pass. Outputs come back in `pending` order.
+    /// The one simulation path of every accuracy and 2D job: the
+    /// `pending` specs (which all share one trace) are served by one
+    /// [`RecordedTrace`] decode pass per lane family. When at least two
+    /// jobs have a bit-sliced lane, those jobs share the lane group in
+    /// [`bitgroup`]; every other job is seated in a chunked scalar slot
+    /// fed by a second decode pass. Outputs come back in `pending` order.
     fn fan_out(&self, specs: &[JobSpec], pending: &[usize]) -> Vec<JobOutput> {
         let trace = self.trace(&TraceRef::of_spec(&specs[pending[0]]));
         let mut sliced: Vec<usize> = Vec::new(); // positions within `pending`
@@ -613,7 +584,7 @@ impl Engine {
                 JobKind::Accuracy(kind) | JobKind::TwoD(kind) => kind,
                 _ => unreachable!("only simulation jobs are fused"),
             };
-            if self.bitslice && bpred::bitslice::eligible(kind) {
+            if bpred::bitslice::eligible(kind) {
                 sliced.push(p);
             } else {
                 scalar.push(p);
@@ -709,17 +680,18 @@ impl Engine {
             .insert(spec.content_hash(), output.clone());
     }
 
-    /// Executes a spec on the calling thread. Panics (caught by
-    /// [`run_one`](Self::run_one)) on unknown workloads or inputs — the
-    /// same contract the experiment context had.
+    /// Executes a spec on the calling thread: a trace job records, a
+    /// branch count is read from the trace header, and a simulation runs
+    /// through [`fan_out`](Self::fan_out) as a group of one. Panics (caught
+    /// by [`run_one`](Self::run_one)) on unknown workloads or inputs.
     fn execute(&self, spec: &JobSpec) -> JobOutput {
-        if spec.kind == JobKind::Trace {
-            return self.record(spec);
-        }
-        if self.replay {
-            self.execute_replay(spec)
-        } else {
-            self.execute_live(spec)
+        match spec.kind {
+            JobKind::Trace => self.record(spec),
+            JobKind::BranchCount => JobOutput::Count(self.trace(&TraceRef::of_spec(spec)).events()),
+            JobKind::Accuracy(_) | JobKind::TwoD(_) => self
+                .fan_out(std::slice::from_ref(spec), &[0])
+                .pop()
+                .expect("one output per pending job"),
         }
     }
 
@@ -739,31 +711,6 @@ impl Engine {
         JobOutput::Trace(Arc::new(trace))
     }
 
-    /// Serves a simulation by replaying the trio's recorded trace instead
-    /// of re-executing the workload. The trace carries the site-table size
-    /// and the event count, so the slice configuration resolves without a
-    /// nested branch-count job — and because a workload's branch stream
-    /// cannot depend on which tracer observes it, replayed results are
-    /// byte-identical to live ones.
-    fn execute_replay(&self, spec: &JobSpec) -> JobOutput {
-        let trace = self.trace(&TraceRef::of_spec(spec));
-        let _sp = twodprof_obs::span!("engine.replay");
-        match spec.kind {
-            JobKind::BranchCount => JobOutput::Count(trace.events()),
-            JobKind::Accuracy(kind) => {
-                let profile = kind.host(AccuracyReplay(&trace));
-                self.note_replay();
-                JobOutput::Accuracy(profile.into())
-            }
-            JobKind::TwoD(kind) => {
-                let report = kind.host(TwoDReplay(&trace));
-                self.note_replay();
-                JobOutput::Report(report.into())
-            }
-            JobKind::Trace => unreachable!("trace jobs record, never replay"),
-        }
-    }
-
     fn note_replay(&self) {
         self.bump(|c| c.replays += 1);
         twodprof_obs::counter!(
@@ -771,44 +718,6 @@ impl Engine {
             "Simulations served by replaying a recorded trace."
         )
         .inc();
-    }
-
-    /// The seed execution path: re-run the workload generator per job.
-    /// Kept for the `trace_replay` bench baseline and equivalence tests.
-    fn execute_live(&self, spec: &JobSpec) -> JobOutput {
-        let (workload, input) = resolve(spec);
-        match spec.kind {
-            JobKind::BranchCount => {
-                let mut tracer = CountingTracer::new();
-                workload.run(&input, &mut tracer);
-                JobOutput::Count(tracer.count())
-            }
-            JobKind::Accuracy(kind) => {
-                let mut sim = PredictorSim::new(workload.sites().len(), kind.build());
-                workload.run(&input, &mut sim);
-                JobOutput::Accuracy(sim.into_profile().into())
-            }
-            JobKind::TwoD(kind) => {
-                // the auto slice configuration needs the run length; resolve
-                // it as its own job so the count lands in the cache too
-                let count_spec = JobSpec {
-                    kind: JobKind::BranchCount,
-                    ..spec.clone()
-                };
-                let total = match self.run_one(&count_spec).output {
-                    Some(JobOutput::Count(n)) => n,
-                    _ => panic!("branch-count job failed for {}", spec.describe()),
-                };
-                let mut profiler = TwoDProfiler::new(
-                    workload.sites().len(),
-                    kind.build(),
-                    SliceConfig::auto(total),
-                );
-                workload.run(&input, &mut profiler);
-                JobOutput::Report(profiler.finish(Thresholds::paper()).into())
-            }
-            JobKind::Trace => unreachable!("trace jobs are handled by record()"),
-        }
     }
 }
 
@@ -957,40 +866,6 @@ impl Tracer for FanOut<'_> {
     }
 }
 
-/// [`PredictorHost`] that replays a recorded trace through an accuracy
-/// simulation. Dispatching via [`PredictorKind::host`] monomorphizes the
-/// decode + simulate loop per concrete predictor — no virtual call per
-/// dynamic branch, unlike the live path where the workload generator only
-/// sees `&mut dyn Tracer`.
-struct AccuracyReplay<'a>(&'a RecordedTrace);
-
-impl PredictorHost for AccuracyReplay<'_> {
-    type Out = AccuracyProfile;
-
-    fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
-        let mut sim = PredictorSim::new(self.0.num_sites(), predictor);
-        self.0.replay_into(&mut sim);
-        sim.into_profile()
-    }
-}
-
-/// [`PredictorHost`] twin of [`AccuracyReplay`] for 2D-profiling jobs.
-struct TwoDReplay<'a>(&'a RecordedTrace);
-
-impl PredictorHost for TwoDReplay<'_> {
-    type Out = twodprof_core::ProfileReport;
-
-    fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
-        let mut profiler = TwoDProfiler::new(
-            self.0.num_sites(),
-            predictor,
-            SliceConfig::auto(self.0.events()),
-        );
-        self.0.replay_into(&mut profiler);
-        profiler.finish(Thresholds::paper())
-    }
-}
-
 /// Enumerates the full evaluation grid at `scale`: for every workload and
 /// every input set, a branch count and an accuracy profile under each
 /// evaluation predictor, plus one 2D-profiling run per (workload,
@@ -1074,23 +949,6 @@ mod tests {
     }
 
     #[test]
-    fn live_mode_counts_like_the_seed() {
-        let engine = Engine::new(EngineConfig {
-            jobs: 2,
-            replay: false,
-            ..EngineConfig::default()
-        });
-        let spec = JobSpec::count("gzip", "train", Scale::Tiny);
-        engine.run_one(&spec);
-        engine.run_one(&spec); // memoed, not recomputed
-        let c = engine.counters();
-        assert_eq!(c.computed, 1);
-        assert_eq!(c.memo, 1);
-        assert_eq!(c.traces_recorded, 0);
-        assert_eq!(c.replays, 0);
-    }
-
-    #[test]
     fn run_jobs_records_each_trace_once_and_releases_memo() {
         let engine = Engine::new(EngineConfig {
             jobs: 2,
@@ -1113,59 +971,5 @@ mod tests {
         assert!(memo
             .values()
             .all(|output| !matches!(output, JobOutput::Trace(_))));
-    }
-
-    #[test]
-    fn fused_fanout_matches_live_execution_for_every_survey_kind() {
-        let mut specs = vec![JobSpec::count("gzip", "train", Scale::Tiny)];
-        for kind in PredictorKind::SURVEY {
-            specs.push(JobSpec::accuracy("gzip", "train", Scale::Tiny, kind));
-            specs.push(JobSpec::two_d("gzip", "train", Scale::Tiny, kind));
-        }
-        let fused = Engine::new(EngineConfig {
-            jobs: 2,
-            ..EngineConfig::default()
-        });
-        let live = Engine::new(EngineConfig {
-            jobs: 2,
-            replay: false,
-            ..EngineConfig::default()
-        });
-        let a = fused.run_jobs(&specs);
-        let b = live.run_jobs(&specs);
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.status.is_success() && y.status.is_success());
-            assert_eq!(
-                x.output,
-                y.output,
-                "{} diverged between fused replay and live",
-                x.spec.describe()
-            );
-        }
-        let c = fused.counters();
-        assert_eq!(c.traces_recorded, 1, "one shared trace for the batch");
-        assert_eq!(
-            c.replays as usize,
-            specs.len() - 1,
-            "every simulation was served from the fused replay"
-        );
-    }
-
-    #[test]
-    fn replay_results_match_live_execution() {
-        let replayed = Engine::new(EngineConfig::default());
-        let live = Engine::new(EngineConfig {
-            replay: false,
-            ..EngineConfig::default()
-        });
-        for spec in [
-            JobSpec::count("mcf", "train", Scale::Tiny),
-            JobSpec::accuracy("mcf", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
-            JobSpec::two_d("mcf", "train", Scale::Tiny, PredictorKind::Perceptron16Kb),
-        ] {
-            let a = replayed.run_one(&spec).output.expect("replay output");
-            let b = live.run_one(&spec).output.expect("live output");
-            assert_eq!(a, b, "{} diverged between replay and live", spec.describe());
-        }
     }
 }

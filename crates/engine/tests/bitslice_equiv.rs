@@ -1,24 +1,29 @@
-//! Differential equivalence harness for the bit-sliced replay path.
+//! Absolute-oracle equivalence suite for the engine's simulation path.
 //!
-//! The bit-sliced lane group claims *bit-identical* results to the scalar
-//! fused path — not merely "equal within floating-point tolerance". These
-//! tests enforce that claim at the serialized-payload level (every `f64`
-//! compared by its exact bit pattern, via the byte encoding) over the full
-//! tiny-workload × SURVEY-predictor grid, and at the bit-plane level with
-//! a property test racing a [`CounterPlane`] against 64 independent scalar
-//! [`TwoBitCounter`]s.
+//! Every accuracy and 2D job goes through one engine path, which serves a
+//! trace's bit-sliceable jobs from a shared lane group and every other job
+//! from a chunked scalar slot. These tests hold both halves to an oracle
+//! that involves no engine at all: the workload runs straight into one
+//! [`PredictorSim`] or [`TwoDProfiler`]. Results must be *bit-identical* —
+//! not merely "equal within floating-point tolerance" — at the
+//! serialized-payload level, where every `f64` is compared by its exact
+//! bit pattern. A property test also races a [`CounterPlane`] against 64
+//! independent scalar [`TwoBitCounter`]s.
 
 use bpred::bitslice::{self, CounterPlane};
-use bpred::{PredictorKind, TwoBitCounter};
+use bpred::{PredictorKind, PredictorSim, TwoBitCounter};
+use btrace::CountingTracer;
 use proptest::prelude::*;
-use twodprof_engine::{Engine, EngineConfig, JobKind, JobSpec, JobStatus};
+use std::sync::OnceLock;
+use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_engine::{Engine, EngineConfig, JobKind, JobOutput, JobResult, JobSpec, JobStatus};
 use workloads::Scale;
 
 /// Every tiny workload × the full SURVEY predictor sweep, as both an
 /// accuracy profile and a 2D report — wider than `full_grid` (which spans
 /// only the paper's two evaluation predictors) so that every bit-sliced
-/// lane kind *and* every scalar-fallback kind rides through the fused
-/// fan-out, mixed on the same traces.
+/// lane kind *and* every scalar kind rides through the engine, mixed on
+/// the same traces.
 fn survey_specs(workload: Option<&str>) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for w in workloads::suite(Scale::Tiny) {
@@ -33,58 +38,100 @@ fn survey_specs(workload: Option<&str>) -> Vec<JobSpec> {
     specs
 }
 
-/// Builds an engine with the bit-sliced path explicitly on or off. All
-/// fields are spelled out (no `..Default::default()`) so this never reads
-/// the `TWODPROF_BITSLICE` environment variable, which a concurrently
-/// running test in this binary mutates.
-fn engine(bitslice: bool) -> Engine {
+fn engine() -> Engine {
     Engine::new(EngineConfig {
-        jobs: 4,
-        cache_dir: None,
-        progress: false,
-        replay: true,
-        bitslice,
+        jobs: 2,
+        ..EngineConfig::default()
     })
 }
 
-/// Every accuracy profile and 2D report on the full tiny grid — every
-/// workload, every input set, every SURVEY predictor kind — must serialize
-/// to exactly the same bytes whether the fused replay runs bit-sliced
-/// lanes or per-event scalar slots. `to_payload` encodes every `f64` by
-/// its raw bits, so byte equality here is `f64::to_bits` equality on all
-/// means, standard deviations, and PAM fractions.
-#[test]
-fn bitsliced_grid_is_bit_identical_to_scalar_fused() {
+/// The reference result of a simulation spec: the workload runs straight
+/// into one predictor — no recorded trace, no engine. A 2D profile takes
+/// its slice configuration from the run length, counted by a first run.
+fn oracle(spec: &JobSpec) -> Vec<u8> {
+    let workload = workloads::by_name(&spec.workload, spec.scale).expect("known workload");
+    let input = workload.input_set(&spec.input).expect("known input");
+    let sites = workload.sites().len();
+    let output = match spec.kind {
+        JobKind::Accuracy(kind) => {
+            let mut sim = PredictorSim::new(sites, kind.build());
+            workload.run(&input, &mut sim);
+            JobOutput::Accuracy(sim.into_profile().into())
+        }
+        JobKind::TwoD(kind) => {
+            let mut counter = CountingTracer::new();
+            workload.run(&input, &mut counter);
+            let mut profiler =
+                TwoDProfiler::new(sites, kind.build(), SliceConfig::auto(counter.count()));
+            workload.run(&input, &mut profiler);
+            JobOutput::Report(profiler.finish(Thresholds::paper()).into())
+        }
+        _ => unreachable!("the survey grid holds only simulation specs"),
+    };
+    output.to_payload()
+}
+
+/// Oracle payloads of [`survey_specs`]`(None)`, in spec order.
+fn oracle_payloads() -> &'static [Vec<u8>] {
+    static ORACLE: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    ORACLE.get_or_init(|| survey_specs(None).iter().map(oracle).collect())
+}
+
+/// Asserts that `results` carry, byte for byte, the oracle's payload for
+/// every spec of the full survey grid, in spec order.
+fn assert_matches_oracle(path: &str, results: &[JobResult]) {
     let specs = survey_specs(None);
-    let sliced = engine(true).run_jobs(&specs);
-    let scalar = engine(false).run_jobs(&specs);
-    assert_eq!(sliced.len(), scalar.len());
-    let mut compared = 0usize;
-    for (a, b) in sliced.iter().zip(&scalar) {
-        assert_eq!(a.spec, b.spec, "results must come back in spec order");
-        assert_eq!(a.status, JobStatus::Computed, "{}", a.spec.describe());
-        assert_eq!(b.status, JobStatus::Computed, "{}", b.spec.describe());
-        let (a, b) = (a.output.as_ref().unwrap(), b.output.as_ref().unwrap());
-        assert_eq!(
-            a.to_payload(),
-            b.to_payload(),
-            "bit-sliced output diverged from scalar for {}",
-            sliced[compared].spec.describe()
-        );
-        compared += 1;
-    }
     // the sweep must actually cover every workload × every SURVEY kind,
     // each as both an accuracy profile and a 2D report
     assert_eq!(
-        compared,
+        results.len(),
         workloads::suite(Scale::Tiny).len() * PredictorKind::SURVEY.len() * 2,
-        "equivalence sweep lost coverage"
+        "oracle sweep lost coverage"
     );
+    for ((r, spec), want) in results.iter().zip(&specs).zip(oracle_payloads()) {
+        assert_eq!(r.spec, *spec, "results must come back in spec order");
+        assert_eq!(r.status, JobStatus::Computed, "{}", spec.describe());
+        assert!(
+            r.output.as_ref().expect("computed output").to_payload() == *want,
+            "{path} diverged from the oracle for {}",
+            spec.describe()
+        );
+    }
 }
 
-/// The engine must report how jobs were served: with bit-slicing enabled
-/// the eligible kinds go through the lane group (and still count as
-/// replays); with it disabled nothing does.
+/// One batch over the whole grid: each trace's eligible jobs share a lane
+/// group and its perceptron, TAGE and loop jobs share scalar slots.
+#[test]
+fn batched_grid_matches_the_oracle() {
+    let specs = survey_specs(None);
+    let engine = engine();
+    assert_matches_oracle("run_jobs", &engine.run_jobs(&specs));
+    let c = engine.counters();
+    assert_eq!(
+        c.traces_recorded as usize,
+        workloads::suite(Scale::Tiny).len(),
+        "one recording per trace"
+    );
+    assert_eq!(c.replays as usize, specs.len(), "every simulation replayed");
+    assert!(c.bitsliced > 0, "eligible kinds must ride the lane group");
+}
+
+/// Every spec on its own through `run_one`: a group of one, always served
+/// by a scalar slot.
+#[test]
+fn lone_jobs_match_the_oracle() {
+    let specs = survey_specs(None);
+    let engine = engine();
+    let results: Vec<JobResult> = specs.iter().map(|spec| engine.run_one(spec)).collect();
+    assert_matches_oracle("run_one", &results);
+    let c = engine.counters();
+    assert_eq!(c.replays as usize, specs.len());
+    assert_eq!(c.bitsliced, 0, "a lone job never forms a lane group");
+}
+
+/// The engine must report how jobs were served: eligible kinds on a trace
+/// with two or more of them go through the lane group (and still count as
+/// replays); a trace with a single eligible job keeps it on a scalar slot.
 #[test]
 fn counters_attribute_lane_group_jobs() {
     let specs = survey_specs(Some("gzip"));
@@ -95,42 +142,26 @@ fn counters_attribute_lane_group_jobs() {
             _ => false,
         })
         .count() as u64;
-    assert!(eligible > 0, "SURVEY must contain bit-sliceable kinds");
+    assert!(eligible > 1, "SURVEY must contain bit-sliceable kinds");
 
-    let on = engine(true);
-    on.run_jobs(&specs);
-    let c = on.counters();
+    let grid = engine();
+    grid.run_jobs(&specs);
+    let c = grid.counters();
     assert_eq!(c.bitsliced, eligible);
-    assert!(c.replays >= c.bitsliced);
     assert!(
         c.replays > c.bitsliced,
-        "scalar-fallback kinds must still replay outside the lane group"
+        "scalar kinds must still replay outside the lane group"
     );
 
-    let off = engine(false);
-    off.run_jobs(&specs);
-    assert_eq!(off.counters().bitsliced, 0);
-    assert!(off.counters().replays > 0);
-}
-
-/// The `TWODPROF_BITSLICE` escape hatch: `off`, `0`, and `false` disable
-/// the lane group through `EngineConfig::default()`; anything else —
-/// including the variable being unset — leaves it on.
-#[test]
-fn escape_hatch_env_var_disables_bitslicing() {
-    // Env mutation is process-global; this is the only test that touches
-    // the variable, and the others avoid `EngineConfig::default()`.
-    for off in ["off", "0", "false"] {
-        std::env::set_var("TWODPROF_BITSLICE", off);
-        assert!(
-            !EngineConfig::default().bitslice,
-            "TWODPROF_BITSLICE={off} must disable bit-slicing"
-        );
-    }
-    std::env::set_var("TWODPROF_BITSLICE", "on");
-    assert!(EngineConfig::default().bitslice);
-    std::env::remove_var("TWODPROF_BITSLICE");
-    assert!(EngineConfig::default().bitslice, "default is on");
+    let lone = engine();
+    lone.run_jobs(&[JobSpec::accuracy(
+        "gzip",
+        "train",
+        Scale::Tiny,
+        PredictorKind::Gshare4Kb,
+    )]);
+    let c = lone.counters();
+    assert_eq!((c.bitsliced, c.replays), (0, 1));
 }
 
 proptest! {

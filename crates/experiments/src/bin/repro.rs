@@ -219,7 +219,6 @@ fn main() -> ExitCode {
         jobs: args.jobs,
         cache_dir: args.cache_dir.clone(),
         progress: true,
-        ..EngineConfig::default()
     };
     // backend choice goes to stderr: every simulated table is byte-identical
     // across --jobs settings and backends (only fig16's wall-clock figure

@@ -126,10 +126,9 @@ impl RemoteReport {
     }
 }
 
-/// Everything a session connect can carry, in one builder: the mandatory
-/// profile geometry plus the optional program id, trace propagation, and
-/// socket timeouts that used to be spread over three `connect_*`
-/// constructors.
+/// Everything a session connect can carry, in one builder — the only way
+/// to open a session: the mandatory profile geometry plus the optional
+/// program id, trace propagation, and socket timeouts.
 ///
 /// ```no_run
 /// use bpred::PredictorKind;
@@ -299,66 +298,6 @@ pub struct RemoteSession {
 }
 
 impl RemoteSession {
-    /// Connects to a daemon and opens a session for a workload with
-    /// `num_sites` static branches, profiled by `predictor` under `slice`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Refused`] if the daemon sheds the session, plus
-    /// transport and protocol errors.
-    #[deprecated(note = "use ConnectOptions::new(..).connect(addr)")]
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        num_sites: usize,
-        predictor: PredictorKind,
-        slice: SliceConfig,
-    ) -> Result<Self, ClientError> {
-        ConnectOptions::new(num_sites, predictor, slice).connect(addr)
-    }
-
-    /// Like `connect`, but announces a program id.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConnectOptions::connect`].
-    #[deprecated(note = "use ConnectOptions::new(..).program(..).connect(addr)")]
-    pub fn connect_with_program(
-        addr: impl ToSocketAddrs,
-        num_sites: usize,
-        predictor: PredictorKind,
-        slice: SliceConfig,
-        program: &str,
-    ) -> Result<Self, ClientError> {
-        ConnectOptions::new(num_sites, predictor, slice)
-            .program(program)
-            .connect(addr)
-    }
-
-    /// Like `connect`, but first propagates `ctx` with a `TraceCtx` frame
-    /// and returns the clock-alignment [`TraceLink`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ConnectOptions::connect`].
-    #[deprecated(note = "use ConnectOptions::new(..).traced(ctx).connect(addr)")]
-    pub fn connect_traced(
-        addr: impl ToSocketAddrs,
-        num_sites: usize,
-        predictor: PredictorKind,
-        slice: SliceConfig,
-        ctx: TraceContext,
-        program: &str,
-    ) -> Result<(Self, TraceLink), ClientError> {
-        let session = ConnectOptions::new(num_sites, predictor, slice)
-            .program(program)
-            .traced(ctx)
-            .connect(addr)?;
-        let link = session
-            .trace_link()
-            .expect("trace link present when ctx was sent");
-        Ok((session, link))
-    }
-
     /// The daemon-assigned session id.
     pub fn session_id(&self) -> u64 {
         self.session_id
@@ -761,22 +700,6 @@ pub struct RemoteTracer {
 }
 
 impl RemoteTracer {
-    /// Connects with the default batch size ([`DEFAULT_BATCH_EVENTS`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ConnectOptions::connect`].
-    pub fn connect(
-        addr: impl ToSocketAddrs,
-        num_sites: usize,
-        predictor: PredictorKind,
-        slice: SliceConfig,
-    ) -> Result<Self, ClientError> {
-        Ok(Self::new(
-            ConnectOptions::new(num_sites, predictor, slice).connect(addr)?,
-        ))
-    }
-
     /// Wraps an already-open session with the default batch size.
     pub fn new(session: RemoteSession) -> Self {
         Self::with_batch_size(session, DEFAULT_BATCH_EVENTS)

@@ -84,7 +84,6 @@ impl ComputePool {
             jobs: 1,
             cache_dir: config.cache_dir.clone(),
             progress: false,
-            ..EngineConfig::default()
         }));
         let pool = Arc::new(Self {
             engine,

@@ -2,27 +2,29 @@
 //!
 //! The paper's 2D-profiler needs only seven state variables per static
 //! branch, cheap enough to run *online*. This crate turns the in-process
-//! profiler into an always-on facility: a thread-per-connection TCP daemon
-//! (`twodprofd`, [`server`]) that maintains one live
-//! [`TwoDProfiler`](twodprof_core::TwoDProfiler) per remote session, a
-//! framed binary [`wire`] protocol built on `btrace`'s LEB128 varints, and a
-//! client side ([`client`], [`replay`]) whose [`RemoteTracer`] implements
-//! [`btrace::Tracer`] so any existing workload streams to the daemon
-//! unchanged — or to the daemon *and* a local profiler at once via
+//! profiler into an always-on facility: a TCP daemon (`twodprofd`,
+//! [`server`]) whose fixed pool of poll-driven shard threads maintains one
+//! live [`TwoDProfiler`](twodprof_core::TwoDProfiler) per remote session,
+//! a framed binary [`wire`] protocol built on `btrace`'s LEB128 varints,
+//! and a client side ([`client`], [`replay`]) whose [`RemoteTracer`]
+//! implements [`btrace::Tracer`] so any existing workload streams to the
+//! daemon unchanged — or to the daemon *and* a local profiler at once via
 //! [`btrace::Tee`].
 //!
 //! ```no_run
 //! use bpred::PredictorKind;
 //! use btrace::Tracer;
 //! use twodprof_core::SliceConfig;
-//! use twodprof_serve::RemoteTracer;
+//! use twodprof_serve::{ConnectOptions, RemoteTracer};
 //!
-//! let mut tracer = RemoteTracer::connect(
-//!     "127.0.0.1:4272",
-//!     /* num_sites */ 2,
-//!     PredictorKind::Gshare4Kb,
-//!     SliceConfig::new(10_000, 16),
-//! )?;
+//! let mut tracer = RemoteTracer::new(
+//!     ConnectOptions::new(
+//!         /* num_sites */ 2,
+//!         PredictorKind::Gshare4Kb,
+//!         SliceConfig::new(10_000, 16),
+//!     )
+//!     .connect("127.0.0.1:4272")?,
+//! );
 //! for i in 0..100_000u64 {
 //!     tracer.branch(btrace::SiteId((i % 2) as u32), i % 3 == 0);
 //! }
@@ -31,12 +33,12 @@
 //! # Ok::<(), twodprof_serve::ClientError>(())
 //! ```
 //!
-//! Everything is `std`-only (no async runtime): a fixed pool of shard
-//! threads multiplexes nonblocking sockets with a `poll(2)` readiness
-//! loop, an incremental frame decoder tolerates partial reads, tiered
-//! admission (accept / degrade / shed with a retry-after hint) bounds
-//! load, and recorded sessions spill to disk past a threshold so resident
-//! memory stays bounded at 10k+ sessions.
+//! Everything is `std`-only (no async runtime): each shard thread
+//! multiplexes its nonblocking sockets with a `poll(2)` readiness loop,
+//! an incremental frame decoder tolerates partial reads, tiered admission
+//! (accept / degrade / shed with a retry-after hint) bounds load, and
+//! recorded sessions spill to disk past a threshold so resident memory
+//! stays bounded at 10k+ sessions.
 //!
 //! The daemon carries its own observability plane: a hand-rolled HTTP/1.0
 //! exposition listener (`/metrics`, `/healthz`, `/vars` behind

@@ -686,18 +686,3 @@ fn spilled_recording_resims_bit_identical() {
         &local_report_bytes(&stream, NUM_SITES, PredictorKind::Gshare4Kb, slice)[..]
     );
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_connect_shims_still_work() {
-    let daemon = Daemon::start(Daemon::quiet_config());
-    let slice = SliceConfig::new(64, 4);
-    RemoteSession::connect(daemon.addr, 4, PredictorKind::Gshare4Kb, slice)
-        .expect("legacy connect")
-        .finish()
-        .expect("finish");
-    RemoteSession::connect_with_program(daemon.addr, 4, PredictorKind::Gshare4Kb, slice, "legacy")
-        .expect("legacy connect_with_program")
-        .finish()
-        .expect("finish");
-}

@@ -3,8 +3,6 @@
 # and fail unless the `trace_replay/trace_once` sweep is at least
 # MIN_SPEEDUP times faster than `trace_replay/record_per_job` (a fresh
 # engine per job — record and replay with nothing shared across jobs).
-# The bench also reports `live_per_job` (the seed live-execution path)
-# for transparency; it is printed but not gated.
 #
 #   MIN_SPEEDUP        required record_per_job/trace_once ratio (default 10)
 #   REPS               bench repetitions; per-mode minimum is gated
@@ -60,9 +58,6 @@ awk -v min="$MIN_SPEEDUP" -v reps="$REPS" -v csv="$GATE_CSV" '
         gate = t["record_per_job"] / t["trace_once"]
         printf "record_per_job %.0f ns/iter  trace_once %.0f ns/iter  speedup %.2fx (gate >= %sx, min over reps)\n", \
             t["record_per_job"], t["trace_once"], gate, min
-        if ("live_per_job" in t)
-            printf "live_per_job   %.0f ns/iter  vs trace_once %.2fx (informational)\n", \
-                t["live_per_job"], t["live_per_job"] / t["trace_once"]
         print "mode,min_ns_per_iter,reps" > csv
         for (mode in t) printf "%s,%.0f,%d\n", mode, t[mode], reps >> csv
         printf "speedup_record_per_job_over_trace_once,%.4f,%d\n", gate, reps >> csv
