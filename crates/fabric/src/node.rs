@@ -4,8 +4,8 @@
 //! The worker keeps a bounded in-flight window. Each claimed job is sent as
 //! a `CacheQuery` first; a hit completes the job without compute anywhere,
 //! a miss is followed by a `SubmitJob` on the same connection. Because the
-//! daemon answers cache queries inline on its reader thread but job results
-//! from pool workers, replies arrive out of order — the worker dispatches
+//! daemon answers cache queries inline on its shard loop but job results
+//! as pool workers finish them, replies arrive out of order — the worker dispatches
 //! every frame by `job_id` against its in-flight map, never by position.
 //!
 //! Every payload is verified before it counts: the declared spec hash must

@@ -1,10 +1,8 @@
 //! `twodprofd` — the streaming 2D-profile ingestion daemon.
 //!
-//! ```text
-//! twodprofd [--addr HOST:PORT] [--addr-file PATH] [--max-sessions N]
-//!           [--max-events N] [--idle-timeout-ms N] [--drain-timeout-ms N]
-//!           [--quiet]
-//! ```
+//! Run `twodprofd --help` for the full flag list: listen address, session
+//! limits and timeouts, sharding and spill, streaming, the `--compute`
+//! fabric service, and the observability plane.
 
 use std::process::ExitCode;
 

@@ -13,21 +13,21 @@
 //! cache tier (reported as `cached`, counted in
 //! `fabric_remote_cache_hits_total`).
 //!
-//! Replies go through a shared [`BufWriter`] behind a mutex, because the
-//! connection's reader thread (answering `CacheQuery` inline) and N pool
-//! workers (answering `SubmitJob` eventually) interleave writes to the same
-//! socket. A reply that fails to write is dropped silently — the client
-//! treats the dead connection as node loss and requeues, which is exactly
-//! the semantic we want on daemon shutdown.
+//! Compute connections are ordinary shard connections: the shard answers
+//! `CacheQuery` inline and submits jobs here with a reply target — the
+//! owning [`ShardState`] and the connection id. A worker pushes its
+//! finished `JobResult` onto that shard's inbox, and the shard moves it
+//! into the connection's out-buffer on its next tick. A reply whose
+//! connection is gone is dropped — the client treats the dead connection
+//! as node loss and requeues, which is exactly the semantic we want on
+//! daemon shutdown.
 
+use crate::shard::ShardState;
 use crate::wire::{JobOutcome, JobPayload, ServerFrame, MAX_RESULT_PAYLOAD};
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 use twodprof_engine::{payload_checksum, Engine, EngineConfig, JobSpec, JobStatus};
 
 /// Compute-service knobs, carried inside `ServerConfig`.
@@ -41,16 +41,13 @@ pub struct ComputeConfig {
     pub cache_dir: Option<PathBuf>,
 }
 
-/// The socket writer a compute connection's replies funnel through.
-pub(crate) type SharedWriter = Arc<Mutex<BufWriter<TcpStream>>>;
-
 struct Task {
     job_id: u64,
     spec: JobSpec,
-    writer: SharedWriter,
-    /// The submitting connection's idle-GC clock; refreshed when the reply
-    /// lands so a connection waiting on a deep queue isn't reaped.
-    last_seen: Arc<Mutex<Instant>>,
+    /// The shard owning the submitting connection, and that connection's
+    /// id: where the reply goes.
+    shard: Arc<ShardState>,
+    conn: u64,
 }
 
 #[derive(Default)]
@@ -110,14 +107,9 @@ impl ComputePool {
         self.workers.lock().expect("worker list").len()
     }
 
-    /// Enqueues a job; a worker replies on `writer` when it finishes.
-    pub(crate) fn submit(
-        &self,
-        job_id: u64,
-        spec: JobSpec,
-        writer: SharedWriter,
-        last_seen: Arc<Mutex<Instant>>,
-    ) {
+    /// Enqueues a job; when it finishes, a worker pushes the reply onto
+    /// `shard`'s inbox for connection `conn`.
+    pub(crate) fn submit(&self, job_id: u64, spec: JobSpec, shard: Arc<ShardState>, conn: u64) {
         twodprof_obs::counter!(
             "fabric_jobs_submitted_total",
             "Jobs accepted by this process's fabric tier (daemon: received; client: sent)."
@@ -127,8 +119,8 @@ impl ComputePool {
         q.tasks.push_back(Task {
             job_id,
             spec,
-            writer,
-            last_seen,
+            shard,
+            conn,
         });
         drop(q);
         self.cond.notify_one();
@@ -148,7 +140,7 @@ impl ComputePool {
     }
 
     /// Stops accepting work, finishes what is queued (replies to dead
-    /// connections fail silently), and joins the workers.
+    /// connections are dropped), and joins the workers.
     pub(crate) fn shutdown(&self) {
         self.queue.lock().expect("compute queue").shutdown = true;
         self.cond.notify_all();
@@ -174,17 +166,13 @@ impl ComputePool {
                 }
             };
             let outcome = self.execute(&task.spec);
-            let frame = ServerFrame::JobResult {
-                job_id: task.job_id,
-                outcome,
-            };
-            {
-                // a dead peer is fine: the client requeues the job elsewhere
-                let mut w = task.writer.lock().expect("compute writer");
-                if frame.write_to(&mut *w).and_then(|()| w.flush()).is_ok() {
-                    *task.last_seen.lock().expect("last_seen") = Instant::now();
-                }
-            }
+            task.shard.push_reply(
+                task.conn,
+                &ServerFrame::JobResult {
+                    job_id: task.job_id,
+                    outcome,
+                },
+            );
             twodprof_obs::counter!(
                 "fabric_jobs_completed_total",
                 "Jobs this process's fabric tier finished (daemon: replied; client: resolved)."

@@ -8,9 +8,9 @@
 //! shard multiplexes its connections with nonblocking I/O and a
 //! `poll(2)` readiness loop (see [`crate::shard`]), so ten thousand idle
 //! or trickling sessions cost ten thousand sockets, not ten thousand
-//! stacks. Fabric compute connections are the exception: their replies
-//! come from pool worker threads out of order, so the shard detaches them
-//! back to a blocking thread on their first job frame.
+//! stacks. Fabric compute connections are shard connections too: pool
+//! workers hand their out-of-order replies back to the owning shard's
+//! inbox, so no connection ever gets a thread of its own.
 //!
 //! # Session state machine
 //!
@@ -43,10 +43,10 @@ use crate::flight::FlightRecorder;
 use crate::shard::{current_tier, shard_loop, ShardState};
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 use twodprof_obs::Timeline;
@@ -66,13 +66,6 @@ pub struct ServerStats {
     pub events_ingested: u64,
 }
 
-/// A connection detached to the blocking compute path, tracked so the
-/// idle sweep and force-close can still reach its socket.
-pub(crate) struct ConnEntry {
-    pub(crate) stream: TcpStream,
-    pub(crate) last_seen: Arc<Mutex<Instant>>,
-}
-
 /// One program's shared streaming state: the merged profiler plus the
 /// `watch` subscribers its drift events fan out to. Lives in the registry
 /// for the daemon's lifetime so snapshots keep answering after every
@@ -88,9 +81,6 @@ pub(crate) struct ProgramStream {
 #[derive(Default)]
 pub(crate) struct Subscriber {
     pub(crate) queue: Mutex<SubQueue>,
-    /// Publishers still signal; nothing blocks on it since the watch pump
-    /// polls, but it keeps `publish_drift` shard-agnostic.
-    pub(crate) cond: Condvar,
 }
 
 #[derive(Default)]
@@ -124,8 +114,6 @@ pub(crate) struct Shared {
     /// The shard pool; admission and the accept loop index it by
     /// `conn_id % len`.
     pub(crate) shards: Vec<Arc<ShardState>>,
-    /// Connections handed off to blocking compute threads.
-    pub(crate) detached: Mutex<HashMap<u64, ConnEntry>>,
     /// Streaming profilers keyed by program id (from `Hello.program`).
     pub(crate) programs: Mutex<HashMap<String, Arc<ProgramStream>>>,
     /// Where session recordings spill; per-daemon-instance so parallel
@@ -184,8 +172,8 @@ impl Shared {
         self.active_conns.load(Ordering::SeqCst)
     }
 
-    /// One connection finished its life (shard teardown, failed handoff,
-    /// or compute-thread exit).
+    /// One connection finished its life (shard teardown or failed
+    /// handoff).
     pub(crate) fn conn_gone(&self) {
         self.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
@@ -255,7 +243,6 @@ pub(crate) fn publish_drift(shared: &Shared, stream: &ProgramStream, events: &[D
         }
         if q.events.len() + events.len() > shared.config.limits.max_subscriber_queue {
             q.shed = true;
-            sub.cond.notify_all();
             twodprof_obs::counter!(
                 "serve_subscriber_drops_total",
                 "Watch subscribers shed because their drift queue overflowed."
@@ -265,7 +252,6 @@ pub(crate) fn publish_drift(shared: &Shared, stream: &ProgramStream, events: &[D
         }
         q.events.extend(events.iter().copied());
         max_depth = max_depth.max(q.events.len());
-        sub.cond.notify_all();
         true
     });
     drop(subs);
@@ -430,7 +416,6 @@ impl Server {
                 active_conns: AtomicUsize::new(0),
                 live_sessions: AtomicUsize::new(0),
                 shards,
-                detached: Mutex::new(HashMap::new()),
                 programs: Mutex::new(HashMap::new()),
                 spill_dir,
                 sessions_opened: AtomicU64::new(0),
@@ -481,7 +466,7 @@ impl Server {
     /// # Errors
     ///
     /// Returns socket-configuration errors; per-connection I/O errors are
-    /// isolated to their shard (or compute thread).
+    /// isolated to their shard.
     pub fn run(mut self) -> io::Result<ServerStats> {
         self.listener.set_nonblocking(true)?;
         let http_thread = self.http_listener.take().map(|listener| {
@@ -530,14 +515,12 @@ impl Server {
             self.shared.config.shards.memory_budget
         ));
         let shard_count = self.shared.shards.len() as u64;
-        let mut last_sweep = Instant::now();
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
                     self.shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                    let shard = &self.shared.shards[(id % shard_count) as usize];
-                    shard.inbox.lock().expect("shard inbox").push((id, stream));
+                    self.shared.shards[(id % shard_count) as usize].push_socket(id, stream);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     thread::sleep(Duration::from_millis(15));
@@ -547,11 +530,6 @@ impl Server {
                     self.shared.log(format_args!("accept error: {e}"));
                     thread::sleep(Duration::from_millis(50));
                 }
-            }
-            // detached compute connections have no shard sweeping them
-            if last_sweep.elapsed() > Duration::from_millis(250) {
-                sweep_detached(&self.shared);
-                last_sweep = Instant::now();
             }
             // SIGUSR1 handshake: the handler only sets a flag; the actual
             // blackbox dump happens here, off the signal stack
@@ -589,9 +567,8 @@ impl Server {
     }
 
     /// Waits for in-flight connections to wind down, force-closing any left
-    /// after the drain timeout. Shard-owned connections honor the
-    /// `force_close` flag on their next tick; detached compute sockets are
-    /// shut down directly.
+    /// after the drain timeout: shards honor the `force_close` flag on
+    /// their next tick.
     fn drain(&self) {
         let start = Instant::now();
         let mut forced = false;
@@ -599,16 +576,11 @@ impl Server {
             if !forced && start.elapsed() > self.shared.config.limits.drain_timeout {
                 forced = true;
                 self.shared.force_close.store(true, Ordering::SeqCst);
-                let detached = self.shared.detached.lock().expect("detached table");
                 self.shared.log(format_args!(
                     "drain timeout: force-closing {} connection(s)",
                     self.shared.active_conns.load(Ordering::SeqCst)
                 ));
-                for entry in detached.values() {
-                    let _ = entry.stream.shutdown(Shutdown::Both);
-                }
             }
-            sweep_detached(&self.shared);
             thread::sleep(Duration::from_millis(10));
         }
         twodprof_obs::histogram!(
@@ -616,27 +588,6 @@ impl Server {
             "Shutdown drain duration, in microseconds."
         )
         .observe_duration(start.elapsed());
-    }
-}
-
-/// Reaps detached compute connections that have gone idle past the
-/// configured timeout by shutting their sockets; the owning compute thread
-/// then unblocks and cleans up. (Shard-owned connections are swept by
-/// their shard's loop.)
-fn sweep_detached(shared: &Shared) {
-    let now = Instant::now();
-    let detached = shared.detached.lock().expect("detached table");
-    for (id, entry) in detached.iter() {
-        let last = *entry.last_seen.lock().expect("last_seen");
-        if now.duration_since(last) > shared.config.limits.idle_timeout {
-            shared.log(format_args!("conn {id}: idle timeout, reaping"));
-            twodprof_obs::counter!(
-                "serve_sessions_reaped_total",
-                "Connections reaped by the idle-timeout sweep."
-            )
-            .inc();
-            let _ = entry.stream.shutdown(Shutdown::Both);
-        }
     }
 }
 

@@ -19,13 +19,14 @@
 //! [`SessionTrace`] so residency stays bounded regardless of session
 //! length.
 //!
-//! Compute connections (`SubmitJob`/`CacheQuery`) don't fit an event loop
-//! — pool workers reply from their own threads — so the shard detaches
-//! them: the socket flips back to blocking and a dedicated thread runs the
-//! same compute loop as before, with any bytes the shard over-read handed
-//! along.
+//! Fabric compute connections (`SubmitJob`/`CacheQuery`) live here too.
+//! Cache queries are answered inline; submitted jobs go to the compute
+//! pool, whose workers push each finished `JobResult` onto the owning
+//! shard's inbox. The shard moves it into the connection's out-buffer on
+//! its next tick, so reply pickup shares the [`POLL_TICK`] bound of socket
+//! intake and watch pushes.
 
-use crate::compute::SharedWriter;
+use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightKind;
 use crate::poll::{self, Interest};
@@ -38,11 +39,10 @@ use crate::wire::{
 use bpred::BranchPredictor;
 use btrace::SiteId;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_obs::trace::{self, Span, TraceContext};
@@ -50,7 +50,8 @@ use twodprof_obs::{Family, Gauge, Histogram};
 use twodprof_stream::DriftEvent;
 
 /// Readiness-loop tick: the ceiling on how long a shard sleeps when no
-/// socket is ready. Bounds inbox pickup and watch-push latency.
+/// socket is ready. Bounds inbox pickup (new sockets and compute replies)
+/// and watch-push latency.
 const POLL_TICK: Duration = Duration::from_millis(10);
 
 /// Per-connection, per-tick ceiling on bytes pulled off the socket, so one
@@ -68,9 +69,10 @@ const SLOW_TICK_LAG: Duration = Duration::from_millis(250);
 /// it, and admission decisions made on other threads.
 pub(crate) struct ShardState {
     pub(crate) index: usize,
-    /// Newly accepted sockets, pushed by the accept loop with their
-    /// connection id, drained by the shard's loop each tick.
-    pub(crate) inbox: Mutex<Vec<(u64, TcpStream)>>,
+    /// Newly accepted sockets from the accept loop and finished job
+    /// replies from compute workers, drained by the shard's loop each tick
+    /// under one lock.
+    inbox: Mutex<Vec<Inbox>>,
     /// Resident bytes of this shard's recorded session traces — the input
     /// to tiered admission.
     pub(crate) resident_bytes: AtomicU64,
@@ -89,6 +91,14 @@ pub(crate) struct ShardState {
     pub(crate) out_high_water: AtomicU64,
 }
 
+/// One entry of a shard's inbox.
+enum Inbox {
+    /// A newly accepted socket and its connection id.
+    Socket(u64, TcpStream),
+    /// An encoded `JobResult` frame for the connection with this id.
+    Reply(u64, Vec<u8>),
+}
+
 impl ShardState {
     pub(crate) fn new(index: usize) -> Self {
         Self {
@@ -101,6 +111,25 @@ impl ShardState {
             last_lag_micros: AtomicU64::new(0),
             out_high_water: AtomicU64::new(0),
         }
+    }
+
+    /// Hands a newly accepted socket to this shard.
+    pub(crate) fn push_socket(&self, id: u64, stream: TcpStream) {
+        self.inbox
+            .lock()
+            .expect("shard inbox")
+            .push(Inbox::Socket(id, stream));
+    }
+
+    /// Queues a compute reply for connection `conn`; the shard delivers it
+    /// on its next tick, or drops it if the connection is gone.
+    pub(crate) fn push_reply(&self, conn: u64, frame: &ServerFrame) {
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, frame);
+        self.inbox
+            .lock()
+            .expect("shard inbox")
+            .push(Inbox::Reply(conn, bytes));
     }
 }
 
@@ -260,9 +289,10 @@ struct Conn {
     /// Set when the connection became a watch subscription: the shard
     /// pumps the queue into `out` and stops decoding client frames.
     watch: Option<Arc<crate::server::Subscriber>>,
-    /// A job frame that must move this connection to the compute path;
-    /// set by `handle_frame`, consumed by `process_frames`.
-    pending_detach: Option<ClientFrame>,
+    /// `Some(n)` once a job frame made this a compute channel, with `n`
+    /// submitted jobs still owed a `JobResult`. The idle sweep spares the
+    /// connection while any are outstanding.
+    jobs: Option<usize>,
     /// Server-initiated goodbye: flush `out`, then close.
     closing: bool,
     /// Peer closed its write side.
@@ -288,7 +318,7 @@ impl Conn {
             conn_ctx: TraceContext::NONE,
             session: None,
             watch: None,
-            pending_detach: None,
+            jobs: None,
             closing: false,
             eof: false,
         }
@@ -312,9 +342,6 @@ enum Fate {
     Keep,
     /// Tear the connection down (flushing was already attempted).
     Close,
-    /// Hand the connection off to a blocking compute thread, starting
-    /// with this already-decoded frame.
-    Detach(ClientFrame),
 }
 
 /// Applies a resident/spilled byte delta to a shard total.
@@ -335,23 +362,37 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
     let mut prev_tier = AdmissionTier::Accept;
     let mut iter_start = Instant::now();
     loop {
-        // intake newly accepted sockets
+        // intake newly accepted sockets and finished compute replies
         {
             let mut inbox = shard.inbox.lock().expect("shard inbox");
-            for (id, stream) in inbox.drain(..) {
-                stream.set_nodelay(true).ok();
-                if stream.set_nonblocking(true).is_err() {
-                    shared.conn_gone();
-                    continue;
+            for entry in inbox.drain(..) {
+                match entry {
+                    Inbox::Socket(id, stream) => {
+                        stream.set_nodelay(true).ok();
+                        if stream.set_nonblocking(true).is_err() {
+                            shared.conn_gone();
+                            continue;
+                        }
+                        conns.insert(id, Conn::new(stream));
+                    }
+                    // a reply whose connection is gone goes into the void
+                    Inbox::Reply(id, bytes) => {
+                        if let Some(conn) = conns.get_mut(&id) {
+                            conn.out.extend_from_slice(&bytes);
+                            conn.jobs = conn.jobs.map(|n| n.saturating_sub(1));
+                            conn.last_seen = Instant::now();
+                        }
+                    }
                 }
-                conns.insert(id, Conn::new(stream));
             }
         }
         let draining = shared.is_draining();
         if draining && conns.is_empty() && shared.accept_stopped() {
             // re-check the inbox under its lock: the accept loop stopped,
             // but a socket may have landed between our drain and its exit
-            if shard.inbox.lock().expect("shard inbox").is_empty() {
+            // (orphan replies don't hold the shard up)
+            let inbox = shard.inbox.lock().expect("shard inbox");
+            if !inbox.iter().any(|e| matches!(e, Inbox::Socket(..))) {
                 break;
             }
             continue;
@@ -387,17 +428,9 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                 draining,
                 force,
             };
-            let fate = service_conn(shared, shard, id, conn, tick);
-            match fate {
-                Fate::Keep => {}
-                Fate::Close => {
-                    let conn = conns.remove(&id).expect("conn");
-                    teardown(shared, shard, id, conn);
-                }
-                Fate::Detach(first) => {
-                    let conn = conns.remove(&id).expect("conn");
-                    detach_compute(shared, id, conn, first);
-                }
+            if let Fate::Close = service_conn(shared, shard, id, conn, tick) {
+                let conn = conns.remove(&id).expect("conn");
+                teardown(shared, shard, id, conn);
             }
         }
         // self-health: service-pass duration, event-loop lag beyond the
@@ -491,13 +524,9 @@ fn service_conn(
             }
         }
         if !io_dead && conn.watch.is_none() {
-            match process_frames(shared, shard, id, conn) {
-                Ok(Some(first)) => return Fate::Detach(first),
-                Ok(None) => {}
-                Err(e) => {
-                    shared.log(format_args!("conn {id}: {e}"));
-                    conn.closing = true;
-                }
+            if let Err(e) = process_frames(shared, shard, id, conn) {
+                shared.log(format_args!("conn {id}: {e}"));
+                conn.closing = true;
             }
         }
     }
@@ -523,7 +552,7 @@ fn service_conn(
     if conn.closing && !conn.out_pending() {
         return Fate::Close;
     }
-    if conn.last_seen.elapsed() > shared.config.limits.idle_timeout {
+    if conn.jobs.unwrap_or(0) == 0 && conn.last_seen.elapsed() > shared.config.limits.idle_timeout {
         shared.log(format_args!("conn {id}: idle timeout, reaping"));
         twodprof_obs::counter!(
             "serve_sessions_reaped_total",
@@ -565,8 +594,7 @@ fn read_available(conn: &mut Conn) -> io::Result<()> {
     }
 }
 
-/// Decodes and handles every complete frame the decoder holds. Returns a
-/// frame to detach on (compute handoff), `Ok(None)` to continue, or the
+/// Decodes and handles every complete frame the decoder holds. Returns the
 /// error that should close the connection (after queueing a reply where
 /// the old blocking loop did).
 fn process_frames(
@@ -574,14 +602,14 @@ fn process_frames(
     shard: &Arc<ShardState>,
     id: u64,
     conn: &mut Conn,
-) -> io::Result<Option<ClientFrame>> {
+) -> io::Result<()> {
     loop {
         if conn.closing {
-            return Ok(None);
+            return Ok(());
         }
         let frame = match conn.decoder.next_client() {
             Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(None),
+            Ok(None) => return Ok(()),
             Err(e) => {
                 twodprof_obs::counter!(
                     "serve_frame_decode_errors_total",
@@ -605,18 +633,9 @@ fn process_frames(
         handle_frame(shared, shard, id, conn, frame)?;
         if conn.watch.is_some() {
             // subscription established: later bytes are ignored, not frames
-            return Ok(None);
-        }
-        if let Some(first) = take_pending_detach(conn) {
-            return Ok(Some(first));
+            return Ok(());
         }
     }
-}
-
-/// Slot for a frame that must detach the connection to the compute path;
-/// set by `handle_frame`, consumed by `process_frames`.
-fn take_pending_detach(conn: &mut Conn) -> Option<ClientFrame> {
-    conn.pending_detach.take()
 }
 
 /// Handles one decoded frame, mirroring the session state machine of the
@@ -643,6 +662,26 @@ fn handle_frame(
         .unwrap_or(conn.conn_ctx);
     let _ctx_guard = frame_ctx.is_active().then(|| trace::attach(frame_ctx));
     let _frame_span = twodprof_obs::span!(crate::server::frame_name(&frame));
+    if conn.jobs.is_some()
+        && !matches!(
+            frame,
+            ClientFrame::SubmitJob { .. }
+                | ClientFrame::CacheQuery { .. }
+                | ClientFrame::Stats
+                | ClientFrame::Blackbox
+        )
+    {
+        push_error(
+            &mut conn.out,
+            codes::BAD_STATE,
+            format!(
+                "{} is not allowed on a compute channel",
+                crate::server::frame_name(&frame)
+            ),
+        );
+        conn.closing = true;
+        return Ok(());
+    }
     match frame {
         ClientFrame::Hello(hello) => {
             if conn.session.is_some() {
@@ -997,32 +1036,42 @@ fn handle_frame(
                 conn.watch = Some(sub);
             }
         }
-        frame @ (ClientFrame::SubmitJob { .. } | ClientFrame::CacheQuery { .. }) => {
-            if conn.session.is_some() {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    "job frames are not allowed on a session connection".into(),
-                );
-                conn.closing = true;
-                return Ok(());
+        ClientFrame::SubmitJob { job_id, spec } => {
+            if let Some(pool) = compute_pool(shared, id, conn) {
+                // a worker replies through this shard's inbox, out of
+                // submission order
+                conn.jobs = conn.jobs.map(|n| n + 1);
+                pool.submit(job_id, spec, shard.clone(), id);
             }
-            if shared.compute.is_none() {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    "compute service is disabled on this daemon".into(),
-                );
-                conn.closing = true;
-                return Ok(());
+        }
+        ClientFrame::CacheQuery { job_id, spec } => {
+            if let Some(pool) = compute_pool(shared, id, conn) {
+                let result = pool.lookup(&spec);
+                push_frame(&mut conn.out, &ServerFrame::CacheReply { job_id, result });
             }
-            // hand the connection (and this first frame) to a blocking
-            // compute thread, which owns a sharable writer so pool
-            // workers can reply out of order
-            conn.pending_detach = Some(frame);
         }
     }
     Ok(())
+}
+
+/// Admits a job frame: refused with `BAD_STATE` on a session connection
+/// or a daemon without `--compute`; otherwise the connection becomes a
+/// compute channel and the pool is returned.
+fn compute_pool<'s>(shared: &'s Shared, id: u64, conn: &mut Conn) -> Option<&'s ComputePool> {
+    let refusal = if conn.session.is_some() {
+        "job frames are not allowed on a session connection"
+    } else if let Some(pool) = shared.compute.as_deref() {
+        if conn.jobs.is_none() {
+            shared.log(format_args!("conn {id}: fabric compute channel opened"));
+            conn.jobs = Some(0);
+        }
+        return Some(pool);
+    } else {
+        "compute service is disabled on this daemon"
+    };
+    push_error(&mut conn.out, codes::BAD_STATE, refusal.into());
+    conn.closing = true;
+    None
 }
 
 /// Drains a watch subscriber's drift queue into the out-buffer; sheds the
@@ -1134,143 +1183,6 @@ fn release_session_accounting(
     live.spilled_last = 0;
     shard.sessions.fetch_sub(1, Ordering::Relaxed);
     shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Hands a sessionless connection to the blocking compute loop: flip the
-/// socket back to blocking, flush anything still queued, and spawn the
-/// dedicated thread the compute pool's out-of-order replies need. Bytes
-/// the shard over-read are chained ahead of the socket.
-fn detach_compute(shared: &Arc<Shared>, id: u64, conn: Conn, first: ClientFrame) {
-    let Conn {
-        stream,
-        decoder,
-        out,
-        out_pos,
-        last_seen,
-        ..
-    } = conn;
-    let leftover = decoder.into_rest();
-    let shared = shared.clone();
-    let spawn = (|| -> io::Result<()> {
-        stream.set_nonblocking(false)?;
-        if out_pos < out.len() {
-            let mut w = &stream;
-            w.write_all(&out[out_pos..])?;
-        }
-        let reader_stream = stream.try_clone()?;
-        let last_seen = Arc::new(Mutex::new(last_seen));
-        shared.detached.lock().expect("detached table").insert(
-            id,
-            crate::server::ConnEntry {
-                stream: stream.try_clone()?,
-                last_seen: last_seen.clone(),
-            },
-        );
-        let shared2 = shared.clone();
-        thread::Builder::new()
-            .name(format!("twodprofd-compute-conn-{id}"))
-            .spawn(move || {
-                let mut reader = io::Cursor::new(leftover).chain(BufReader::new(reader_stream));
-                let writer = BufWriter::new(stream);
-                let result = compute_conn(&shared2, id, &mut reader, writer, first, &last_seen);
-                shared2.detached.lock().expect("detached table").remove(&id);
-                shared2.conn_gone();
-                if let Err(e) = result {
-                    shared2.log(format_args!("conn {id}: {e}"));
-                }
-            })?;
-        Ok(())
-    })();
-    if let Err(e) = spawn {
-        shared.log(format_args!("conn {id}: compute handoff failed: {e}"));
-        shared.detached.lock().expect("detached table").remove(&id);
-        shared.conn_gone();
-    }
-}
-
-/// Serves a fabric client's connection after its first job frame: submits
-/// jobs to the compute pool, answers cache queries inline, and keeps
-/// `Stats` working. Replies share the socket through a mutex-guarded
-/// writer because pool workers finish jobs out of submission order.
-fn compute_conn<R: Read>(
-    shared: &Arc<Shared>,
-    id: u64,
-    reader: &mut R,
-    writer: BufWriter<TcpStream>,
-    first: ClientFrame,
-    last_seen: &Arc<Mutex<Instant>>,
-) -> io::Result<()> {
-    let pool = shared.compute.as_ref().expect("compute enabled").clone();
-    shared.log(format_args!("conn {id}: fabric compute channel opened"));
-    let writer: SharedWriter = Arc::new(Mutex::new(writer));
-    let send = |w: &mut BufWriter<TcpStream>, frame: &ServerFrame| -> io::Result<()> {
-        frame.write_to(w)?;
-        w.flush()
-    };
-    let mut pending = Some(first);
-    loop {
-        let frame = match pending.take() {
-            Some(frame) => frame,
-            None => match ClientFrame::read_from(reader) {
-                Ok(frame) => frame,
-                // clean goodbye; any jobs still queued reply into the void
-                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-                Err(e) => {
-                    if e.kind() == io::ErrorKind::InvalidData {
-                        twodprof_obs::counter!(
-                            "serve_frame_decode_errors_total",
-                            "Client frames that failed to decode."
-                        )
-                        .inc();
-                        let mut w = writer.lock().expect("compute writer");
-                        let _ = send(
-                            &mut w,
-                            &ServerFrame::Error {
-                                code: codes::BAD_FRAME,
-                                msg: format!("bad frame: {e}"),
-                            },
-                        );
-                    }
-                    return Err(e);
-                }
-            },
-        };
-        *last_seen.lock().expect("last_seen") = Instant::now();
-        let _frame_span = twodprof_obs::span!(crate::server::frame_name(&frame));
-        match frame {
-            ClientFrame::SubmitJob { job_id, spec } => {
-                pool.submit(job_id, spec, writer.clone(), last_seen.clone());
-            }
-            ClientFrame::CacheQuery { job_id, spec } => {
-                let result = pool.lookup(&spec);
-                let mut w = writer.lock().expect("compute writer");
-                send(&mut w, &ServerFrame::CacheReply { job_id, result })?;
-            }
-            ClientFrame::Stats => {
-                let snapshot = twodprof_obs::global().snapshot();
-                let mut w = writer.lock().expect("compute writer");
-                send(&mut w, &ServerFrame::StatsReply(snapshot.to_bytes()))?;
-            }
-            ClientFrame::Blackbox => {
-                let block = shared.flight.encode();
-                let mut w = writer.lock().expect("compute writer");
-                send(&mut w, &ServerFrame::BlackboxReply(block))?;
-            }
-            other => {
-                let mut w = writer.lock().expect("compute writer");
-                return send(
-                    &mut w,
-                    &ServerFrame::Error {
-                        code: codes::BAD_STATE,
-                        msg: format!(
-                            "{} is not allowed on a compute channel",
-                            crate::server::frame_name(&other)
-                        ),
-                    },
-                );
-            }
-        }
-    }
 }
 
 enum Admission {

@@ -655,16 +655,6 @@ impl ClientFrame {
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         write_frame(w, &self.encode())
     }
-
-    /// Reads one length-prefixed frame from `r` and decodes it.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode`](Self::decode), plus framing errors from
-    /// [`btrace::read_frame`].
-    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        Self::decode(&read_frame(r, MAX_FRAME_LEN)?)
-    }
 }
 
 impl ServerFrame {
@@ -954,14 +944,6 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    /// Consumes the decoder, returning any unconsumed bytes — used when a
-    /// connection is handed off from a shard loop to a blocking reader
-    /// (the compute path), which must see bytes the shard read but did not
-    /// decode.
-    pub fn into_rest(mut self) -> Vec<u8> {
-        self.buf.split_off(self.pos)
-    }
-
     /// Yields the next complete frame payload, or `None` when more bytes
     /// are needed.
     ///
@@ -1026,7 +1008,8 @@ mod tests {
     fn roundtrip_client(frame: ClientFrame) {
         let mut buf = Vec::new();
         frame.write_to(&mut buf).unwrap();
-        assert_eq!(ClientFrame::read_from(&mut buf.as_slice()).unwrap(), frame);
+        let payload = read_frame(&mut buf.as_slice(), MAX_FRAME_LEN).unwrap();
+        assert_eq!(ClientFrame::decode(&payload).unwrap(), frame);
     }
 
     fn roundtrip_server(frame: ServerFrame) {
@@ -1285,17 +1268,6 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&[0x80; 10]); // 10 continuation bytes: over-long varint
         assert!(dec.next_payload().is_err());
-    }
-
-    #[test]
-    fn decoder_into_rest_returns_unconsumed_bytes() {
-        let mut stream = Vec::new();
-        ClientFrame::Flush.write_to(&mut stream).unwrap();
-        stream.extend_from_slice(&[0xAA, 0xBB]);
-        let mut dec = FrameDecoder::new();
-        dec.push(&stream);
-        assert!(dec.next_client().unwrap().is_some());
-        assert_eq!(dec.into_rest(), vec![0xAA, 0xBB]);
     }
 
     #[test]

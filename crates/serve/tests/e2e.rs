@@ -11,12 +11,13 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_engine::{Engine, EngineConfig, JobSpec};
 use twodprof_serve::wire::{
-    codes, AdmissionTier, ClientFrame, Hello, ServerFrame, PROTOCOL_VERSION,
+    codes, AdmissionTier, ClientFrame, Hello, JobOutcome, ServerFrame, PROTOCOL_VERSION,
 };
 use twodprof_serve::{
-    fetch_stats, replay_workload, ClientError, ConnectOptions, RemoteSession, RemoteTracer,
-    ReplaySpec, Server, ServerConfig, ServerHandle, ServerStats,
+    fetch_stats, replay_workload, ClientError, ComputeConfig, ConnectOptions, RemoteSession,
+    RemoteTracer, ReplaySpec, Server, ServerConfig, ServerHandle, ServerStats,
 };
 use workloads::Scale;
 
@@ -685,4 +686,206 @@ fn spilled_recording_resims_bit_identical() {
         report.bytes(),
         &local_report_bytes(&stream, NUM_SITES, PredictorKind::Gshare4Kb, slice)[..]
     );
+}
+
+/// A one-shard daemon running the fabric compute service on one worker,
+/// so compute connections and ingest sessions share a single shard loop.
+fn compute_daemon(idle_timeout: Duration) -> Daemon {
+    Daemon::start(
+        ServerConfig::builder()
+            .shards(1)
+            .idle_timeout(idle_timeout)
+            .compute(ComputeConfig {
+                threads: 1,
+                cache_dir: None,
+            })
+            .quiet(true)
+            .build()
+            .expect("config"),
+    )
+}
+
+/// The payload bytes a local engine produces for `spec`.
+fn local_payload(spec: &JobSpec) -> Vec<u8> {
+    Engine::new(EngineConfig::default())
+        .run_one(spec)
+        .output
+        .expect("local job output")
+        .to_payload()
+}
+
+/// Unwraps a successful `JobResult` for `job_id` into its payload bytes.
+fn job_bytes(frame: ServerFrame, job_id: u64) -> Vec<u8> {
+    match frame {
+        ServerFrame::JobResult {
+            job_id: id,
+            outcome: JobOutcome::Done(payload),
+        } if id == job_id => payload.bytes,
+        other => panic!("expected JobResult {job_id}, got {other:?}"),
+    }
+}
+
+#[test]
+fn compute_channel_pipelines_job_frames_beside_an_ingest_session() {
+    const NUM_SITES: usize = 16;
+    let daemon = compute_daemon(Duration::from_secs(30));
+    let spec = JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
+    let mut chan = TcpStream::connect(daemon.addr).expect("connect");
+    // one write of four pipelined frames
+    let mut pipelined = Vec::new();
+    for frame in [
+        ClientFrame::CacheQuery {
+            job_id: 1,
+            spec: spec.clone(),
+        },
+        ClientFrame::SubmitJob {
+            job_id: 2,
+            spec: spec.clone(),
+        },
+        ClientFrame::Stats,
+        ClientFrame::Blackbox,
+    ] {
+        frame.write_to(&mut pipelined).expect("encode");
+    }
+    std::io::Write::write_all(&mut chan, &pipelined).expect("write job frames");
+
+    // meanwhile an ingest session runs to Finish on the same shard
+    let slice = SliceConfig::new(512, 32);
+    let stream = synthetic_stream(21, 30_000, NUM_SITES as u32);
+    let mut remote = RemoteTracer::with_batch_size(
+        connect(daemon.addr, NUM_SITES, PredictorKind::Gshare4Kb, slice).expect("connect"),
+        1000,
+    );
+    for &(site, taken) in &stream {
+        remote.branch(site, taken);
+    }
+    assert_eq!(
+        remote.finish().expect("finish").bytes(),
+        &local_report_bytes(&stream, NUM_SITES, PredictorKind::Gshare4Kb, slice)[..],
+        "ingest session beside a compute channel diverged from its local run"
+    );
+
+    // every job frame is answered; the JobResult may land anywhere
+    let (mut miss, mut job, mut stats, mut blackbox) = (None, None, false, false);
+    for _ in 0..4 {
+        match ServerFrame::read_from(&mut chan).expect("reply") {
+            ServerFrame::CacheReply { job_id: 1, result } => miss = Some(result),
+            frame @ ServerFrame::JobResult { .. } => job = Some(job_bytes(frame, 2)),
+            ServerFrame::StatsReply(_) => stats = true,
+            ServerFrame::BlackboxReply(_) => blackbox = true,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(miss, Some(None), "a cold daemon must miss the cache query");
+    assert!(stats && blackbox, "Stats and Blackbox must be answered");
+    let expected = local_payload(&spec);
+    assert_eq!(job.expect("JobResult"), expected);
+
+    // the finished job now answers from the node's cache tier
+    ClientFrame::CacheQuery { job_id: 3, spec }
+        .write_to(&mut chan)
+        .expect("write cache query");
+    match ServerFrame::read_from(&mut chan).expect("cache reply") {
+        ServerFrame::CacheReply {
+            job_id: 3,
+            result: Some(payload),
+        } => {
+            assert!(payload.cached);
+            assert_eq!(payload.bytes, expected);
+        }
+        other => panic!("expected a cache hit, got {other:?}"),
+    }
+    drop(chan);
+    let stats = daemon.stop();
+    assert_eq!(stats.sessions_finished, 1);
+    assert_eq!(stats.sessions_aborted, 0);
+}
+
+#[test]
+fn job_frames_are_refused_outside_a_compute_channel() {
+    let spec = JobSpec::count("gzip", "train", Scale::Tiny);
+    let expect_bad_state =
+        |stream: &mut TcpStream, what: &str| match ServerFrame::read_from(stream).expect("reply") {
+            ServerFrame::Error { code, msg } => {
+                assert_eq!(code, codes::BAD_STATE, "{what}: {msg}");
+                assert!(msg.contains(what), "{what}: {msg}");
+            }
+            other => panic!("{what}: expected Error, got {other:?}"),
+        };
+
+    // a session frame after a job frame
+    let daemon = compute_daemon(Duration::from_secs(30));
+    let mut stream = TcpStream::connect(daemon.addr).expect("connect");
+    ClientFrame::CacheQuery {
+        job_id: 1,
+        spec: spec.clone(),
+    }
+    .write_to(&mut stream)
+    .expect("write cache query");
+    assert!(matches!(
+        ServerFrame::read_from(&mut stream).expect("cache reply"),
+        ServerFrame::CacheReply { job_id: 1, .. }
+    ));
+    ClientFrame::Hello(Hello {
+        protocol: PROTOCOL_VERSION,
+        num_sites: 4,
+        predictor: PredictorKind::Gshare4Kb,
+        slice_len: 64,
+        exec_threshold: 4,
+        program: String::new(),
+    })
+    .write_to(&mut stream)
+    .expect("write hello");
+    expect_bad_state(&mut stream, "not allowed on a compute channel");
+    drop(daemon);
+
+    // a job frame on a daemon without the compute service
+    let daemon = Daemon::start(Daemon::quiet_config());
+    let mut stream = TcpStream::connect(daemon.addr).expect("connect");
+    ClientFrame::SubmitJob { job_id: 1, spec }
+        .write_to(&mut stream)
+        .expect("write submit");
+    expect_bad_state(&mut stream, "compute service is disabled");
+}
+
+#[test]
+fn compute_channel_outlives_idle_timeout_while_a_job_runs() {
+    let idle = Duration::from_millis(20);
+    // a job that runs far past the idle timeout on this machine: time it
+    // locally first, escalating the scale until it is slow enough
+    let (spec, expected) = [Scale::Small, Scale::Full]
+        .into_iter()
+        .map(|scale| {
+            let spec = JobSpec::two_d("gcc", "train", scale, PredictorKind::Perceptron16Kb);
+            let start = Instant::now();
+            let bytes = local_payload(&spec);
+            (spec, bytes, start.elapsed())
+        })
+        .find(|(spec, _, took)| *took >= idle * 20 || spec.scale == Scale::Full)
+        .map(|(spec, bytes, _)| (spec, bytes))
+        .expect("a Full-scale job always qualifies");
+    let daemon = compute_daemon(idle);
+    let mut chan = TcpStream::connect(daemon.addr).expect("connect");
+    chan.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let start = Instant::now();
+    ClientFrame::SubmitJob {
+        job_id: 7,
+        spec: spec.clone(),
+    }
+    .write_to(&mut chan)
+    .expect("write submit");
+    let frame = ServerFrame::read_from(&mut chan).expect("JobResult, not EOF");
+    let took = start.elapsed();
+    assert!(
+        took >= idle * 10,
+        "the job must outlast the idle timeout tenfold to test anything ({took:?})"
+    );
+    assert_eq!(job_bytes(frame, 7), expected);
+
+    // with nothing outstanding the idle sweep reaps the connection again
+    let err = ServerFrame::read_from(&mut chan).expect_err("reaped connection");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    let handle = daemon.handle.clone();
+    wait_until("connection teardown", || handle.active_connections() == 0);
 }
