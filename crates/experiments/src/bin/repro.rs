@@ -1,22 +1,13 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro [--scale tiny|small|full] [--out DIR] [--jobs N]
-//!       [--cache-dir DIR | --no-cache] [--metrics]
-//!       [--backend local|remote] [--node HOST:PORT ...] [EXPERIMENT ...]
-//! repro serve [daemon options]
-//! repro replay WORKLOAD INPUT [replay options]
-//! repro stats [--addr HOST:PORT]
-//! ```
+//! Run `repro --help` for the flags and the experiment list; `all` (the
+//! default) runs every experiment and `detail <workload>` drills into one
+//! benchmark.
 //!
-//! Experiments: `fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig10 fig11 fig12 fig13
-//! fig14 fig15 fig16 table1 table2 table4 ablation bias2d predcmp`, or
-//! `all` (the default); `detail <workload>` drills into one benchmark.
-//!
-//! `serve` and `replay` are the `twodprofd` daemon and its client (see the
-//! `twodprof-serve` crate), exposed here so one binary covers the whole
-//! toolchain; their options match `twodprofd --help` / `twodprof-client
-//! --help`.
+//! `repro serve`, `repro replay` and `repro stats` are the `twodprofd`
+//! daemon and its client (see the `twodprof-serve` crate), exposed here so
+//! one binary covers the whole toolchain; `repro SUBCOMMAND --help` lists
+//! their flags.
 
 use experiments::{
     ablation, bias_cmp, detail, fig02, fig03, fig04_05, fig06_07, fig08, fig10, fig11_14, fig12_13,
@@ -27,13 +18,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use twodprof_engine::{full_grid, Engine, EngineConfig, JobBackend, JobStatus};
 use twodprof_fabric::{FabricConfig, RemoteBackend};
+use twodprof_serve::cli;
+use twodprof_serve::flags::{self, flag, switch, Command, Flag};
 use workloads::Scale;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BackendKind {
-    Local,
-    Remote,
-}
 
 struct Args {
     scale: Scale,
@@ -42,7 +29,6 @@ struct Args {
     cache_dir: Option<PathBuf>,
     metrics: bool,
     trace_out: Option<PathBuf>,
-    backend: BackendKind,
     nodes: Vec<String>,
     experiments: Vec<String>,
 }
@@ -52,86 +38,44 @@ const ALL: &[&str] = &[
     "fig12", "fig13", "fig14", "fig15", "table4", "fig16", "ablation", "bias2d", "predcmp",
 ];
 
-/// Experiments accepted on the command line but not part of `all` (they
-/// take an argument or are drill-downs).
-const EXTRA: &[&str] = &["detail"];
+const FLAGS: &[Flag] = &[
+    flag("--scale", "tiny|small|full", "scale (default full)"),
+    flag("--out", "DIR", "also write every table as CSV under DIR"),
+    flag("--jobs", "N", "worker threads (0 = the machine's CPUs)"),
+    flag("--cache-dir", "DIR", "cache dir (default .twodprof-cache)"),
+    switch("--no-cache", "run without the result cache"),
+    switch("--metrics", "dump the metrics snapshot to stderr at exit"),
+    flag("--trace-out", "PATH", "write the span trace as Chrome JSON"),
+    flag("--node", "HOST:PORT", "remote compute node (repeatable)"),
+];
 
-fn parse_args() -> Result<Args, String> {
-    let mut scale = Scale::Full;
-    let mut out = None;
-    let mut jobs = 0; // 0 = auto (available_parallelism)
-    let mut cache_dir = Some(PathBuf::from(".twodprof-cache"));
-    let mut metrics = false;
-    let mut trace_out = None;
-    let mut backend = BackendKind::Local;
-    let mut nodes = Vec::new();
+/// Parses the experiment runner's arguments.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let subcommands = cli::REPRO_SUBCOMMANDS.iter().map(|(name, _)| *name);
+    let about = format!(
+        "experiments: {} all\n\
+         drill-down: detail WORKLOAD\n\
+         each --node adds a compute node; with any, the sweep runs remotely and its\n\
+         results stay byte-identical to a local run\n\
+         subcommands: {} (see `repro SUBCOMMAND --help`)",
+        ALL.join(" "),
+        subcommands.collect::<Vec<_>>().join(" ")
+    );
+    let cmd = Command {
+        name: "repro",
+        positionals: &["EXPERIMENT..."],
+        about: &about,
+        flags: FLAGS,
+    };
+    let m = flags::parse(&cmd, args)?;
     let mut experiments = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = it.next().ok_or("--scale needs a value")?;
-                scale = match v.as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "full" => Scale::Full,
-                    other => return Err(format!("unknown scale {other:?}")),
-                };
-            }
-            "--out" => {
-                out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?));
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--jobs needs a number, got {v:?}"))?;
-            }
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(it.next().ok_or("--cache-dir needs a value")?));
-            }
-            "--no-cache" => cache_dir = None,
-            "--metrics" => metrics = true,
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                backend = match v.as_str() {
-                    "local" => BackendKind::Local,
-                    "remote" => BackendKind::Remote,
-                    other => return Err(format!("unknown backend {other:?} (local|remote)")),
-                };
-            }
-            "--node" => {
-                nodes.push(it.next().ok_or("--node needs a HOST:PORT value")?);
-            }
-            "--trace-out" => {
-                trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a value")?));
-            }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: repro [--scale tiny|small|full] [--out DIR] [--jobs N]\n\
-                     \x20            [--cache-dir DIR | --no-cache] [--metrics]\n\
-                     \x20            [--trace-out PATH] [--backend local|remote]\n\
-                     \x20            [--node HOST:PORT ...] [EXPERIMENT ...]\n\
-                     --jobs 0 (default) sizes the worker pool to the machine\n\
-                     results are cached in .twodprof-cache unless --no-cache\n\
-                     --backend remote fans jobs out to twodprofd --compute nodes\n\
-                     (one --node per daemon; results are byte-identical to local)\n\
-                     --metrics dumps the process metrics snapshot to stderr at exit\n\
-                     --trace-out writes the run's span trace as Chrome trace-event\n\
-                     JSON (load in chrome://tracing or Perfetto)\n\
-                     experiments: {} all\n\
-                     drill-down: {} <workload>\n\
-                     daemon: repro serve [...] / repro replay WORKLOAD INPUT [...] /\n\
-                     \x20       repro stats [...]\n\
-                     (see `repro serve --help`, `repro replay --help`, `repro stats --help`)",
-                    ALL.join(" "),
-                    EXTRA.join(" ")
-                ));
-            }
+    let mut names = m.positionals().iter();
+    while let Some(&name) = names.next() {
+        match name {
             "all" => experiments.extend(ALL.iter().map(|s| (*s).to_owned())),
             e if ALL.contains(&e) => experiments.push(e.to_owned()),
             "detail" => {
-                let w = it.next().ok_or("detail needs a workload name")?;
+                let w = names.next().ok_or("detail needs a workload name")?;
                 experiments.push(format!("detail:{w}"));
             }
             other => return Err(format!("unknown experiment {other:?} (try --help)")),
@@ -140,21 +84,15 @@ fn parse_args() -> Result<Args, String> {
     if experiments.is_empty() {
         experiments.extend(ALL.iter().map(|s| (*s).to_owned()));
     }
-    if backend == BackendKind::Remote && nodes.is_empty() {
-        return Err("--backend remote needs at least one --node HOST:PORT".to_owned());
-    }
-    if backend == BackendKind::Local && !nodes.is_empty() {
-        return Err("--node only makes sense with --backend remote".to_owned());
-    }
+    let cache_dir = m.value("--cache-dir").unwrap_or(".twodprof-cache");
     Ok(Args {
-        scale,
-        out,
-        jobs,
-        cache_dir,
-        metrics,
-        trace_out,
-        backend,
-        nodes,
+        scale: cli::scale(&m, Scale::Full)?,
+        out: m.value("--out").map(PathBuf::from),
+        jobs: m.numeric("--jobs")?.unwrap_or(0),
+        cache_dir: (!m.switch("--no-cache")).then(|| cache_dir.into()),
+        metrics: m.switch("--metrics"),
+        trace_out: m.value("--trace-out").map(PathBuf::from),
+        nodes: m.values("--node").map(str::to_owned).collect(),
         experiments,
     })
 }
@@ -169,46 +107,12 @@ fn emit(table: &Table, name: &str, out: &Option<PathBuf>) {
 }
 
 fn main() -> ExitCode {
-    // daemon-mode dispatch: `repro serve ...` / `repro replay ...` are the
-    // twodprofd daemon and its replay client under the one binary
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("serve") => {
-            return match twodprof_serve::cli::serve_main(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("replay") => {
-            return match twodprof_serve::cli::replay_main(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("stats") => {
-            return match twodprof_serve::cli::stats_main(&raw[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::dispatch("repro", cli::REPRO_SUBCOMMANDS, Some(run))
+}
+
+/// Runs the experiments the arguments name.
+fn run(args: &[String]) -> Result<(), String> {
+    let args = parse_args(args)?;
     // the root span covers engine construction through the last experiment;
     // every engine/context span nests under it in the exported timeline
     let root = args
@@ -223,21 +127,18 @@ fn main() -> ExitCode {
     // backend choice goes to stderr: every simulated table is byte-identical
     // across --jobs settings and backends (only fig16's wall-clock figure
     // carries noise)
-    let mut ctx = match args.backend {
-        BackendKind::Local => {
-            let engine = Engine::new(engine_config);
-            eprintln!("[engine] {} worker(s)", engine.worker_count());
-            Context::with_engine(args.scale, engine)
-        }
-        BackendKind::Remote => {
-            let backend = RemoteBackend::new(FabricConfig {
-                nodes: args.nodes.clone(),
-                fallback: engine_config,
-                ..FabricConfig::default()
-            });
-            eprintln!("[engine] {}", backend.describe());
-            Context::with_backend(args.scale, Arc::new(backend))
-        }
+    let mut ctx = if args.nodes.is_empty() {
+        let engine = Engine::new(engine_config);
+        eprintln!("[engine] {} worker(s)", engine.worker_count());
+        Context::with_engine(args.scale, engine)
+    } else {
+        let backend = RemoteBackend::new(FabricConfig {
+            nodes: args.nodes.clone(),
+            fallback: engine_config,
+            ..FabricConfig::default()
+        });
+        eprintln!("[engine] {}", backend.describe());
+        Context::with_backend(args.scale, Arc::new(backend))
     };
     println!(
         "# 2D-profiling reproduction — scale {:?}, {} experiment(s)\n",
@@ -371,11 +272,65 @@ fn main() -> ExitCode {
                 trace_id,
                 path.display()
             ),
-            Err(e) => {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return Err(format!("cannot write {}: {e}", path.display())),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// Every flag `repro` accepted before its parse table, with a sample
+    /// value for a flag that takes one and `None` for a switch (`--backend`
+    /// is gone: see below).
+    const ACCEPTED: &[(&str, Option<&str>)] = &[
+        ("--scale", Some("tiny")),
+        ("--out", Some("out")),
+        ("--jobs", Some("2")),
+        ("--cache-dir", Some("cache")),
+        ("--no-cache", None),
+        ("--metrics", None),
+        ("--trace-out", Some("t.json")),
+        ("--node", Some("127.0.0.1:1")),
+    ];
+
+    #[test]
+    fn every_flag_accepted_before_the_table_still_parses_with_its_arity() {
+        assert_eq!(FLAGS.len(), ACCEPTED.len(), "a flag was added");
+        for &(flag, value) in ACCEPTED {
+            let mut line = args(&[flag]);
+            if let Some(v) = value {
+                let missing = parse_args(&line).err();
+                assert_eq!(missing, Some(format!("{flag} needs a value")));
+                line.push(v.to_owned());
+            }
+            line.push("fig2".to_owned());
+            let parsed = parse_args(&line).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_eq!(parsed.experiments, ["fig2"]);
+        }
+    }
+
+    #[test]
+    fn backend_is_gone_and_nodes_alone_select_the_remote_sweep() {
+        let err = parse_args(&args(&["--backend", "remote"])).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("unknown argument \"--backend\" (try --help)")
+        );
+        let parsed = parse_args(&args(&["--node", "a:1", "detail", "gzip", "--node", "b:2"]))
+            .expect("valid");
+        assert_eq!(parsed.nodes, ["a:1", "b:2"]);
+        assert_eq!(parsed.experiments, ["detail:gzip"]);
+        assert!(parse_args(&[]).expect("defaults").nodes.is_empty());
+        let cache = |line: &[&str]| parse_args(&args(line)).expect("valid").cache_dir;
+        assert_eq!(cache(&[]), Some(PathBuf::from(".twodprof-cache")));
+        assert_eq!(cache(&["--cache-dir", "c"]), Some(PathBuf::from("c")));
+        assert_eq!(cache(&["--cache-dir", "c", "--no-cache"]), None);
+    }
 }

@@ -1,37 +1,14 @@
 //! `twodprof-client` — replays a workload's branch stream against a live
-//! `twodprofd`, queries its metrics, or follows a program's streaming
-//! verdicts.
+//! `twodprofd`, queries its metrics and flight recorder, follows or drives
+//! a program's streaming verdicts, soaks it with sessions, or watches a
+//! fleet with `top`.
 //!
-//! ```text
-//! twodprof-client replay WORKLOAD INPUT [--addr HOST:PORT]
-//!                 [--scale tiny|small|full] [--predictor ID] [--batch N]
-//!                 [--slice-len N --exec-threshold N] [--verify] [--program NAME]
-//! twodprof-client stats [--addr HOST:PORT]
-//! twodprof-client watch PROGRAM [--addr HOST:PORT] [--snapshot] [--limit N]
-//! twodprof-client drive PROGRAM [--addr HOST:PORT] [--events N] [--flip-every N]
-//! twodprof-client soak [--addr HOST:PORT] [--sessions N] [--concurrency N]
-//! twodprof-client top [--node HOST:PORT]... [--interval SECS] [--iterations N] [--no-clear]
-//! twodprof-client blackbox [--addr HOST:PORT] [--file PATH]
-//! ```
+//! Run `twodprof-client --help` for the subcommands and
+//! `twodprof-client SUBCOMMAND --help` for each one's flags.
 
 use std::process::ExitCode;
+use twodprof_serve::cli;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("stats") => twodprof_serve::cli::stats_main(&args[1..]),
-        Some("watch") => twodprof_serve::cli::watch_main(&args[1..]),
-        Some("drive") => twodprof_serve::cli::drive_main(&args[1..]),
-        Some("soak") => twodprof_serve::cli::soak_main(&args[1..]),
-        Some("top") => twodprof_serve::cli::top_main(&args[1..]),
-        Some("blackbox") => twodprof_serve::cli::blackbox_main(&args[1..]),
-        _ => twodprof_serve::cli::replay_main(&args),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::dispatch("twodprof-client", cli::CLIENT_SUBCOMMANDS, None)
 }

@@ -7,12 +7,6 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match twodprof_serve::cli::serve_main(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    // no subcommands: every argument goes to the daemon's entry point
+    twodprof_serve::cli::dispatch("twodprofd", &[], Some(twodprof_serve::cli::serve_main))
 }

@@ -1,284 +1,257 @@
-//! Argument parsing and entry points shared by the `twodprofd` /
-//! `twodprof-client` binaries and the `repro serve` / `repro replay`
-//! subcommands.
+//! Entry points shared by the `twodprofd` / `twodprof-client` binaries and
+//! the `repro serve` / `repro replay` / `repro stats` subcommands. Each
+//! entry declares its flags once as a [`Command`] table; [`flags::parse`]
+//! reads the arguments and renders `--help` from it. Every entry returns a
+//! usage or run-time error message for [`dispatch`] to print.
 
 use crate::client::{
     fetch_blackbox, fetch_stats, fetch_verdicts, ClientError, ConnectOptions, WatchClient,
     DEFAULT_BATCH_EVENTS,
 };
 use crate::compute::ComputeConfig;
-use crate::config::ServerConfig;
+use crate::config::{ServerConfig, ServerConfigBuilder as B};
+use crate::flags::{self, flag, switch, Command, Flag, Matches};
 use crate::replay::{replay_workload, ReplaySpec};
 use crate::server::{Server, ServerHandle};
 use crate::wire::AdmissionTier;
 use bpred::PredictorKind;
 use btrace::SiteId;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use twodprof_core::SliceConfig;
-use twodprof_obs::Snapshot;
 use twodprof_stream::{StreamConfig, VerdictSnapshot};
 use workloads::Scale;
 
-/// Default daemon endpoint shared by both sides.
-pub const DEFAULT_ADDR: &str = "127.0.0.1:4272";
+macro_rules! default_addr {
+    () => {
+        "127.0.0.1:4272"
+    };
+}
 
-fn parse_scale(v: &str) -> Result<Scale, String> {
-    match v {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale {other:?}")),
+/// Default daemon endpoint shared by both sides.
+pub const DEFAULT_ADDR: &str = default_addr!();
+
+const ADDR: Flag = flag(
+    "--addr",
+    "HOST:PORT",
+    concat!("daemon address (default ", default_addr!(), ")"),
+);
+const PREDICTOR: Flag = flag("--predictor", "ID", "predictor id (default gshare4kb)");
+const PROGRAM: Flag = flag("--program", "NAME", "join shared streaming profiler NAME");
+
+/// An entry point: takes the arguments after its subcommand name and
+/// returns a message for the caller to print on failure.
+pub type Entry = fn(&[String]) -> Result<(), String>;
+
+/// A subcommand's name and entry point.
+pub type Subcommand = (&'static str, Entry);
+
+/// The subcommands of `twodprof-client`.
+pub const CLIENT_SUBCOMMANDS: &[Subcommand] = &[
+    ("replay", replay_main),
+    ("stats", stats_main),
+    ("watch", watch_main),
+    ("drive", drive_main),
+    ("soak", soak_main),
+    ("top", top_main),
+    ("blackbox", blackbox_main),
+];
+
+/// The daemon-side subcommands `repro` carries, so one binary covers the
+/// whole toolchain.
+pub const REPRO_SUBCOMMANDS: &[Subcommand] = &[
+    ("serve", serve_main),
+    ("replay", replay_main),
+    ("stats", stats_main),
+];
+
+/// Runs the subcommand `args[0]` names from `table` on the arguments after
+/// it. Any other first argument goes, with every argument, to `fallback`
+/// when there is one; otherwise `--help` lists the subcommands, and an
+/// unknown or missing subcommand is an error that lists them.
+fn run_subcommand(
+    bin: &str,
+    table: &[Subcommand],
+    fallback: Option<Entry>,
+    args: &[String],
+) -> Result<(), String> {
+    let first = args.first().map(String::as_str);
+    if let Some((_, entry)) = table.iter().find(|(name, _)| Some(*name) == first) {
+        return entry(&args[1..]);
+    }
+    if let Some(entry) = fallback {
+        return entry(args);
+    }
+    let names = table.iter().map(|(name, _)| *name).collect::<Vec<_>>();
+    let usage = format!(
+        "usage: {bin} SUBCOMMAND [ARGS]; subcommands: {} (see `{bin} SUBCOMMAND --help`)",
+        names.join(" ")
+    );
+    match first {
+        Some("--help" | "-h") => {
+            eprintln!("{usage}");
+            Ok(())
+        }
+        Some(other) => Err(format!("unknown subcommand {other:?}\n{usage}")),
+        None => Err(usage),
     }
 }
 
-fn parse_predictor(v: &str) -> Result<PredictorKind, String> {
+/// The `main` of every binary: runs the subcommand the process arguments
+/// name (see `run_subcommand`), printing an error to stderr and exiting 1
+/// on failure.
+pub fn dispatch(bin: &str, table: &[Subcommand], fallback: Option<Entry>) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run_subcommand(bin, table, fallback, &args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The `--scale` value, or `default` without one; an unknown name is an
+/// error.
+pub fn scale(m: &Matches, default: Scale) -> Result<Scale, String> {
+    match m.value("--scale") {
+        None => Ok(default),
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("small") => Ok(Scale::Small),
+        Some("full") => Ok(Scale::Full),
+        Some(other) => Err(format!("unknown scale {other:?}")),
+    }
+}
+
+/// The `--predictor` value, gshare-4KB without one.
+fn predictor(m: &Matches) -> Result<PredictorKind, String> {
+    let Some(v) = m.value("--predictor") else {
+        return Ok(PredictorKind::Gshare4Kb);
+    };
     PredictorKind::from_id(v).ok_or_else(|| {
-        format!(
-            "unknown predictor {v:?} (valid: {})",
-            PredictorKind::ids().collect::<Vec<_>>().join(" ")
-        )
+        let ids = PredictorKind::ids().collect::<Vec<_>>();
+        format!("unknown predictor {v:?} (valid: {})", ids.join(" "))
     })
 }
 
-fn numeric<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-    v.parse::<T>()
-        .map_err(|_| format!("{flag} needs a number, got {v:?}"))
+/// Calls a [`ServerConfigBuilder`](B) setter only for a flag that was
+/// given, so the builder's defaults stand for the rest.
+trait SetIf: Sized {
+    fn set_if<T>(self, value: Option<T>, set: fn(Self, T) -> Self) -> Self {
+        match value {
+            Some(v) => set(self, v),
+            None => self,
+        }
+    }
 }
 
+impl SetIf for B {}
+
+static SERVE: Command = Command {
+    name: "twodprofd",
+    positionals: &[],
+    about: "streaming 2D-profile ingestion daemon. SIGINT/SIGTERM shut down gracefully,\n\
+            finishing in-flight sessions; SIGUSR1 dumps the flight recorder. A shard\n\
+            degrades admissions past half its memory budget and sheds them at it.",
+    flags: &[
+        flag("--addr", "HOST:PORT", "listen address (port 0 binds any)"),
+        flag("--addr-file", "PATH", "write the bound address to PATH"),
+        flag("--http-addr", "HOST:PORT", "HTTP /metrics, /healthz, /vars"),
+        flag("--http-addr-file", "PATH", "write the bound HTTP address"),
+        flag("--timeline-capacity", "N", "timeline intervals kept"),
+        flag("--timeline-interval", "SECS", "timeline interval length"),
+        flag("--blackbox-capacity", "N", "flight-recorder ring size"),
+        flag("--blackbox-file", "PATH", "flight-recorder dump file"),
+        flag("--max-sessions", "N", "concurrent session limit"),
+        flag("--max-events", "N", "event limit per session"),
+        flag("--idle-timeout-ms", "N", "close connections idle this long"),
+        flag("--drain-timeout-ms", "N", "shutdown drain limit"),
+        flag("--retry-after-ms", "N", "retry hint sent when shedding"),
+        flag("--shards", "N", "event-loop threads, 1/N of sessions each"),
+        flag("--shard-memory-budget", "BYTES", "resident bytes per shard"),
+        flag("--spill-threshold", "BYTES", "spill recordings above this"),
+        flag("--spill-dir", "DIR", "directory for spill segments"),
+        switch("--quiet", "no connection logs"),
+        switch("--no-record", "record no session traces (no Resim)"),
+        flag("--stats-interval", "SECS", "stderr summary every SECS"),
+        flag("--stream-slice-len", "N", "streaming slice length"),
+        flag("--stream-exec-threshold", "N", "streaming exec threshold"),
+        flag("--stream-window", "N", "streaming window, in slices"),
+        flag("--stream-hysteresis", "N", "folds confirming a flip"),
+        flag("--stream-max-lag", "N", "pending epochs before skipping"),
+        flag("--max-subscriber-queue", "N", "queue per watch subscriber"),
+        switch("--compute", "serve fabric SubmitJob/CacheQuery frames"),
+        flag("--compute-threads", "N", "compute workers (0 = CPU count)"),
+        flag("--compute-cache-dir", "DIR", "persist compute results"),
+    ],
+};
+
 /// Entry point for `twodprofd` (and `repro serve`).
-///
-/// # Errors
-///
-/// Returns a usage/launch error message for the caller to print.
 pub fn serve_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut builder = ServerConfig::builder();
-    let mut stream = StreamConfig::default();
-    let mut compute: Option<ComputeConfig> = None;
-    let mut quiet = false;
-    let mut addr_file = None;
-    let mut http_addr_file = None;
-    let mut stream_slice_len: Option<u64> = None;
-    let mut stream_exec_threshold: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--addr-file" => addr_file = Some(value("--addr-file")?.to_owned()),
-            "--http-addr" => builder = builder.http_addr(value("--http-addr")?),
-            "--http-addr-file" => {
-                http_addr_file = Some(value("--http-addr-file")?.to_owned());
-            }
-            "--timeline-capacity" => {
-                builder = builder.timeline_capacity(numeric(
-                    "--timeline-capacity",
-                    value("--timeline-capacity")?,
-                )?);
-            }
-            "--timeline-interval" => {
-                let secs: f64 = numeric("--timeline-interval", value("--timeline-interval")?)?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--timeline-interval needs a positive number of seconds".to_owned());
-                }
-                builder = builder.timeline_interval(Duration::from_secs_f64(secs));
-            }
-            "--blackbox-capacity" => {
-                builder = builder.blackbox_capacity(numeric(
-                    "--blackbox-capacity",
-                    value("--blackbox-capacity")?,
-                )?);
-            }
-            "--blackbox-file" => {
-                builder = builder.blackbox_path(value("--blackbox-file")?.to_owned());
-            }
-            "--max-sessions" => {
-                builder =
-                    builder.max_sessions(numeric("--max-sessions", value("--max-sessions")?)?);
-            }
-            "--max-events" => {
-                builder = builder
-                    .max_events_per_session(numeric("--max-events", value("--max-events")?)?);
-            }
-            "--idle-timeout-ms" => {
-                builder = builder.idle_timeout(Duration::from_millis(numeric(
-                    "--idle-timeout-ms",
-                    value("--idle-timeout-ms")?,
-                )?));
-            }
-            "--drain-timeout-ms" => {
-                builder = builder.drain_timeout(Duration::from_millis(numeric(
-                    "--drain-timeout-ms",
-                    value("--drain-timeout-ms")?,
-                )?));
-            }
-            "--retry-after-ms" => {
-                builder = builder.retry_after(Duration::from_millis(numeric(
-                    "--retry-after-ms",
-                    value("--retry-after-ms")?,
-                )?));
-            }
-            "--shards" => {
-                builder = builder.shards(numeric("--shards", value("--shards")?)?);
-            }
-            "--shard-memory-budget" => {
-                builder = builder.shard_memory_budget(numeric(
-                    "--shard-memory-budget",
-                    value("--shard-memory-budget")?,
-                )?);
-            }
-            "--spill-threshold" => {
-                builder = builder
-                    .spill_threshold(numeric("--spill-threshold", value("--spill-threshold")?)?);
-            }
-            "--spill-dir" => {
-                builder = builder.spill_dir(value("--spill-dir")?.to_owned());
-            }
-            "--quiet" => {
-                quiet = true;
-                builder = builder.quiet(true);
-            }
-            "--no-record" => builder = builder.record_sessions(false),
-            "--stats-interval" => {
-                let secs: f64 = numeric("--stats-interval", value("--stats-interval")?)?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--stats-interval needs a positive number of seconds".to_owned());
-                }
-                builder = builder.stats_interval(Some(Duration::from_secs_f64(secs)));
-            }
-            "--stream-slice-len" => {
-                stream_slice_len =
-                    Some(numeric("--stream-slice-len", value("--stream-slice-len")?)?);
-            }
-            "--stream-exec-threshold" => {
-                stream_exec_threshold = Some(numeric(
-                    "--stream-exec-threshold",
-                    value("--stream-exec-threshold")?,
-                )?);
-            }
-            "--stream-window" => {
-                let w: usize = numeric("--stream-window", value("--stream-window")?)?;
-                if w == 0 {
-                    return Err("--stream-window must be at least 1".to_owned());
-                }
-                stream.window = w;
-            }
-            "--stream-hysteresis" => {
-                let h: u32 = numeric("--stream-hysteresis", value("--stream-hysteresis")?)?;
-                if h == 0 {
-                    return Err("--stream-hysteresis must be at least 1".to_owned());
-                }
-                stream.hysteresis = h;
-            }
-            "--stream-max-lag" => {
-                let l: usize = numeric("--stream-max-lag", value("--stream-max-lag")?)?;
-                if l == 0 {
-                    return Err("--stream-max-lag must be at least 1".to_owned());
-                }
-                stream.max_lag = l;
-            }
-            "--max-subscriber-queue" => {
-                builder = builder.max_subscriber_queue(numeric(
-                    "--max-subscriber-queue",
-                    value("--max-subscriber-queue")?,
-                )?);
-            }
-            "--compute" => {
-                compute.get_or_insert_with(ComputeConfig::default);
-            }
-            "--compute-threads" => {
-                let n: usize = numeric("--compute-threads", value("--compute-threads")?)?;
-                compute.get_or_insert_with(ComputeConfig::default).threads = n;
-            }
-            "--compute-cache-dir" => {
-                let dir = value("--compute-cache-dir")?.to_owned();
-                compute.get_or_insert_with(ComputeConfig::default).cache_dir = Some(dir.into());
-            }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprofd [--addr HOST:PORT] [--addr-file PATH]\n\
-                     \x20               [--http-addr HOST:PORT] [--http-addr-file PATH]\n\
-                     \x20               [--timeline-capacity N] [--timeline-interval SECS]\n\
-                     \x20               [--blackbox-capacity N] [--blackbox-file PATH]\n\
-                     \x20               [--max-sessions N] [--max-events N]\n\
-                     \x20               [--idle-timeout-ms N] [--drain-timeout-ms N] [--quiet]\n\
-                     \x20               [--retry-after-ms N] [--shards N]\n\
-                     \x20               [--shard-memory-budget BYTES] [--spill-threshold BYTES]\n\
-                     \x20               [--spill-dir DIR]\n\
-                     \x20               [--stats-interval SECS] [--no-record]\n\
-                     \x20               [--stream-slice-len N --stream-exec-threshold N]\n\
-                     \x20               [--stream-window N] [--stream-hysteresis N]\n\
-                     \x20               [--stream-max-lag N] [--max-subscriber-queue N]\n\
-                     \x20               [--compute] [--compute-threads N]\n\
-                     \x20               [--compute-cache-dir DIR]\n\
-                     default address {DEFAULT_ADDR}; port 0 binds an ephemeral port\n\
-                     --addr-file writes the bound address to PATH once listening\n\
-                     --http-addr serves GET /metrics, /healthz, and /vars over\n\
-                     HTTP (Prometheus text, readiness, JSON); --http-addr-file\n\
-                     writes its bound address to PATH once listening\n\
-                     --timeline-* shape the in-memory metrics timeline (ring of\n\
-                     per-interval deltas behind /vars)\n\
-                     --blackbox-* shape the flight recorder: a ring of notable\n\
-                     events fetchable with `twodprof-client blackbox`, dumped\n\
-                     to --blackbox-file on SIGUSR1 or panic\n\
-                     --shards sets the event-loop thread count; each shard owns\n\
-                     1/N of the sessions, a --shard-memory-budget of resident\n\
-                     recording bytes (degrade past half, shed at the budget with\n\
-                     a --retry-after-ms hint), and spills recordings larger than\n\
-                     --spill-threshold to segment files under --spill-dir\n\
-                     --stats-interval prints a stderr stats line every SECS seconds\n\
-                     --no-record disables session trace recording (Resim frames\n\
-                     then fail with BAD_STATE, at ~1 byte/event less memory)\n\
-                     --stream-* shape the per-program streaming profiler backing\n\
-                     the Subscribe/watch drift feed (window is in slices,\n\
-                     hysteresis in consecutive folds, max-lag in epochs)\n\
-                     --compute serves SubmitJob/CacheQuery fabric frames on a\n\
-                     worker pool (threads default to the CPU count); with\n\
-                     --compute-cache-dir its results persist and the node acts\n\
-                     as a shared cache tier for every fabric client\n\
-                     SIGINT/SIGTERM shut down gracefully, finishing in-flight sessions"
-                ));
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    stream.slice = match (stream_slice_len, stream_exec_threshold) {
-        (None, None) => stream.slice,
-        (Some(len), Some(thr)) if len > 0 && thr < len => SliceConfig::new(len, thr),
-        (Some(_), Some(_)) => {
-            return Err("need --stream-exec-threshold < --stream-slice-len > 0".to_owned());
-        }
-        _ => {
-            return Err("--stream-slice-len and --stream-exec-threshold go together".to_owned());
-        }
+    let m = flags::parse(&SERVE, args)?;
+    let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
+    let quiet = m.switch("--quiet");
+    let threads = m.numeric("--compute-threads")?;
+    let cache_dir = m.value("--compute-cache-dir");
+    let compute = m.switch("--compute") || threads.is_some() || cache_dir.is_some();
+    let compute = compute.then(|| ComputeConfig {
+        threads: threads.unwrap_or_default(),
+        cache_dir: cache_dir.map(Into::into),
+    });
+    let subscriber_queue = m.numeric("--max-subscriber-queue")?;
+    let stream = StreamConfig::default();
+    let stream = StreamConfig {
+        slice: m
+            .slice("--stream-slice-len", "--stream-exec-threshold")?
+            .unwrap_or(stream.slice),
+        window: m.at_least_one("--stream-window")?.unwrap_or(stream.window),
+        hysteresis: m
+            .at_least_one("--stream-hysteresis")?
+            .unwrap_or(stream.hysteresis),
+        max_lag: m
+            .at_least_one("--stream-max-lag")?
+            .unwrap_or(stream.max_lag),
+        ..stream
     };
-    builder = builder.stream(stream);
-    if let Some(c) = compute {
-        builder = builder.compute(c);
-    }
+    let builder = ServerConfig::builder()
+        .quiet(quiet)
+        .record_sessions(!m.switch("--no-record"))
+        .stats_interval(m.seconds("--stats-interval")?)
+        .stream(stream)
+        .set_if(compute, B::compute)
+        .set_if(m.value("--http-addr"), B::http_addr)
+        .set_if(m.numeric("--timeline-capacity")?, B::timeline_capacity)
+        .set_if(m.seconds("--timeline-interval")?, B::timeline_interval)
+        .set_if(m.numeric("--blackbox-capacity")?, B::blackbox_capacity)
+        .set_if(m.value("--blackbox-file"), B::blackbox_path)
+        .set_if(m.numeric("--max-sessions")?, B::max_sessions)
+        .set_if(m.numeric("--max-events")?, B::max_events_per_session)
+        .set_if(m.millis("--idle-timeout-ms")?, B::idle_timeout)
+        .set_if(m.millis("--drain-timeout-ms")?, B::drain_timeout)
+        .set_if(m.millis("--retry-after-ms")?, B::retry_after)
+        .set_if(m.numeric("--shards")?, B::shards)
+        .set_if(m.numeric("--shard-memory-budget")?, B::shard_memory_budget)
+        .set_if(m.numeric("--spill-threshold")?, B::spill_threshold)
+        .set_if(m.value("--spill-dir"), B::spill_dir)
+        .set_if(subscriber_queue, B::max_subscriber_queue);
     let config = builder.build().map_err(|e| e.to_string())?;
-    let server = Server::bind(&addr, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let server = Server::bind(addr, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = server
         .local_addr()
         .map_err(|e| format!("cannot resolve bound address: {e}"))?;
     println!("twodprofd listening on {local}");
-    if let Some(path) = addr_file {
-        std::fs::write(&path, local.to_string())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+    if let Some(path) = m.value("--addr-file") {
+        std::fs::write(path, local.to_string()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     let http = server
         .http_addr()
         .map_err(|e| format!("cannot resolve exposition address: {e}"))?;
     if let Some(http) = http {
         println!("twodprofd exposition on http://{http}");
-        if let Some(path) = http_addr_file {
-            std::fs::write(&path, http.to_string())
+        if let Some(path) = m.value("--http-addr-file") {
+            std::fs::write(path, http.to_string())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }
@@ -297,89 +270,42 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Entry point for `twodprof-client` (and `repro replay`).
-///
-/// # Errors
-///
-/// Returns a usage/replay error message for the caller to print. A failed
+static REPLAY: Command = Command {
+    name: "twodprof-client replay",
+    positionals: &["WORKLOAD", "INPUT"],
+    about: "streams WORKLOAD's INPUT branch stream to a twodprofd and prints the\n\
+            returned report summary.",
+    flags: &[
+        ADDR,
+        flag("--scale", "tiny|small|full", "scale (default tiny)"),
+        PREDICTOR,
+        flag("--batch", "N", "events per frame"),
+        flag("--slice-len", "N", "slice length (with --exec-threshold)"),
+        flag("--exec-threshold", "N", "exec threshold (with --slice-len)"),
+        switch("--verify", "also profile in-process; fail on any diff"),
+        flag("--trace-out", "PATH", "write a Chrome trace-event file"),
+        PROGRAM,
+    ],
+};
+
+/// Entry point for `twodprof-client replay` (and `repro replay`). A failed
 /// `--verify` comparison is an error, so scripted callers exit non-zero.
 pub fn replay_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut spec = ReplaySpec {
-        workload: String::new(),
-        input: String::new(),
-        scale: Scale::Tiny,
-        predictor: PredictorKind::Gshare4Kb,
-        batch: DEFAULT_BATCH_EVENTS,
-        slice: None,
-        verify: false,
-        trace: false,
-        program: String::new(),
+    let m = flags::parse(&REPLAY, args)?;
+    let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
+    let trace_out = m.value("--trace-out");
+    let spec = ReplaySpec {
+        workload: m.positionals()[0].to_owned(),
+        input: m.positionals()[1].to_owned(),
+        scale: scale(&m, Scale::Tiny)?,
+        predictor: predictor(&m)?,
+        batch: m.numeric("--batch")?.unwrap_or(DEFAULT_BATCH_EVENTS),
+        slice: m.slice("--slice-len", "--exec-threshold")?,
+        verify: m.switch("--verify"),
+        trace: trace_out.is_some(),
+        program: m.value("--program").unwrap_or_default().to_owned(),
     };
-    let mut trace_out: Option<String> = None;
-    let mut slice_len = None;
-    let mut exec_threshold = None;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--scale" => spec.scale = parse_scale(value("--scale")?)?,
-            "--predictor" => spec.predictor = parse_predictor(value("--predictor")?)?,
-            "--batch" => spec.batch = numeric("--batch", value("--batch")?)?,
-            "--slice-len" => slice_len = Some(numeric("--slice-len", value("--slice-len")?)?),
-            "--exec-threshold" => {
-                exec_threshold = Some(numeric("--exec-threshold", value("--exec-threshold")?)?);
-            }
-            "--verify" => spec.verify = true,
-            "--trace-out" => {
-                trace_out = Some(value("--trace-out")?.to_owned());
-                spec.trace = true;
-            }
-            "--program" => spec.program = value("--program")?.to_owned(),
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client replay WORKLOAD INPUT [--addr HOST:PORT]\n\
-                     \x20      [--scale tiny|small|full] [--predictor ID] [--batch N]\n\
-                     \x20      [--slice-len N --exec-threshold N] [--verify]\n\
-                     \x20      [--trace-out PATH] [--program NAME]\n\
-                     streams WORKLOAD's INPUT branch stream to a twodprofd at --addr\n\
-                     (default {DEFAULT_ADDR}) and prints the returned report summary;\n\
-                     --verify also profiles in-process and fails on any report diff\n\
-                     --trace-out writes a stitched client+daemon span trace as\n\
-                     Chrome trace-event JSON (load in chrome://tracing or Perfetto)\n\
-                     --program joins the session to the daemon's shared streaming\n\
-                     profiler under NAME (observe with `twodprof-client watch NAME`)\n\
-                     predictors: {}",
-                    PredictorKind::ids().collect::<Vec<_>>().join(" ")
-                ));
-            }
-            other if !other.starts_with('-') => positional.push(other.to_owned()),
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    // accept both `replay gzip train` and plain `gzip train`, so the binary
-    // subcommand form and `repro replay ...` parse identically
-    if positional.first().map(String::as_str) == Some("replay") {
-        positional.remove(0);
-    }
-    let [workload, input] = positional.as_slice() else {
-        return Err("expected: replay WORKLOAD INPUT (try --help)".to_owned());
-    };
-    spec.workload = workload.clone();
-    spec.input = input.clone();
-    spec.slice = match (slice_len, exec_threshold) {
-        (None, None) => None,
-        (Some(len), Some(thr)) if len > 0 && thr < len => Some(SliceConfig::new(len, thr)),
-        (Some(_), Some(_)) => return Err("need --exec-threshold < --slice-len > 0".to_owned()),
-        _ => return Err("--slice-len and --exec-threshold go together".to_owned()),
-    };
-    let summary = replay_workload(addr.as_str(), &spec).map_err(|e| e.to_string())?;
+    let summary = replay_workload(addr, &spec).map_err(|e| e.to_string())?;
     let report = summary.remote.report();
     println!(
         "replayed {}/{} to {}: {} event(s), {} slice(s) of {}, predictor {}",
@@ -414,7 +340,7 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
                 (crate::replay::TRACE_PID_DAEMON, "twodprofd"),
             ],
         );
-        std::fs::write(&path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "trace: wrote {} span(s) of trace {:032x} to {path}",
             trace.spans.len(),
@@ -424,91 +350,47 @@ pub fn replay_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Entry point for `twodprof-client stats` (and `repro stats`): fetches a
-/// live daemon's metrics snapshot and prints it as Prometheus text lines.
-///
-/// # Errors
-///
-/// Returns a usage/transport error message for the caller to print.
+static STATS: Command = Command {
+    name: "twodprof-client stats",
+    positionals: &[],
+    about: "fetches a twodprofd's metrics snapshot and prints Prometheus text lines.",
+    flags: &[ADDR],
+};
+
+/// Entry point for `twodprof-client stats` (and `repro stats`).
 pub fn stats_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "stats" => {} // tolerated so `stats --addr ...` and `--addr ...` both parse
-            "--addr" => {
-                addr = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--addr needs a value".to_owned())?;
-            }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client stats [--addr HOST:PORT]\n\
-                     fetches the metrics snapshot of a twodprofd at --addr\n\
-                     (default {DEFAULT_ADDR}) and prints Prometheus text lines"
-                ));
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    let snapshot = fetch_stats(addr.as_str()).map_err(|e| e.to_string())?;
+    let m = flags::parse(&STATS, args)?;
+    let snapshot =
+        fetch_stats(m.value("--addr").unwrap_or(DEFAULT_ADDR)).map_err(|e| e.to_string())?;
     print!("{}", snapshot.to_text());
     Ok(())
 }
 
-/// Entry point for `twodprof-client watch` (and `repro watch`): subscribes
-/// to a program's streaming verdicts, prints the initial snapshot table,
-/// then streams drift events until the daemon closes, `--limit` is reached,
-/// or the process is killed.
-///
-/// # Errors
-///
-/// Returns a usage/transport error message for the caller to print.
+static WATCH: Command = Command {
+    name: "twodprof-client watch",
+    positionals: &["PROGRAM"],
+    about: "subscribes to PROGRAM's streaming verdicts on a twodprofd: prints the current\n\
+            verdict table, then one line per drift event as windows fold.",
+    flags: &[
+        ADDR,
+        switch("--snapshot", "print the table and exit"),
+        flag("--limit", "N", "exit after N drift events (0 = never)"),
+    ],
+};
+
+/// Entry point for `twodprof-client watch`: runs until the daemon closes
+/// the stream, `--limit` is reached, or the process is killed.
 pub fn watch_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut snapshot_only = false;
-    let mut limit: u64 = 0;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--snapshot" => snapshot_only = true,
-            "--limit" => limit = numeric("--limit", value("--limit")?)?,
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client watch PROGRAM [--addr HOST:PORT]\n\
-                     \x20      [--snapshot] [--limit N]\n\
-                     subscribes to PROGRAM's streaming verdicts on a twodprofd at\n\
-                     --addr (default {DEFAULT_ADDR}): prints the current verdict\n\
-                     table, then one line per drift event as windows fold\n\
-                     --snapshot prints the table and exits without subscribing\n\
-                     --limit N exits successfully after N drift events (0 = run\n\
-                     until the daemon closes the stream)"
-                ));
-            }
-            other if !other.starts_with('-') => positional.push(other.to_owned()),
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    if positional.first().map(String::as_str) == Some("watch") {
-        positional.remove(0);
-    }
-    let [program] = positional.as_slice() else {
-        return Err("expected: watch PROGRAM (try --help)".to_owned());
-    };
-    if snapshot_only {
-        let snap = fetch_verdicts(addr.as_str(), program).map_err(|e| e.to_string())?;
+    let m = flags::parse(&WATCH, args)?;
+    let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
+    let limit: u64 = m.numeric("--limit")?.unwrap_or(0);
+    let program = m.positionals()[0];
+    if m.switch("--snapshot") {
+        let snap = fetch_verdicts(addr, program).map_err(|e| e.to_string())?;
         print_snapshot(&snap, program);
         return Ok(());
     }
-    let mut watch = WatchClient::connect(addr.as_str(), program).map_err(|e| e.to_string())?;
+    let mut watch = WatchClient::connect(addr, program).map_err(|e| e.to_string())?;
     print_snapshot(watch.snapshot(), program);
     let mut seen = 0u64;
     loop {
@@ -561,67 +443,38 @@ fn print_snapshot(snap: &VerdictSnapshot, program: &str) {
     }
 }
 
-/// Entry point for `twodprof-client drive`: streams a synthetic
-/// phase-changing workload into a daemon under a program id, so a
-/// concurrent `watch` of the same program observes drift events. Site 0
-/// alternates between an always-taken phase and a pseudo-random phase every
-/// `--flip-every` events (the paper's input-dependent signature); the
-/// remaining sites stay steadily predictable.
-///
-/// # Errors
-///
-/// Returns a usage/transport error message for the caller to print.
+static DRIVE: Command = Command {
+    name: "twodprof-client drive",
+    positionals: &["PROGRAM"],
+    about: "streams a synthetic phase-changing branch workload to a twodprofd under\n\
+            PROGRAM: site 0 flips between always-taken and pseudo-random phases every\n\
+            --flip-every events, driving drift visible to `twodprof-client watch`.",
+    flags: &[
+        ADDR,
+        flag("--sites", "N", "branch sites (default 4)"),
+        flag("--events", "N", "events to send (default 400000)"),
+        flag("--flip-every", "N", "events per phase (default 50000)"),
+        flag("--seed", "N", "pseudo-random phase seed"),
+        PREDICTOR,
+    ],
+};
+
+/// Entry point for `twodprof-client drive`. Site 0 carries the paper's
+/// input-dependent signature; the remaining sites stay steadily
+/// predictable, so a concurrent `watch` sees drift on site 0 only.
 pub fn drive_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut sites: u32 = 4;
-    let mut events: u64 = 400_000;
-    let mut flip_every: u64 = 50_000;
-    let mut seed: u64 = 0x2545_F491_4F6C_DD1D;
-    let mut predictor = PredictorKind::Gshare4Kb;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--sites" => sites = numeric("--sites", value("--sites")?)?,
-            "--events" => events = numeric("--events", value("--events")?)?,
-            "--flip-every" => flip_every = numeric("--flip-every", value("--flip-every")?)?,
-            "--seed" => seed = numeric("--seed", value("--seed")?)?,
-            "--predictor" => predictor = parse_predictor(value("--predictor")?)?,
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client drive PROGRAM [--addr HOST:PORT]\n\
-                     \x20      [--sites N] [--events N] [--flip-every N] [--seed N]\n\
-                     \x20      [--predictor ID]\n\
-                     streams a synthetic phase-changing branch workload to a\n\
-                     twodprofd at --addr (default {DEFAULT_ADDR}) under PROGRAM:\n\
-                     site 0 flips between always-taken and pseudo-random phases\n\
-                     every --flip-every events, driving verdict drift observable\n\
-                     with `twodprof-client watch PROGRAM`"
-                ));
-            }
-            other if !other.starts_with('-') => positional.push(other.to_owned()),
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    if positional.first().map(String::as_str) == Some("drive") {
-        positional.remove(0);
-    }
-    let [program] = positional.as_slice() else {
-        return Err("expected: drive PROGRAM (try --help)".to_owned());
-    };
-    if sites == 0 {
-        return Err("--sites must be at least 1".to_owned());
-    }
+    let m = flags::parse(&DRIVE, args)?;
+    let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
+    let sites: u32 = m.at_least_one("--sites")?.unwrap_or(4);
+    let events: u64 = m.numeric("--events")?.unwrap_or(400_000);
+    let flip_every: u64 = m.at_least_one("--flip-every")?.unwrap_or(50_000);
+    let seed: u64 = m.numeric("--seed")?.unwrap_or(0x2545_F491_4F6C_DD1D);
+    let predictor = predictor(&m)?;
+    let program = m.positionals()[0];
     let slice = SliceConfig::new(8192, 16);
     let mut session = ConnectOptions::new(sites as usize, predictor, slice)
         .program(program)
-        .connect(addr.as_str())
+        .connect(addr)
         .map_err(|e| e.to_string())?;
     let mut rng = seed | 1;
     let mut batch: Vec<(SiteId, bool)> = Vec::with_capacity(DEFAULT_BATCH_EVENTS);
@@ -667,63 +520,37 @@ pub fn drive_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Entry point for `twodprof-client soak`: hammers a daemon with many short
-/// loopback sessions from a pool of worker threads, honoring the daemon's
-/// retry-after hints on shed, and reports admission-tier counts plus a
-/// shed-rate gate. This is the load generator behind
-/// `scripts/ingest_soak.sh`'s 10k-session CI soak.
-///
-/// # Errors
-///
-/// Returns a usage/transport error message, or a gate-failure message when
-/// any session errored out or the shed rate exceeded `--max-shed-pct`.
+static SOAK: Command = Command {
+    name: "twodprof-client soak",
+    positionals: &[],
+    about: "opens many short profiling sessions against a twodprofd from worker threads.\n\
+            Shed sessions retry after the daemon's hint and are counted; the run fails\n\
+            if any session errors out or the shed retry rate exceeds --max-shed-pct.",
+    flags: &[
+        ADDR,
+        flag("--sessions", "N", "sessions to open (default 10000)"),
+        flag("--concurrency", "N", "worker threads (default 64)"),
+        flag("--events", "N", "events per session (default 2000)"),
+        flag("--sites", "N", "branch sites per session (default 32)"),
+        PROGRAM,
+        flag("--max-shed-pct", "F", "shed retry rate gate (default 1.0)"),
+        PREDICTOR,
+    ],
+};
+
+/// Entry point for `twodprof-client soak`, the load generator behind
+/// `scripts/ingest_soak.sh`. A failed session, or a shed rate above
+/// `--max-shed-pct`, is an error.
 pub fn soak_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut sessions: u64 = 10_000;
-    let mut concurrency: usize = 64;
-    let mut events: u64 = 2_000;
-    let mut sites: usize = 32;
-    let mut program = String::new();
-    let mut max_shed_pct: f64 = 1.0;
-    let mut predictor = PredictorKind::Gshare4Kb;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "soak" => {} // tolerated so `soak --addr ...` and `--addr ...` both parse
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--sessions" => sessions = numeric("--sessions", value("--sessions")?)?,
-            "--concurrency" => concurrency = numeric("--concurrency", value("--concurrency")?)?,
-            "--events" => events = numeric("--events", value("--events")?)?,
-            "--sites" => sites = numeric("--sites", value("--sites")?)?,
-            "--program" => program = value("--program")?.to_owned(),
-            "--max-shed-pct" => {
-                max_shed_pct = numeric("--max-shed-pct", value("--max-shed-pct")?)?;
-            }
-            "--predictor" => predictor = parse_predictor(value("--predictor")?)?,
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client soak [--addr HOST:PORT] [--sessions N]\n\
-                     \x20      [--concurrency N] [--events N] [--sites N]\n\
-                     \x20      [--program NAME] [--max-shed-pct F] [--predictor ID]\n\
-                     opens --sessions short profiling sessions against a twodprofd\n\
-                     at --addr (default {DEFAULT_ADDR}) from --concurrency worker\n\
-                     threads, --events branch events each; shed sessions retry\n\
-                     after the daemon's hint and are counted, degraded admissions\n\
-                     are counted, and the run fails if any session errors out or\n\
-                     the shed retry rate exceeds --max-shed-pct percent"
-                ));
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    if sessions == 0 || concurrency == 0 || sites == 0 {
-        return Err("--sessions, --concurrency, and --sites must be at least 1".to_owned());
-    }
+    let m = flags::parse(&SOAK, args)?;
+    let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
+    let sessions: u64 = m.at_least_one("--sessions")?.unwrap_or(10_000);
+    let concurrency: usize = m.at_least_one("--concurrency")?.unwrap_or(64);
+    let events: u64 = m.numeric("--events")?.unwrap_or(2_000);
+    let sites: usize = m.at_least_one("--sites")?.unwrap_or(32);
+    let program = m.value("--program").unwrap_or_default();
+    let max_shed_pct: f64 = m.numeric("--max-shed-pct")?.unwrap_or(1.0);
+    let predictor = predictor(&m)?;
     let next = Arc::new(AtomicU64::new(0));
     let sheds = Arc::new(AtomicU64::new(0));
     let degraded = Arc::new(AtomicU64::new(0));
@@ -731,8 +558,8 @@ pub fn soak_main(args: &[String]) -> Result<(), String> {
     let start = Instant::now();
     let mut workers = Vec::with_capacity(concurrency);
     for w in 0..concurrency {
-        let addr = addr.clone();
-        let program = program.clone();
+        let addr = addr.to_owned();
+        let program = program.to_owned();
         let next = Arc::clone(&next);
         let sheds = Arc::clone(&sheds);
         let degraded = Arc::clone(&degraded);
@@ -820,63 +647,37 @@ pub fn soak_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Entry point for `twodprof-client top`: a live terminal dashboard over
-/// one or more daemons. Each refresh fetches every `--node`'s `Stats`
-/// snapshot, differences it against the previous refresh for rates, and
-/// renders per-node session/event/cache lines plus one row per shard
-/// (admission tier, sessions, residency, event-loop lag, reply backlog).
-/// `--iterations N` renders N frames and exits (scripted mode; a single
-/// iteration never clears the screen), `0` runs until killed.
-///
-/// # Errors
-///
-/// Returns a usage error message for the caller to print. Unreachable
-/// nodes render as an error row and do not abort the dashboard.
+static TOP: Command = Command {
+    name: "twodprof-client top",
+    positionals: &[],
+    about: concat!(
+        "live dashboard over one or more twodprofd daemons (default node ",
+        default_addr!(),
+        "):\nthe shared metrics summary per node, with rates per refresh, and one row per shard."
+    ),
+    flags: &[
+        flag("--node", "HOST:PORT", "daemon to watch; repeat for more"),
+        flag("--interval", "SECS", "refresh interval (default 2)"),
+        flag("--iterations", "N", "frames to render (0 = until killed)"),
+        switch("--no-clear", "append frames instead of repainting"),
+    ],
+};
+
+/// Entry point for `twodprof-client top`: one frame per refresh renders
+/// the shared metrics summary of every `--node` against its previous
+/// refresh. Unreachable nodes render as an error row and do not abort the
+/// dashboard; a single `--iterations 1` frame never clears the screen.
 pub fn top_main(args: &[String]) -> Result<(), String> {
     use std::fmt::Write as _;
-    let mut nodes: Vec<String> = Vec::new();
-    let mut interval = Duration::from_secs(2);
-    let mut iterations: u64 = 0;
-    let mut clear = true;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "top" => {} // tolerated so `top --node ...` and `--node ...` both parse
-            "--node" => nodes.push(value("--node")?.to_owned()),
-            "--interval" => {
-                let secs: f64 = numeric("--interval", value("--interval")?)?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err("--interval needs a positive number of seconds".to_owned());
-                }
-                interval = Duration::from_secs_f64(secs);
-            }
-            "--iterations" => iterations = numeric("--iterations", value("--iterations")?)?,
-            "--no-clear" => clear = false,
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client top [--node HOST:PORT]... [--interval SECS]\n\
-                     \x20      [--iterations N] [--no-clear]\n\
-                     live dashboard over one or more twodprofd daemons (default\n\
-                     node {DEFAULT_ADDR}): per-node session counts, event rates,\n\
-                     cache hits, and drift rates with deltas per refresh, plus\n\
-                     one row per shard with its admission tier, residency,\n\
-                     event-loop lag, and reply-backlog high water\n\
-                     --iterations N renders N frames and exits (0 = until\n\
-                     killed); --no-clear appends frames instead of repainting"
-                ));
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
+    let m = flags::parse(&TOP, args)?;
+    let mut nodes: Vec<&str> = m.values("--node").collect();
     if nodes.is_empty() {
-        nodes.push(DEFAULT_ADDR.to_owned());
+        nodes.push(DEFAULT_ADDR);
     }
-    let mut last: Vec<Option<Snapshot>> = nodes.iter().map(|_| None).collect();
+    let interval = m.seconds("--interval")?.unwrap_or(Duration::from_secs(2));
+    let iterations: u64 = m.numeric("--iterations")?.unwrap_or(0);
+    let clear = !m.switch("--no-clear");
+    let mut last = vec![None; nodes.len()];
     let mut round: u64 = 0;
     loop {
         round += 1;
@@ -887,21 +688,22 @@ pub fn top_main(args: &[String]) -> Result<(), String> {
             nodes.len(),
             interval.as_secs_f64()
         );
-        for (i, node) in nodes.iter().enumerate() {
-            match fetch_stats(node.as_str()) {
+        for (node, last) in nodes.iter().zip(&mut last) {
+            match fetch_stats(*node) {
                 Ok(snap) => {
-                    render_top_node(
+                    let _ = writeln!(frame, "node {node}");
+                    crate::summary::render(
                         &mut frame,
-                        node,
+                        "  ",
                         &snap,
-                        last[i].as_ref(),
+                        last.as_ref(),
                         interval.as_secs_f64(),
                     );
-                    last[i] = Some(snap);
+                    *last = Some(snap);
                 }
                 Err(e) => {
                     let _ = writeln!(frame, "node {node}: unreachable ({e})");
-                    last[i] = None;
+                    *last = None;
                 }
             }
         }
@@ -920,116 +722,29 @@ pub fn top_main(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders one node's dashboard block from its snapshot (and the previous
-/// refresh's snapshot for per-refresh rates).
-fn render_top_node(
-    out: &mut String,
-    node: &str,
-    snap: &Snapshot,
-    prev: Option<&Snapshot>,
-    secs: f64,
-) {
-    use std::fmt::Write as _;
-    let delta = prev.map(|p| snap.delta(p));
-    let total = |name: &str| snap.counter(name).unwrap_or(0);
-    let rate = |name: &str| -> f64 {
-        delta.as_ref().and_then(|d| d.counter(name)).unwrap_or(0) as f64 / secs.max(1e-9)
-    };
-    let _ = writeln!(out, "node {node}");
-    let _ = writeln!(
-        out,
-        "  sessions: opened {} ({:.1}/s), finished {} ({:.1}/s), aborted {}; admit {} acc / {} deg / {} shed",
-        total("serve_sessions_opened_total"),
-        rate("serve_sessions_opened_total"),
-        total("serve_sessions_finished_total"),
-        rate("serve_sessions_finished_total"),
-        total("serve_sessions_aborted_total"),
-        total("serve_admit_accept_total"),
-        total("serve_admit_degrade_total"),
-        total("serve_admit_shed_total"),
-    );
-    let _ = writeln!(
-        out,
-        "  events: {} total ({:.0}/s); drift {} ({:.1}/s); cache {} memo / {} disk / {} miss",
-        total("serve_events_total"),
-        rate("serve_events_total"),
-        total("stream_drift_events_total"),
-        rate("stream_drift_events_total"),
-        total("engine_cache_memo_hits_total"),
-        total("engine_cache_hits_total"),
-        total("engine_cache_misses_total"),
-    );
-    let mut shard = 0usize;
-    while let Some(sessions) = snap.gauge(&format!("serve_shard{shard}_sessions")) {
-        let tier = match snap.gauge(&format!("serve_shard{shard}_tier")).unwrap_or(0) {
-            0 => "accept",
-            1 => "degrade",
-            _ => "shed",
-        };
-        let _ = writeln!(
-            out,
-            "  shard {shard}: {tier:<8} {sessions} session(s), resident {}B, spilled {}B, lag {}us, backlog {}B",
-            snap.gauge(&format!("serve_shard{shard}_resident_bytes"))
-                .unwrap_or(0),
-            snap.gauge(&format!("serve_shard{shard}_spilled_bytes"))
-                .unwrap_or(0),
-            snap.gauge(&format!("serve_shard{shard}_lag_micros"))
-                .unwrap_or(0),
-            snap.gauge(&format!("serve_shard{shard}_out_buffer_high_water_bytes"))
-                .unwrap_or(0),
-        );
-        shard += 1;
-    }
-    if shard == 0 {
-        let _ = writeln!(
-            out,
-            "  (no per-shard gauges in the snapshot; daemon metrics disabled?)"
-        );
-    }
-}
+static BLACKBOX: Command = Command {
+    name: "twodprof-client blackbox",
+    positionals: &[],
+    about: "prints the flight recorder's ring of notable daemon events (decode errors,\n\
+            tier transitions, spills, aborts, slow ticks), oldest first.",
+    flags: &[
+        ADDR,
+        flag("--file", "PATH", "decode a SIGUSR1/panic dump instead"),
+    ],
+};
 
-/// Entry point for `twodprof-client blackbox`: fetches a live daemon's
-/// flight-recorder ring (or decodes a `SIGUSR1`/panic dump from `--file`)
-/// and prints the events, oldest first. Decoding verifies the block's
-/// checksum, so a torn dump fails loudly instead of printing garbage.
-///
-/// # Errors
-///
-/// Returns a usage/transport/decode error message for the caller to print.
+/// Entry point for `twodprof-client blackbox`. Decoding a dump verifies
+/// its checksum, so a torn dump fails loudly instead of printing garbage.
 pub fn blackbox_main(args: &[String]) -> Result<(), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut file: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "blackbox" => {} // tolerated so both invocation forms parse
-            "--addr" => addr = value("--addr")?.to_owned(),
-            "--file" => file = Some(value("--file")?.to_owned()),
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: twodprof-client blackbox [--addr HOST:PORT] [--file PATH]\n\
-                     prints the flight recorder's ring of notable daemon events\n\
-                     (decode errors, tier transitions, spills, aborts, slow\n\
-                     ticks), oldest first\n\
-                     default: fetch live over the wire from --addr\n\
-                     (default {DEFAULT_ADDR}); --file instead decodes a blackbox\n\
-                     dump written on SIGUSR1 or panic, verifying its checksum"
-                ));
-            }
-            other => return Err(format!("unknown argument {other:?} (try --help)")),
-        }
-    }
-    let events = match file {
+    let m = flags::parse(&BLACKBOX, args)?;
+    let events = match m.value("--file") {
         Some(path) => {
-            let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             crate::flight::decode(&bytes).map_err(|e| format!("{path}: {e}"))?
         }
-        None => fetch_blackbox(addr.as_str()).map_err(|e| e.to_string())?,
+        None => {
+            fetch_blackbox(m.value("--addr").unwrap_or(DEFAULT_ADDR)).map_err(|e| e.to_string())?
+        }
     };
     println!("blackbox: {} event(s)", events.len());
     for event in &events {
@@ -1091,4 +806,180 @@ fn install_panic_dump(handle: ServerHandle) {
         }
         default_hook(info);
     }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// Every flag each entry point accepted before the parse tables, with
+    /// a sample value for a flag that takes one and `None` for a switch.
+    #[allow(clippy::type_complexity)]
+    const ACCEPTED: &[(&str, &[(&str, Option<&str>)])] = &[
+        (
+            "twodprofd",
+            &[
+                ("--addr", Some("127.0.0.1:0")),
+                ("--addr-file", Some("a.txt")),
+                ("--http-addr", Some("127.0.0.1:0")),
+                ("--http-addr-file", Some("h.txt")),
+                ("--timeline-capacity", Some("8")),
+                ("--timeline-interval", Some("0.5")),
+                ("--blackbox-capacity", Some("8")),
+                ("--blackbox-file", Some("b.bin")),
+                ("--max-sessions", Some("8")),
+                ("--max-events", Some("8")),
+                ("--idle-timeout-ms", Some("8")),
+                ("--drain-timeout-ms", Some("8")),
+                ("--retry-after-ms", Some("8")),
+                ("--shards", Some("2")),
+                ("--shard-memory-budget", Some("4096")),
+                ("--spill-threshold", Some("4096")),
+                ("--spill-dir", Some("spill")),
+                ("--quiet", None),
+                ("--no-record", None),
+                ("--stats-interval", Some("1")),
+                ("--stream-slice-len", Some("64")),
+                ("--stream-exec-threshold", Some("4")),
+                ("--stream-window", Some("4")),
+                ("--stream-hysteresis", Some("2")),
+                ("--stream-max-lag", Some("4")),
+                ("--max-subscriber-queue", Some("8")),
+                ("--compute", None),
+                ("--compute-threads", Some("2")),
+                ("--compute-cache-dir", Some("cache")),
+            ],
+        ),
+        (
+            "twodprof-client replay",
+            &[
+                ("--addr", Some("127.0.0.1:1")),
+                ("--scale", Some("tiny")),
+                ("--predictor", Some("gshare4kb")),
+                ("--batch", Some("64")),
+                ("--slice-len", Some("64")),
+                ("--exec-threshold", Some("4")),
+                ("--verify", None),
+                ("--trace-out", Some("t.json")),
+                ("--program", Some("p")),
+            ],
+        ),
+        ("twodprof-client stats", &[("--addr", Some("127.0.0.1:1"))]),
+        (
+            "twodprof-client watch",
+            &[
+                ("--addr", Some("127.0.0.1:1")),
+                ("--snapshot", None),
+                ("--limit", Some("1")),
+            ],
+        ),
+        (
+            "twodprof-client drive",
+            &[
+                ("--addr", Some("127.0.0.1:1")),
+                ("--sites", Some("4")),
+                ("--events", Some("100")),
+                ("--flip-every", Some("10")),
+                ("--seed", Some("7")),
+                ("--predictor", Some("gshare4kb")),
+            ],
+        ),
+        (
+            "twodprof-client soak",
+            &[
+                ("--addr", Some("127.0.0.1:1")),
+                ("--sessions", Some("1")),
+                ("--concurrency", Some("1")),
+                ("--events", Some("10")),
+                ("--sites", Some("2")),
+                ("--program", Some("p")),
+                ("--max-shed-pct", Some("2.5")),
+                ("--predictor", Some("gshare4kb")),
+            ],
+        ),
+        (
+            "twodprof-client top",
+            &[
+                ("--node", Some("127.0.0.1:1")),
+                ("--interval", Some("0.5")),
+                ("--iterations", Some("1")),
+                ("--no-clear", None),
+            ],
+        ),
+        (
+            "twodprof-client blackbox",
+            &[("--addr", Some("127.0.0.1:1")), ("--file", Some("b.bin"))],
+        ),
+    ];
+
+    #[test]
+    fn every_flag_accepted_before_the_tables_still_parses_with_its_arity() {
+        let commands = [
+            &SERVE, &REPLAY, &STATS, &WATCH, &DRIVE, &SOAK, &TOP, &BLACKBOX,
+        ];
+        assert_eq!(commands.len(), ACCEPTED.len());
+        for (cmd, (name, accepted)) in commands.into_iter().zip(ACCEPTED) {
+            assert_eq!(cmd.name, *name);
+            assert_eq!(cmd.flags.len(), accepted.len(), "{name}: a flag was added");
+            let positionals = vec!["p"; cmd.positionals.len()];
+            for &(flag, value) in *accepted {
+                let mut line = args(&positionals);
+                line.push(flag.to_owned());
+                let parse = |line: &[String]| flags::parse(cmd, line).map(|m| m.switch(flag));
+                match value {
+                    Some(v) => {
+                        assert_eq!(parse(&line), Err(format!("{flag} needs a value")));
+                        line.push(v.to_owned());
+                        let m = flags::parse(cmd, &line).expect("value flag parses");
+                        assert_eq!(m.value(flag), Some(v), "{name} {flag}");
+                    }
+                    None => assert_eq!(parse(&line), Ok(true), "{name} {flag}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_program_named_after_its_subcommand_reaches_the_entry_point() {
+        fn expect(cmd: &Command, args: &[String], program: &str) -> Result<(), String> {
+            let m = flags::parse(cmd, args)?;
+            assert_eq!(m.positionals(), [program]);
+            assert_eq!(m.value("--addr"), Some("127.0.0.1:1"));
+            Ok(())
+        }
+        let table: &[Subcommand] = &[
+            ("watch", |a| expect(&WATCH, a, "watch")),
+            ("drive", |a| expect(&DRIVE, a, "drive")),
+        ];
+        for name in ["watch", "drive"] {
+            let line = args(&[name, name, "--addr", "127.0.0.1:1"]);
+            assert_eq!(run_subcommand("t", table, None, &line), Ok(()));
+        }
+    }
+
+    #[test]
+    fn subcommands_dispatch_by_name_or_fall_back() {
+        let table: &[Subcommand] = &[("one", |a| Err(format!("one {a:?}")))];
+        let run = |fallback, line: &[&str]| run_subcommand("t", table, fallback, &args(line));
+        assert_eq!(run(None, &["one", "x"]), Err("one [\"x\"]".to_owned()));
+        let fallback: Entry = |a| Err(format!("fallback {a:?}"));
+        assert_eq!(
+            run(Some(fallback), &["two", "x"]),
+            Err("fallback [\"two\", \"x\"]".to_owned())
+        );
+        assert_eq!(run(None, &["--help"]), Ok(()));
+        let unknown = run(None, &["gzip", "train"]).expect_err("unknown");
+        assert!(
+            unknown.starts_with("unknown subcommand \"gzip\""),
+            "{unknown}"
+        );
+        assert!(unknown.contains("subcommands: one"), "{unknown}");
+        assert!(run(None, &[])
+            .expect_err("missing")
+            .starts_with("usage: t SUBCOMMAND"));
+    }
 }

@@ -52,6 +52,7 @@ pub mod cli;
 mod client;
 mod compute;
 mod config;
+pub mod flags;
 pub mod flight;
 mod http;
 mod poll;
@@ -59,6 +60,7 @@ mod replay;
 mod server;
 mod shard;
 mod spill;
+mod summary;
 pub mod wire;
 
 pub use compute::ComputeConfig;

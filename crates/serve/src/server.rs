@@ -40,7 +40,7 @@
 use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightRecorder;
-use crate::shard::{current_tier, shard_loop, ShardState};
+use crate::shard::{shard_loop, ShardState};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -162,7 +162,7 @@ impl Shared {
     }
 
     /// The daemon has fully shut down ([`Server::run`] is returning);
-    /// helper threads (stats, timeline, HTTP exposition) exit on this.
+    /// helper threads (sampler, HTTP exposition) exit on this.
     pub(crate) fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::SeqCst)
     }
@@ -476,12 +476,12 @@ impl Server {
                 .spawn(move || crate::http::http_loop(&shared, listener))
                 .expect("spawn http thread")
         });
-        let timeline_thread = {
+        let sampler_thread = {
             let shared = self.shared.clone();
             thread::Builder::new()
-                .name("twodprofd-timeline".into())
-                .spawn(move || timeline_loop(&shared))
-                .expect("spawn timeline thread")
+                .name("twodprofd-sampler".into())
+                .spawn(move || sample_loop(&shared))
+                .expect("spawn sampler thread")
         };
         let shard_threads: Vec<_> = self
             .shared
@@ -496,13 +496,6 @@ impl Server {
                     .expect("spawn shard thread")
             })
             .collect();
-        let stats_thread = self.shared.config.stats_interval.map(|interval| {
-            let shared = self.shared.clone();
-            thread::Builder::new()
-                .name("twodprofd-stats".into())
-                .spawn(move || stats_loop(&shared, interval))
-                .expect("spawn stats thread")
-        });
         if let Some(pool) = &self.shared.compute {
             self.shared.log(format_args!(
                 "compute service enabled, {} worker thread(s)",
@@ -554,12 +547,7 @@ impl Server {
             pool.shutdown();
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
-        if let Some(t) = stats_thread {
-            t.join().expect("stats thread never panics");
-        }
-        timeline_thread
-            .join()
-            .expect("timeline thread never panics");
+        sampler_thread.join().expect("sampler thread never panics");
         if let Some(t) = http_thread {
             t.join().expect("http thread never panics");
         }
@@ -591,151 +579,46 @@ impl Server {
     }
 }
 
-/// Feeds the daemon's [`Timeline`] one registry snapshot per configured
-/// interval (timestamps are milliseconds since daemon start) until the
-/// daemon stops. The first record seeds the baseline immediately, so the
+/// Samples the registry until the daemon stops. Every timeline interval
+/// feeds the daemon's [`Timeline`] (timestamps are milliseconds since
+/// daemon start); the first record seeds the baseline immediately, so the
 /// first retained interval covers startup, not the process's whole life.
-fn timeline_loop(shared: &Shared) {
-    let interval = shared
-        .config
-        .obs
-        .timeline_interval
-        .max(Duration::from_millis(10));
-    let record = |shared: &Shared| {
-        shared.timeline.record(
-            shared.start.elapsed().as_millis() as u64,
-            twodprof_obs::global().snapshot(),
-        );
-    };
-    record(shared);
-    let mut next = Instant::now() + interval;
-    while !shared.is_stopped() {
-        // sleep in short hops so shutdown isn't delayed by a long interval
-        if Instant::now() >= next {
-            record(shared);
-            next += interval;
-        }
-        thread::sleep(Duration::from_millis(10).min(interval));
-    }
-}
-
-/// Periodic stderr stats summary: lifetime counters plus per-interval
-/// rates computed with `Snapshot::delta` (always printed, even with
-/// `quiet` connection logs — enabling the interval is itself the opt-in).
-///
-/// Six lines per tick, assembled into one buffer and written with a
-/// single `eprint!` so concurrent connection logs can never interleave
-/// mid-summary: the session/event line, the storage-tier and trace line —
-/// memo-tier vs disk-tier cache hits, misses, corrupt entries, and the
-/// recorded / replayed trace totals — the fabric line (jobs
-/// submitted/completed and remote cache hits served by the compute tier),
-/// the streaming line (windows folded, verdicts, drift events, subscriber
-/// drops), the admission line (tier counts plus spill segments/bytes),
-/// and the shard-health line (per-shard admission tier, event-loop lag,
-/// and reply-backlog high water).
-fn stats_loop(shared: &Shared, interval: Duration) {
-    use std::fmt::Write as _;
-    let interval = interval.max(Duration::from_millis(10));
-    let mut last_events = 0u64;
-    let mut last_tick = Instant::now();
-    let mut last_snap = twodprof_obs::global().snapshot();
+/// Every `stats_interval`, if set, prints the [`crate::summary`] of the
+/// registry against the previous print to stderr: always, even with
+/// `quiet` connection logs (enabling the interval is itself the opt-in),
+/// and with a single `eprint!` so concurrent connection logs never
+/// interleave mid-summary.
+fn sample_loop(shared: &Shared) {
+    let floor = Duration::from_millis(10);
+    let timeline_every = shared.config.obs.timeline_interval.max(floor);
+    let stats_every = shared.config.stats_interval.map(|i| i.max(floor));
+    let mut next_record = Instant::now();
+    let mut last_stats = (Instant::now(), twodprof_obs::global().snapshot());
     let mut out = String::new();
-    while !shared.stopped.load(Ordering::SeqCst) {
-        // sleep in short hops so shutdown isn't delayed by a long interval
-        let wake = last_tick + interval;
-        while Instant::now() < wake {
-            if shared.stopped.load(Ordering::SeqCst) {
-                return;
-            }
-            thread::sleep(Duration::from_millis(10).min(interval));
-        }
+    while !shared.is_stopped() {
         let now = Instant::now();
-        let stats = shared.stats();
-        let snap = twodprof_obs::global().snapshot();
-        let delta = snap.delta(&last_snap);
-        let secs = now.duration_since(last_tick).as_secs_f64().max(1e-9);
-        // per-interval rate from the metrics delta; fall back to the shared
-        // atomics when the registry is disabled (TWODPROF_METRICS=off)
-        let events_delta = delta
-            .counter("serve_events_total")
-            .unwrap_or_else(|| stats.events_ingested - last_events);
-        let rate = events_delta as f64 / secs;
-        out.clear();
-        let _ = writeln!(
-            out,
-            "[twodprofd] stats: {} live session(s), {} opened, {} finished, {} aborted, {} event(s), {:.0} events/s",
-            shared.live_sessions.load(Ordering::SeqCst),
-            stats.sessions_opened,
-            stats.sessions_finished,
-            stats.sessions_aborted,
-            stats.events_ingested,
-            rate,
-        );
-        let total = |name: &str| snap.counter(name).unwrap_or(0);
-        let tick = |name: &str| delta.counter(name).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "[twodprofd] stats: cache {} memo hit(s), {} disk hit(s), {} miss(es), {} corrupt; traces {} recorded (+{}), {} replayed (+{})",
-            total("engine_cache_memo_hits_total"),
-            total("engine_cache_hits_total"),
-            total("engine_cache_misses_total"),
-            total("engine_cache_corrupt_total"),
-            total("trace_record_total"),
-            tick("trace_record_total"),
-            total("trace_replay_total"),
-            tick("trace_replay_total"),
-        );
-        let _ = writeln!(
-            out,
-            "[twodprofd] stats: fabric {} job(s) submitted (+{}), {} completed (+{}), {} remote cache hit(s) (+{})",
-            total("fabric_jobs_submitted_total"),
-            tick("fabric_jobs_submitted_total"),
-            total("fabric_jobs_completed_total"),
-            tick("fabric_jobs_completed_total"),
-            total("fabric_remote_cache_hits_total"),
-            tick("fabric_remote_cache_hits_total"),
-        );
-        let _ = writeln!(
-            out,
-            "[twodprofd] stats: stream {} window(s) folded (+{}), {} verdict(s) (+{}), {} drift event(s) (+{}), {} subscriber drop(s) (+{})",
-            total("stream_windows_folded_total"),
-            tick("stream_windows_folded_total"),
-            total("stream_verdicts_total"),
-            tick("stream_verdicts_total"),
-            total("stream_drift_events_total"),
-            tick("stream_drift_events_total"),
-            total("serve_subscriber_drops_total"),
-            tick("serve_subscriber_drops_total"),
-        );
-        let _ = writeln!(
-            out,
-            "[twodprofd] stats: admit {} accepted (+{}), {} degraded (+{}), {} shed (+{}); spill {} segment(s) (+{}), {} byte(s) (+{})",
-            total("serve_admit_accept_total"),
-            tick("serve_admit_accept_total"),
-            total("serve_admit_degrade_total"),
-            tick("serve_admit_degrade_total"),
-            total("serve_admit_shed_total"),
-            tick("serve_admit_shed_total"),
-            total("serve_spill_segments_total"),
-            tick("serve_spill_segments_total"),
-            total("serve_spill_bytes_total"),
-            tick("serve_spill_bytes_total"),
-        );
-        out.push_str("[twodprofd] stats: shards");
-        for shard in &shared.shards {
-            let _ = write!(
-                out,
-                " | {} {} lag {}us backlog {}B",
-                shard.index,
-                current_tier(&shared.config, shard).label(),
-                shard.last_lag_micros.load(Ordering::Relaxed),
-                shard.out_high_water.load(Ordering::Relaxed),
-            );
+        if now >= next_record {
+            let millis = shared.start.elapsed().as_millis() as u64;
+            shared
+                .timeline
+                .record(millis, twodprof_obs::global().snapshot());
+            next_record += timeline_every;
         }
-        out.push('\n');
-        eprint!("{out}");
-        last_events = stats.events_ingested;
-        last_tick = now;
-        last_snap = snap;
+        if stats_every.is_some_and(|every| now >= last_stats.0 + every) {
+            let snap = twodprof_obs::global().snapshot();
+            let secs = now.duration_since(last_stats.0).as_secs_f64();
+            out.clear();
+            crate::summary::render(
+                &mut out,
+                "[twodprofd] stats: ",
+                &snap,
+                Some(&last_stats.1),
+                secs,
+            );
+            eprint!("{out}");
+            last_stats = (now, snap);
+        }
+        // sleep in short hops so shutdown isn't delayed by a long interval
+        thread::sleep(floor);
     }
 }

@@ -186,7 +186,7 @@ impl AdmissionTier {
         }
     }
 
-    fn from_u64(v: u64) -> io::Result<Self> {
+    pub(crate) fn from_u64(v: u64) -> io::Result<Self> {
         match v {
             0 => Ok(AdmissionTier::Accept),
             1 => Ok(AdmissionTier::Degrade),

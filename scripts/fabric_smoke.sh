@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test for the distributed sweep fabric: two `twodprofd --compute`
 # nodes on ephemeral loopback ports, a `repro` sweep fanned out to them
-# with `--backend remote`.
+# with one `--node` each.
 #
 # Gates, in order:
 #   1. remote/local equivalence — the CSVs of a remote sweep must be
@@ -64,7 +64,7 @@ echo "local reference sweep done"
 # cold remote sweep: a fresh client, all work shipped to the nodes
 # shellcheck disable=SC2086
 "$BIN_DIR/repro" --scale tiny --no-cache --out "$OUT_DIR/remote-cold" \
-    --backend remote --node "$ADDR_A" --node "$ADDR_B" \
+    --node "$ADDR_A" --node "$ADDR_B" \
     $EXPERIMENTS >"$OUT_DIR/remote-cold.out" 2>"$OUT_DIR/remote-cold.err"
 echo "cold remote sweep done"
 
@@ -92,7 +92,7 @@ echo "gate 2 OK: nodes computed $completed fabric job(s)"
 # --- gate 3: a second fresh client is served from the shared cache tier ---
 # shellcheck disable=SC2086
 "$BIN_DIR/repro" --scale tiny --no-cache --out "$OUT_DIR/remote-warm" --metrics \
-    --backend remote --node "$ADDR_A" --node "$ADDR_B" \
+    --node "$ADDR_A" --node "$ADDR_B" \
     $EXPERIMENTS >"$OUT_DIR/remote-warm.out" 2>"$OUT_DIR/remote-warm.err"
 grep -q '^fabric_remote_cache_hits_total [1-9]' "$OUT_DIR/remote-warm.err" || {
     cat "$OUT_DIR/remote-warm.err"
