@@ -166,10 +166,12 @@ impl<'a> Matches<'a> {
     /// The value of `name` as a positive, finite number of seconds.
     pub fn seconds(&self, name: &str) -> Result<Option<Duration>, String> {
         match self.numeric::<f64>(name)? {
-            Some(s) if !(s > 0.0 && s.is_finite()) => {
-                Err(format!("{name} needs a positive number of seconds"))
-            }
-            s => Ok(s.map(Duration::from_secs_f64)),
+            None => Ok(None),
+            // `try_from` also refuses finite values too large for a Duration
+            Some(s) => match Duration::try_from_secs_f64(s) {
+                Ok(d) if s > 0.0 => Ok(Some(d)),
+                _ => Err(format!("{name} needs a positive number of seconds")),
+            },
         }
     }
 
@@ -294,6 +296,11 @@ mod tests {
         assert_eq!(num, Err("--a needs a number, got \"x\"".to_owned()));
         assert!(secs.is_err());
         assert!(check(&["--a", "inf"]).2.is_err());
+        assert!(check(&["--a", "-1"]).2.is_err());
+        assert_eq!(
+            check(&["--a", "1e30"]).2,
+            Err("--a needs a positive number of seconds".to_owned())
+        );
         let (_, _, secs, slice) = check(&["--a", "100", "--b", "4"]);
         assert_eq!(secs, Ok(Some(Duration::from_secs(100))));
         assert_eq!(slice, Ok(Some(SliceConfig::new(100, 4))));

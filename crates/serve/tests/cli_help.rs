@@ -59,6 +59,16 @@ fn usage_errors_exit_one() {
             &["top", "--interval", "0"],
             "--interval needs a positive",
         ),
+        (
+            CLIENT,
+            &["top", "--interval", "1e30"],
+            "--interval needs a positive",
+        ),
+        (
+            DAEMON,
+            &["--stats-interval", "1e30"],
+            "--stats-interval needs a positive",
+        ),
     ] {
         let (out, stderr) = run(bin, args);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
