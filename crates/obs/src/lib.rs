@@ -5,8 +5,8 @@
 //! and the ingestion daemon are long-lived services, that claim needs
 //! numbers behind it. This crate provides them: a process-global registry of
 //! atomic metrics that every layer of the stack instruments its hot paths
-//! with, cheap enough that the instrumented `ingest_throughput` bench stays
-//! within noise of the uninstrumented one.
+//! with, cheap enough that instrumented loopback ingest stays within noise
+//! of the uninstrumented run (`gate obs-overhead`).
 //!
 //! # Metric kinds
 //!
@@ -47,20 +47,22 @@
 //! serializes over the workspace's LEB128 varint layer
 //! ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]) — the payload the
 //! `twodprofd` `Stats` wire frame carries. [`Snapshot::delta`] subtracts an
-//! earlier snapshot for per-interval rates.
+//! earlier snapshot for per-interval rates, and
+//! [`Snapshot::put_counter`] / [`Snapshot::put_gauge`] let a source outside
+//! the registry (the daemon's own per-instance values) join a snapshot.
 //!
-//! Dynamically-indexed metrics (per-shard, per-node) register through a
-//! [`Family`]: a `const`-constructible helper that formats
-//! `{base}{index}{suffix}` names through the shared interner and caches one
-//! `&'static` handle per index — the structured replacement for hand-rolled
-//! `intern_name(format!(...))` call sites.
+//! Dynamically-indexed metrics (the daemon's per-shard histograms, the
+//! fabric's per-node gauges) register through a [`Family`]: a
+//! `const`-constructible helper that formats `{base}{index}{suffix}` names
+//! through the shared interner ([`intern_name`]) and caches one `&'static`
+//! handle per index.
 //!
 //! # Timeline
 //!
 //! The [`timeline`] module keeps recent history: a bounded ring of periodic
-//! [`Snapshot::delta`] results ([`Timeline`]) with per-interval timestamps,
-//! rate queries, and varint serialization — what the daemon's `/vars` HTTP
-//! endpoint serves as its recent-rates tail.
+//! [`Snapshot::delta`] results ([`Timeline`]) with per-interval timestamps
+//! and rate queries — what the daemon's `/vars` HTTP endpoint serves as its
+//! recent-rates tail.
 //!
 //! # Span tracing
 //!

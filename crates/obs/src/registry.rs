@@ -131,10 +131,10 @@ impl Registry {
 
 /// A labeled metric family: one metric kind instantiated per small integer
 /// index, with names of the form `{base}{index}{suffix}` (e.g.
-/// `serve_shard3_sessions`). The index rides *inside* the metric name rather
-/// than as a Prometheus `{label="..."}` pair because [`Snapshot::to_text`]
-/// emits one `# HELP`/`# TYPE` header per name — a label embedded in the
-/// name would corrupt those lines.
+/// `serve_shard3_tick_micros`). The index rides *inside* the metric name
+/// rather than as a Prometheus `{label="..."}` pair because
+/// [`Snapshot::to_text`] emits one `# HELP`/`# TYPE` header per name — a
+/// label embedded in the name would corrupt those lines.
 ///
 /// A `Family` is `const`-constructible so call sites can hold one in a
 /// `static`, mirroring the `counter!`/`gauge!` macros' per-call-site cache:
@@ -220,8 +220,8 @@ impl Family<Histogram> {
 /// Interns a runtime-built metric name, returning the canonical
 /// `&'static str` for it. The `counter!`/`gauge!` macros cache their
 /// handle in a per-call-site static, which pins the name at compile time;
-/// code that builds names dynamically (per-shard gauges, per-node fabric
-/// gauges) interns the string once here and registers straight on the
+/// code that builds names dynamically (per-shard histograms, per-node
+/// fabric gauges) interns the string once here and registers straight on the
 /// [`Registry`]. Each distinct name leaks exactly once — the same trade
 /// the metric cells already make for process-lifetime data.
 pub fn intern_name(name: String) -> &'static str {

@@ -61,6 +61,18 @@ impl Snapshot {
             .map(|(_, _, h)| h)
     }
 
+    /// Sets counter `name` to `value`, replacing a counter of that name
+    /// and keeping the list sorted: how a source outside the registry
+    /// adds its values to a registry snapshot.
+    pub fn put_counter(&mut self, name: impl Into<String>, help: &str, value: u64) {
+        put(&mut self.counters, (name.into(), help.to_owned(), value));
+    }
+
+    /// Sets gauge `name` to `value`, like [`put_counter`](Self::put_counter).
+    pub fn put_gauge(&mut self, name: impl Into<String>, help: &str, value: i64) {
+        put(&mut self.gauges, (name.into(), help.to_owned(), value));
+    }
+
     /// The change since `earlier`: counters and histogram buckets/sums are
     /// subtracted by name (a metric absent from `earlier` — registered
     /// mid-interval — keeps its full value; saturating, so a restarted
@@ -240,6 +252,14 @@ impl Snapshot {
     }
 }
 
+/// Inserts `entry` into a name-sorted list, replacing a same-named entry.
+fn put<V>(list: &mut Vec<(String, String, V)>, entry: (String, String, V)) {
+    match list.binary_search_by(|(name, _, _)| name.cmp(&entry.0)) {
+        Ok(i) => list[i] = entry,
+        Err(i) => list.insert(i, entry),
+    }
+}
+
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
@@ -402,5 +422,19 @@ mod tests {
         assert_eq!(snap.gauge("queue_depth"), Some(-4));
         assert_eq!(snap.histogram("job_micros").unwrap().count(), 3);
         assert_eq!(snap.counter("missing"), None);
+    }
+
+    #[test]
+    fn put_keeps_names_sorted_and_unique() {
+        let mut snap = sample();
+        snap.put_counter("aaa_total".to_owned(), "First.", 1);
+        snap.put_counter("zzz_total".to_owned(), "Last.", 2);
+        snap.put_counter("jobs_total".to_owned(), "Replaced.", 3);
+        snap.put_gauge("queue_depth".to_owned(), "Replaced.", 5);
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["aaa_total", "jobs_total", "zzz_total"]);
+        assert_eq!(snap.counter("jobs_total"), Some(3));
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.gauge("queue_depth"), Some(5));
     }
 }

@@ -12,22 +12,10 @@
 //! Timestamps are supplied by the caller in milliseconds from an arbitrary
 //! epoch (the daemon uses elapsed-since-start) so the ring is deterministic
 //! under test and never consults the wall clock itself.
-//!
-//! The ring serializes over the same LEB128 varint layer as `Snapshot`
-//! ([`Timeline::to_bytes`] / [`Timeline::from_bytes`]), so a scraper can
-//! fetch history in one frame and the decoder enforces the same bounds
-//! discipline (length caps, trailing-byte rejection).
 
 use crate::snapshot::Snapshot;
 use std::collections::VecDeque;
-use std::io;
 use std::sync::Mutex;
-
-/// Serialization format version for [`Timeline::to_bytes`].
-const TIMELINE_VERSION: u8 = 1;
-
-/// Hard cap on the entry count a decoder will accept.
-const MAX_ENTRIES: usize = 1 << 16;
 
 /// One recorded interval: the metric movement between two consecutive
 /// snapshots.
@@ -141,65 +129,6 @@ impl Timeline {
         }
         Some(total as f64 * 1000.0 / millis as f64)
     }
-
-    /// Serializes every retained interval: a version byte, a varint entry
-    /// count, then per entry the timestamp, interval, and a length-prefixed
-    /// [`Snapshot::to_bytes`] block.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let inner = self.inner.lock().expect("timeline");
-        let mut out = vec![TIMELINE_VERSION];
-        // writes into a Vec never fail
-        let varint = |out: &mut Vec<u8>, v: u64| {
-            btrace::write_varint(out, v).expect("vec write");
-        };
-        varint(&mut out, inner.entries.len() as u64);
-        for entry in &inner.entries {
-            varint(&mut out, entry.at_millis);
-            varint(&mut out, entry.interval_millis);
-            let snap = entry.delta.to_bytes();
-            varint(&mut out, snap.len() as u64);
-            out.extend_from_slice(&snap);
-        }
-        out
-    }
-
-    /// Decodes a [`Timeline::to_bytes`] block into its entries, rejecting
-    /// unknown versions, oversized counts, and trailing bytes.
-    pub fn entries_from_bytes(bytes: &[u8]) -> io::Result<Vec<TimelineEntry>> {
-        let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        let mut r = bytes;
-        let (&version, rest) = r
-            .split_first()
-            .ok_or_else(|| invalid("empty timeline block"))?;
-        r = rest;
-        if version != TIMELINE_VERSION {
-            return Err(invalid("unsupported timeline version"));
-        }
-        let count = btrace::read_varint(&mut r)? as usize;
-        if count > MAX_ENTRIES {
-            return Err(invalid("timeline entry count too large"));
-        }
-        let mut entries = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            let at_millis = btrace::read_varint(&mut r)?;
-            let interval_millis = btrace::read_varint(&mut r)?;
-            let len = btrace::read_varint(&mut r)? as usize;
-            if len > r.len() {
-                return Err(invalid("timeline snapshot length overruns block"));
-            }
-            let (snap, rest) = r.split_at(len);
-            r = rest;
-            entries.push(TimelineEntry {
-                at_millis,
-                interval_millis,
-                delta: Snapshot::from_bytes(snap)?,
-            });
-        }
-        if !r.is_empty() {
-            return Err(invalid("trailing bytes after timeline block"));
-        }
-        Ok(entries)
-    }
 }
 
 #[cfg(test)]
@@ -274,23 +203,5 @@ mod tests {
         assert_eq!(t.rate("no_such_total", 10), None);
         let empty = Timeline::new(8);
         assert_eq!(empty.rate("t_events_total", 10), None);
-    }
-
-    #[test]
-    fn bytes_roundtrip_and_reject_trailing() {
-        let t = Timeline::new(8);
-        t.record(0, snap_with(0));
-        t.record(250, snap_with(9));
-        t.record(500, snap_with(11));
-        let bytes = t.to_bytes();
-        let entries = Timeline::entries_from_bytes(&bytes).expect("roundtrip");
-        assert_eq!(entries, t.tail(usize::MAX));
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(Timeline::entries_from_bytes(&trailing).is_err());
-        let mut bad_version = bytes;
-        bad_version[0] = 99;
-        assert!(Timeline::entries_from_bytes(&bad_version).is_err());
-        assert!(Timeline::entries_from_bytes(&[]).is_err());
     }
 }

@@ -7,7 +7,7 @@ use crate::wire::{AdmissionTier, ClientFrame, Hello, ServerFrame, PROTOCOL_VERSI
 use bpred::PredictorKind;
 use btrace::{SiteId, Tracer};
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use twodprof_core::{ProfileReport, SliceConfig};
@@ -251,7 +251,7 @@ impl ConnectOptions {
             }
             .write_to(&mut session.writer)?;
             session.writer.flush()?;
-            match session.read_reply()? {
+            match read_reply(&mut session.reader)? {
                 ServerFrame::TraceAck { anchor_us } => {
                     session.link = Some(TraceLink {
                         trace: ctx.trace,
@@ -273,7 +273,7 @@ impl ConnectOptions {
         })
         .write_to(&mut session.writer)?;
         session.writer.flush()?;
-        match session.read_reply()? {
+        match read_reply(&mut session.reader)? {
             ServerFrame::HelloOk { session_id, tier } => {
                 session.session_id = session_id;
                 session.tier = tier;
@@ -352,7 +352,7 @@ impl RemoteSession {
     pub fn flush(&mut self) -> Result<u64, ClientError> {
         ClientFrame::Flush.write_to(&mut self.writer)?;
         self.writer.flush()?;
-        match self.read_reply()? {
+        match read_reply(&mut self.reader)? {
             ServerFrame::Ack { events_total } => Ok(events_total),
             other => Err(unexpected("Ack", &other)),
         }
@@ -372,7 +372,7 @@ impl RemoteSession {
     pub fn resimulate(&mut self, predictor: PredictorKind) -> Result<RemoteReport, ClientError> {
         ClientFrame::Resim(predictor).write_to(&mut self.writer)?;
         self.writer.flush()?;
-        match self.read_reply()? {
+        match read_reply(&mut self.reader)? {
             ServerFrame::Report(bytes) => RemoteReport::parse(bytes),
             other => Err(unexpected("Report", &other)),
         }
@@ -390,22 +390,9 @@ impl RemoteSession {
         {
             return Err(self.explain_write_error(e));
         }
-        match self.read_reply()? {
+        match read_reply(&mut self.reader)? {
             ServerFrame::Report(bytes) => RemoteReport::parse(bytes),
             other => Err(unexpected("Report", &other)),
-        }
-    }
-
-    /// Reads one server frame, mapping `Busy`/`Error` frames to errors.
-    fn read_reply(&mut self) -> Result<ServerFrame, ClientError> {
-        match ServerFrame::read_from(&mut self.reader)? {
-            ServerFrame::Busy {
-                msg,
-                tier,
-                retry_after_ms,
-            } => Err(ClientError::refused(msg, tier, retry_after_ms)),
-            ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
-            frame => Ok(frame),
         }
     }
 
@@ -413,13 +400,26 @@ impl RemoteSession {
     /// means a `Busy`/`Error` frame is sitting in our receive buffer — read
     /// it so the caller sees the daemon's reason, not just a broken pipe.
     fn explain_write_error(&mut self, e: io::Error) -> ClientError {
-        match self.read_reply() {
+        match read_reply(&mut self.reader) {
             Ok(frame) => unexpected("none (write failed)", &frame),
             Err(reply_err @ (ClientError::Refused { .. } | ClientError::Server { .. })) => {
                 reply_err
             }
             Err(_) => ClientError::Io(e),
         }
+    }
+}
+
+/// Reads one server frame, mapping `Busy`/`Error` frames to errors.
+fn read_reply(reader: &mut impl Read) -> Result<ServerFrame, ClientError> {
+    match ServerFrame::read_from(reader)? {
+        ServerFrame::Busy {
+            msg,
+            tier,
+            retry_after_ms,
+        } => Err(ClientError::refused(msg, tier, retry_after_ms)),
+        ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
+        frame => Ok(frame),
     }
 }
 
@@ -475,6 +475,19 @@ impl TraceLink {
     }
 }
 
+/// The one-shot round trip of the sessionless fetchers: connect, send
+/// `frame`, and read one reply. `Busy` and `Error` replies become their
+/// errors; any other frame is the caller's to decode.
+fn one_shot(addr: impl ToSocketAddrs, frame: &ClientFrame) -> Result<ServerFrame, ClientError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true).ok();
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = BufWriter::new(stream);
+    frame.write_to(&mut writer)?;
+    writer.flush()?;
+    read_reply(&mut reader)
+}
+
 /// Fetches the daemon-side spans of `trace_id` over a one-shot connection
 /// (sessionless, like [`fetch_stats`]) and returns them with their `pid`
 /// lane still `0` — timestamps are on the *daemon's* clock; map them with
@@ -488,13 +501,7 @@ pub fn fetch_trace(
     addr: impl ToSocketAddrs,
     trace_id: u128,
 ) -> Result<Vec<ExportSpan>, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    ClientFrame::TraceExport { trace: trace_id }.write_to(&mut writer)?;
-    writer.flush()?;
-    match ServerFrame::read_from(&mut reader)? {
+    match one_shot(addr, &ClientFrame::TraceExport { trace: trace_id })? {
         ServerFrame::TraceSpans(bytes) => {
             let (decoded_trace, spans) = trace::decode_spans(&bytes)
                 .map_err(|e| ClientError::Protocol(format!("undecodable span block: {e}")))?;
@@ -505,12 +512,6 @@ pub fn fetch_trace(
             }
             Ok(spans)
         }
-        ServerFrame::Busy {
-            msg,
-            tier,
-            retry_after_ms,
-        } => Err(ClientError::refused(msg, tier, retry_after_ms)),
-        ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
         other => Err(unexpected("TraceSpans", &other)),
     }
 }
@@ -524,21 +525,9 @@ pub fn fetch_trace(
 /// Transport errors, plus [`ClientError::Protocol`] if the reply is not a
 /// decodable `StatsReply`.
 pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<Snapshot, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    ClientFrame::Stats.write_to(&mut writer)?;
-    writer.flush()?;
-    match ServerFrame::read_from(&mut reader)? {
+    match one_shot(addr, &ClientFrame::Stats)? {
         ServerFrame::StatsReply(bytes) => Snapshot::from_bytes(&bytes)
             .map_err(|e| ClientError::Protocol(format!("undecodable stats snapshot: {e}"))),
-        ServerFrame::Busy {
-            msg,
-            tier,
-            retry_after_ms,
-        } => Err(ClientError::refused(msg, tier, retry_after_ms)),
-        ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
         other => Err(unexpected("StatsReply", &other)),
     }
 }
@@ -552,21 +541,9 @@ pub fn fetch_stats(addr: impl ToSocketAddrs) -> Result<Snapshot, ClientError> {
 /// Transport errors, plus [`ClientError::Protocol`] if the reply is not a
 /// `BlackboxReply` carrying a decodable flight block.
 pub fn fetch_blackbox(addr: impl ToSocketAddrs) -> Result<Vec<FlightEvent>, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    ClientFrame::Blackbox.write_to(&mut writer)?;
-    writer.flush()?;
-    match ServerFrame::read_from(&mut reader)? {
+    match one_shot(addr, &ClientFrame::Blackbox)? {
         ServerFrame::BlackboxReply(bytes) => crate::flight::decode(&bytes)
             .map_err(|e| ClientError::Protocol(format!("undecodable flight block: {e}"))),
-        ServerFrame::Busy {
-            msg,
-            tier,
-            retry_after_ms,
-        } => Err(ClientError::refused(msg, tier, retry_after_ms)),
-        ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
         other => Err(unexpected("BlackboxReply", &other)),
     }
 }
@@ -586,25 +563,13 @@ pub fn fetch_verdicts(
     addr: impl ToSocketAddrs,
     program: &str,
 ) -> Result<VerdictSnapshot, ClientError> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    ClientFrame::Subscribe {
+    let frame = ClientFrame::Subscribe {
         program: program.to_owned(),
         watch: false,
-    }
-    .write_to(&mut writer)?;
-    writer.flush()?;
-    match ServerFrame::read_from(&mut reader)? {
+    };
+    match one_shot(addr, &frame)? {
         ServerFrame::VerdictSnapshot(bytes) => VerdictSnapshot::from_bytes(&bytes)
             .map_err(|e| ClientError::Protocol(format!("undecodable verdict snapshot: {e}"))),
-        ServerFrame::Busy {
-            msg,
-            tier,
-            retry_after_ms,
-        } => Err(ClientError::refused(msg, tier, retry_after_ms)),
-        ServerFrame::Error { code, msg } => Err(ClientError::Server { code, msg }),
         other => Err(unexpected("VerdictSnapshot", &other)),
     }
 }
@@ -641,15 +606,9 @@ impl WatchClient {
         }
         .write_to(&mut writer)?;
         writer.flush()?;
-        let snapshot = match ServerFrame::read_from(&mut reader)? {
+        let snapshot = match read_reply(&mut reader)? {
             ServerFrame::VerdictSnapshot(bytes) => VerdictSnapshot::from_bytes(&bytes)
                 .map_err(|e| ClientError::Protocol(format!("undecodable verdict snapshot: {e}")))?,
-            ServerFrame::Busy {
-                msg,
-                tier,
-                retry_after_ms,
-            } => return Err(ClientError::refused(msg, tier, retry_after_ms)),
-            ServerFrame::Error { code, msg } => return Err(ClientError::Server { code, msg }),
             other => return Err(unexpected("VerdictSnapshot", &other)),
         };
         Ok(Self { reader, snapshot })
@@ -668,19 +627,13 @@ impl WatchClient {
     /// [`ClientError::Refused`] if the daemon shed this subscriber for falling
     /// behind, plus transport and protocol errors.
     pub fn next_event(&mut self) -> Result<Option<DriftEvent>, ClientError> {
-        match ServerFrame::read_from(&mut self.reader) {
+        match read_reply(&mut self.reader) {
             Ok(ServerFrame::DriftEvent(bytes)) => DriftEvent::from_bytes(&bytes)
                 .map(Some)
                 .map_err(|e| ClientError::Protocol(format!("undecodable drift event: {e}"))),
-            Ok(ServerFrame::Busy {
-                msg,
-                tier,
-                retry_after_ms,
-            }) => Err(ClientError::refused(msg, tier, retry_after_ms)),
-            Ok(ServerFrame::Error { code, msg }) => Err(ClientError::Server { code, msg }),
             Ok(other) => Err(unexpected("DriftEvent", &other)),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
-            Err(e) => Err(ClientError::Io(e)),
+            Err(ClientError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+            Err(e) => Err(e),
         }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! | path       | purpose                                                 |
 //! |------------|---------------------------------------------------------|
-//! | `/metrics` | Prometheus text exposition of the global registry       |
+//! | `/metrics` | Prometheus text exposition of the daemon snapshot       |
 //! | `/healthz` | readiness from per-shard admission tier; 503 on shed    |
 //! | `/vars`    | JSON snapshot: stats, per-shard health, timeline tail   |
 //!
@@ -17,13 +17,14 @@
 //! thread.
 
 use crate::server::Shared;
-use crate::shard::{current_tier, tier_code};
+use crate::summary::shard_rows;
 use crate::wire::AdmissionTier;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
+use twodprof_obs::Snapshot;
 
 /// How long a request may take to arrive or a reply to drain before the
 /// connection is abandoned.
@@ -91,7 +92,7 @@ fn serve_request(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     }
     match path {
         "/metrics" => {
-            let body = twodprof_obs::global().snapshot().to_text();
+            let body = shared.snapshot().to_text();
             respond(
                 &mut stream,
                 "200 OK",
@@ -100,7 +101,7 @@ fn serve_request(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             )
         }
         "/healthz" => {
-            let (healthy, body) = healthz(shared);
+            let (healthy, body) = healthz(&shared.snapshot(), shared.config.shards.memory_budget);
             let status = if healthy {
                 "200 OK"
             } else {
@@ -146,28 +147,20 @@ fn respond(
 /// Readiness: healthy while no shard is in Shed. The body names every
 /// shard's tier, residency against the budget, and last event-loop lag,
 /// so a 503 is diagnosable from the probe output alone.
-fn healthz(shared: &Shared) -> (bool, String) {
-    use std::fmt::Write as _;
-    let budget = shared.config.shards.memory_budget;
-    let mut healthy = true;
-    let mut body = String::new();
-    for shard in &shared.shards {
-        let tier = current_tier(&shared.config, shard);
-        if tier == AdmissionTier::Shed {
-            healthy = false;
-        }
+fn healthz(snap: &Snapshot, budget: usize) -> (bool, String) {
+    let rows = shard_rows(snap);
+    let healthy = rows.iter().all(|row| row.tier != AdmissionTier::Shed);
+    let status = if healthy { "ok" } else { "shedding" };
+    let mut body = format!("status: {status}\n");
+    for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             body,
-            "shard {}: {}, {} of {} byte(s) resident, lag {}us",
-            shard.index,
-            tier.label(),
-            shard.resident_bytes.load(Ordering::Relaxed),
-            budget,
-            shard.last_lag_micros.load(Ordering::Relaxed),
+            "shard {i}: {}, {} of {budget} byte(s) resident, lag {}us",
+            row.tier.label(),
+            row.resident_bytes,
+            row.lag_micros,
         );
     }
-    let status = if healthy { "ok" } else { "shedding" };
-    body.insert_str(0, &format!("status: {status}\n"));
     (healthy, body)
 }
 
@@ -192,91 +185,82 @@ fn json_str(s: &str) -> String {
 }
 
 /// The `/vars` document: lifetime stats, per-shard health, every counter
-/// and gauge, the recent events/s rate, and the timeline tail.
+/// and gauge, the recent events/s rate, and the timeline tail — all from
+/// [`Shared::snapshot`] and the timeline it feeds.
 fn vars(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let snap = twodprof_obs::global().snapshot();
-    let stats = shared.stats();
+    let snap = shared.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
     let mut out = String::from("{");
     let _ = write!(
         out,
         "\"uptime_millis\":{},\"live_sessions\":{},\"active_connections\":{},",
-        shared.start.elapsed().as_millis(),
-        shared.live_sessions.load(Ordering::SeqCst),
-        shared.active_connections(),
+        gauge("serve_uptime_millis"),
+        gauge("serve_live_sessions"),
+        gauge("serve_active_connections"),
     );
     let _ = write!(
         out,
         "\"sessions\":{{\"opened\":{},\"finished\":{},\"aborted\":{}}},\"events_ingested\":{},",
-        stats.sessions_opened,
-        stats.sessions_finished,
-        stats.sessions_aborted,
-        stats.events_ingested,
+        counter("serve_sessions_opened_total"),
+        counter("serve_sessions_finished_total"),
+        counter("serve_sessions_aborted_total"),
+        counter("serve_events_total"),
     );
     out.push_str("\"shards\":[");
-    for (i, shard) in shared.shards.iter().enumerate() {
+    for (i, row) in shard_rows(&snap).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let tier = current_tier(&shared.config, shard);
         let _ = write!(
             out,
-            "{{\"index\":{},\"tier\":{},\"tier_code\":{},\"sessions\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\"lag_micros\":{},\"tick_micros\":{},\"out_buffer_high_water_bytes\":{}}}",
-            shard.index,
-            json_str(tier.label()),
-            tier_code(tier),
-            shard.sessions.load(Ordering::Relaxed),
-            shard.resident_bytes.load(Ordering::Relaxed),
-            shard.spilled_bytes.load(Ordering::Relaxed),
-            shard.last_lag_micros.load(Ordering::Relaxed),
-            shard.last_tick_micros.load(Ordering::Relaxed),
-            shard.out_high_water.load(Ordering::Relaxed),
+            "{{\"index\":{i},\"tier\":{},\"tier_code\":{},\"sessions\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\"lag_micros\":{},\"tick_micros\":{},\"out_buffer_high_water_bytes\":{}}}",
+            json_str(row.tier.label()),
+            row.tier.as_u64(),
+            row.sessions,
+            row.resident_bytes,
+            row.spilled_bytes,
+            row.lag_micros,
+            row.tick_micros,
+            row.out_buffer_high_water_bytes,
         );
     }
-    out.push_str("],\"counters\":{");
-    for (i, (name, _help, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{value}", json_str(name));
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (name, _help, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{value}", json_str(name));
-    }
-    out.push_str("},");
-    match shared
+    out.push_str("],\"counters\":");
+    json_values(&mut out, &snap.counters);
+    out.push_str(",\"gauges\":");
+    json_values(&mut out, &snap.gauges);
+    let rate = shared
         .timeline
         .rate("serve_events_total", VARS_TIMELINE_TAIL)
-    {
-        Some(rate) => {
-            let _ = write!(out, "\"events_per_sec\":{rate:.3},");
-        }
-        None => out.push_str("\"events_per_sec\":null,"),
-    }
-    out.push_str("\"timeline\":[");
+        .map_or("null".to_owned(), |rate| format!("{rate:.3}"));
+    let _ = write!(out, ",\"events_per_sec\":{rate},\"timeline\":[");
     for (i, entry) in shared.timeline.tail(VARS_TIMELINE_TAIL).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"at_millis\":{},\"interval_millis\":{},\"counters\":{{",
+            "{{\"at_millis\":{},\"interval_millis\":{},\"counters\":",
             entry.at_millis, entry.interval_millis
         );
-        for (j, (name, _help, value)) in entry.delta.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{value}", json_str(name));
-        }
-        out.push_str("}}");
+        json_values(&mut out, &entry.delta.counters);
+        out.push('}');
     }
     out.push_str("]}");
     out
+}
+
+/// Appends a snapshot list of `(name, help, value)` as the JSON object
+/// `{"name":value,...}`.
+fn json_values<V: std::fmt::Display>(out: &mut String, values: &[(String, String, V)]) {
+    out.push('{');
+    for (i, (name, _help, value)) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:{value}", json_str(name));
+    }
+    out.push('}');
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightRecorder;
-use crate::shard::{shard_loop, ShardState};
+use crate::shard::{current_tier, shard_loop, ShardState};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use twodprof_obs::Timeline;
+use twodprof_obs::{Snapshot, Timeline};
 use twodprof_stream::{DriftEvent, SessionIngest, StreamingProfiler, VerdictSnapshot};
 
 /// Lifetime counters of a daemon instance.
@@ -141,6 +141,95 @@ impl Shared {
             sessions_aborted: self.sessions_aborted.load(Ordering::Relaxed),
             events_ingested: self.events_ingested.load(Ordering::Relaxed),
         }
+    }
+
+    /// The daemon's metrics, as every read path reports them (the `Stats`
+    /// frame, `/metrics`, `/vars`, `/healthz`, the timeline and
+    /// `--stats-interval`): the process-global registry plus this
+    /// instance's own values, read from the atomics it keeps for admission
+    /// and [`ServerStats`]. Two daemons in one process therefore never
+    /// report each other's sessions or shards, and `TWODPROF_METRICS=off`
+    /// hides only the registry's metrics. Sorted by name, each name once.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        // the daemon's one read of the process-global registry
+        let registry = twodprof_obs::global();
+        let mut snap = registry.snapshot();
+        let stats = self.stats();
+        snap.put_counter(
+            "serve_sessions_opened_total",
+            "Sessions that completed Hello.",
+            stats.sessions_opened,
+        );
+        snap.put_counter(
+            "serve_sessions_finished_total",
+            "Sessions that ran to Finish and received a report.",
+            stats.sessions_finished,
+        );
+        snap.put_counter(
+            "serve_sessions_aborted_total",
+            "Sessions dropped before Finish (disconnect, error, reap, limit).",
+            stats.sessions_aborted,
+        );
+        snap.put_counter(
+            "serve_events_total",
+            "Branch events ingested across all sessions.",
+            stats.events_ingested,
+        );
+        snap.put_gauge(
+            "serve_live_sessions",
+            "Sessions between Hello and Finish.",
+            self.live_sessions.load(Ordering::SeqCst) as i64,
+        );
+        snap.put_gauge(
+            "serve_active_connections",
+            "Open connections, including pre-Hello ones.",
+            self.active_connections() as i64,
+        );
+        snap.put_gauge(
+            "serve_uptime_millis",
+            "Milliseconds since the daemon bound its listener.",
+            self.start.elapsed().as_millis() as i64,
+        );
+        let level = |a: &AtomicU64| a.load(Ordering::Relaxed) as i64;
+        for shard in &self.shards {
+            let i = shard.index;
+            snap.put_gauge(
+                format!("serve_shard{i}_sessions"),
+                "Open sessions owned by this shard.",
+                shard.sessions.load(Ordering::Relaxed) as i64,
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_resident_bytes"),
+                "Resident recorded-trace bytes held by this shard's sessions.",
+                level(&shard.resident_bytes),
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_spilled_bytes"),
+                "Recorded-trace bytes this shard's sessions hold in spill segments.",
+                level(&shard.spilled_bytes),
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_tier"),
+                "Admission tier the shard is in (0 accept, 1 degrade, 2 shed).",
+                current_tier(&self.config, shard).as_u64() as i64,
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_lag_micros"),
+                "Event-loop lag of the shard's last tick, in microseconds.",
+                level(&shard.last_lag_micros),
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_last_tick_micros"),
+                "Duration of the shard's last service pass, in microseconds.",
+                level(&shard.last_tick_micros),
+            );
+            snap.put_gauge(
+                format!("serve_shard{i}_out_buffer_high_water_bytes"),
+                "Deepest per-connection reply backlog this shard has seen, in bytes.",
+                level(&shard.out_high_water),
+            );
+        }
+        snap
     }
 
     pub(crate) fn log(&self, msg: std::fmt::Arguments<'_>) {
@@ -579,12 +668,13 @@ impl Server {
     }
 }
 
-/// Samples the registry until the daemon stops. Every timeline interval
-/// feeds the daemon's [`Timeline`] (timestamps are milliseconds since
-/// daemon start); the first record seeds the baseline immediately, so the
-/// first retained interval covers startup, not the process's whole life.
+/// Samples [`Shared::snapshot`] until the daemon stops. Every timeline
+/// interval feeds the daemon's [`Timeline`] (timestamps are milliseconds
+/// since daemon start); the first record seeds the baseline immediately,
+/// so the first retained interval covers startup, not the process's whole
+/// life.
 /// Every `stats_interval`, if set, prints the [`crate::summary`] of the
-/// registry against the previous print to stderr: always, even with
+/// snapshot against the previous print to stderr: always, even with
 /// `quiet` connection logs (enabling the interval is itself the opt-in),
 /// and with a single `eprint!` so concurrent connection logs never
 /// interleave mid-summary.
@@ -593,19 +683,17 @@ fn sample_loop(shared: &Shared) {
     let timeline_every = shared.config.obs.timeline_interval.max(floor);
     let stats_every = shared.config.stats_interval.map(|i| i.max(floor));
     let mut next_record = Instant::now();
-    let mut last_stats = (Instant::now(), twodprof_obs::global().snapshot());
+    let mut last_stats = (Instant::now(), shared.snapshot());
     let mut out = String::new();
     while !shared.is_stopped() {
         let now = Instant::now();
         if now >= next_record {
             let millis = shared.start.elapsed().as_millis() as u64;
-            shared
-                .timeline
-                .record(millis, twodprof_obs::global().snapshot());
+            shared.timeline.record(millis, shared.snapshot());
             next_record += timeline_every;
         }
         if stats_every.is_some_and(|every| now >= last_stats.0 + every) {
-            let snap = twodprof_obs::global().snapshot();
+            let snap = shared.snapshot();
             let secs = now.duration_since(last_stats.0).as_secs_f64();
             out.clear();
             crate::summary::render(
@@ -620,5 +708,75 @@ fn sample_loop(shared: &Shared) {
         }
         // sleep in short hops so shutdown isn't delayed by a long interval
         thread::sleep(floor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ConnectOptions;
+    use bpred::PredictorKind;
+    use btrace::SiteId;
+    use twodprof_core::SliceConfig;
+
+    #[test]
+    fn a_snapshot_under_traffic_names_each_metric_once_in_order() {
+        let config = ServerConfig::builder()
+            .quiet(true)
+            .shards(3)
+            .build()
+            .expect("config");
+        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = server.handle();
+        let join = thread::spawn(move || server.run().expect("run"));
+        let mut sessions: Vec<_> = (0..3)
+            .map(|_| {
+                ConnectOptions::new(4, PredictorKind::Gshare4Kb, SliceConfig::new(64, 4))
+                    .connect(addr)
+                    .expect("connect")
+            })
+            .collect();
+        let events: Vec<(SiteId, bool)> = (0..500).map(|i| (SiteId(i % 4), i % 3 == 0)).collect();
+        for session in &mut sessions {
+            session.send_events(&events).expect("send");
+            session.flush().expect("flush");
+        }
+        let snap = handle.shared.snapshot();
+        let mut names: Vec<&str> = Vec::new();
+        for list in [
+            snap.counters
+                .iter()
+                .map(|e| e.0.as_str())
+                .collect::<Vec<_>>(),
+            snap.gauges.iter().map(|e| e.0.as_str()).collect(),
+            snap.histograms.iter().map(|e| e.0.as_str()).collect(),
+        ] {
+            assert!(list.windows(2).all(|w| w[0] < w[1]), "unsorted: {list:?}");
+            names.extend(list);
+        }
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "a name appears twice");
+        let types = snap
+            .to_text()
+            .lines()
+            .filter(|l| l.starts_with("# TYPE "))
+            .count();
+        assert_eq!(types, names.len(), "one # TYPE line per name");
+        assert_eq!(snap.counter("serve_sessions_opened_total"), Some(3));
+        assert_eq!(snap.counter("serve_events_total"), Some(1_500));
+        assert_eq!(snap.gauge("serve_live_sessions"), Some(3));
+        let shards: i64 = (0..3)
+            .map(|i| {
+                snap.gauge(&format!("serve_shard{i}_sessions"))
+                    .expect("shard row")
+            })
+            .sum();
+        assert_eq!(shards, 3);
+        for session in sessions {
+            session.finish().expect("finish");
+        }
+        handle.shutdown();
+        assert_eq!(join.join().expect("server thread").sessions_finished, 3);
     }
 }

@@ -9,7 +9,8 @@
 //! (queueing replies into a per-connection out-buffer), pump any watch
 //! subscriber's drift queue, and flush the out-buffer until `WouldBlock`.
 //! Finally it sweeps idle connections (replacing the old GC thread) and
-//! updates its per-shard gauges.
+//! records its self-health: tick and lag histograms plus the last-pass
+//! levels in [`ShardState`].
 //!
 //! Admission is tiered per shard: sessions are accepted with full service
 //! while the shard's resident recorded-trace bytes sit below half its
@@ -46,7 +47,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_obs::trace::{self, Span, TraceContext};
-use twodprof_obs::{Family, Gauge, Histogram};
+use twodprof_obs::{Family, Histogram};
 use twodprof_stream::DriftEvent;
 
 /// Readiness-loop tick: the ceiling on how long a shard sleeps when no
@@ -81,7 +82,7 @@ pub(crate) struct ShardState {
     /// Sessions currently open on this shard.
     pub(crate) sessions: AtomicUsize,
     /// Duration of the last service pass (poll return to tick end), in
-    /// microseconds. Published for `/healthz` and the stats summary.
+    /// microseconds; `serve_shard{i}_last_tick_micros` in snapshots.
     pub(crate) last_tick_micros: AtomicU64,
     /// Event-loop lag of the last iteration — how far it ran past
     /// [`POLL_TICK`] — in microseconds.
@@ -136,8 +137,10 @@ impl ShardState {
 /// The admission tier a shard is in *right now*, derived from its resident
 /// recording bytes against the configured budget: full service below half
 /// the budget, Degrade past that watermark, Shed at the budget. One
-/// definition shared by [`admit`], the shard's gauge publishing, the
-/// `/healthz` endpoint, and the stats summary, so they can never disagree.
+/// definition shared by [`admit`], the shard loop's tier-transition
+/// records, and the `serve_shard{i}_tier` gauge of `Shared::snapshot`
+/// (which `/healthz`, `/vars` and the stats summary read), so they can
+/// never disagree.
 pub(crate) fn current_tier(config: &ServerConfig, shard: &ShardState) -> AdmissionTier {
     if !config.record_sessions {
         return AdmissionTier::Accept;
@@ -153,48 +156,11 @@ pub(crate) fn current_tier(config: &ServerConfig, shard: &ShardState) -> Admissi
     }
 }
 
-/// Numeric encoding of a tier for the `serve_shard{i}_tier` gauge.
-pub(crate) fn tier_code(tier: AdmissionTier) -> i64 {
-    match tier {
-        AdmissionTier::Accept => 0,
-        AdmissionTier::Degrade => 1,
-        AdmissionTier::Shed => 2,
-    }
-}
-
-/// Per-shard metric families: one handle per shard index, interned and
-/// registered on first use (the `gauge!` macro's per-call-site cache would
-/// pin every shard to shard 0's names; [`Family`] keys the cache by index).
-static SHARD_SESSIONS: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_sessions",
-    "Open sessions owned by this shard.",
-);
-static SHARD_RESIDENT: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_resident_bytes",
-    "Resident recorded-trace bytes held by this shard's sessions.",
-);
-static SHARD_SPILLED: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_spilled_bytes",
-    "Recorded-trace bytes this shard's sessions hold in spill segments.",
-);
-static SHARD_TIER: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_tier",
-    "Admission tier the shard is in (0 accept, 1 degrade, 2 shed).",
-);
-static SHARD_LAG: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_lag_micros",
-    "Event-loop lag of the shard's last tick, in microseconds.",
-);
-static SHARD_OUT_HW: Family<Gauge> = Family::gauge(
-    "serve_shard",
-    "_out_buffer_high_water_bytes",
-    "Deepest per-connection reply backlog this shard has seen, in bytes.",
-);
+/// Per-shard histogram families: one handle per shard index, named and
+/// registered on first use (the `histogram!` macro's per-call-site cache
+/// would pin every shard to shard 0's name; [`Family`] keys the cache by
+/// index). The shard's levels are not registry metrics: they live in
+/// [`ShardState`] and join each read through `Shared::snapshot`.
 static SHARD_TICK_HIST: Family<Histogram> = Family::histogram(
     "serve_shard",
     "_tick_micros",
@@ -205,48 +171,6 @@ static SHARD_LAG_HIST: Family<Histogram> = Family::histogram(
     "_loop_lag_micros",
     "Shard event-loop lag per tick, in microseconds.",
 );
-
-/// Handles to one shard's slots in the per-shard metric families.
-struct ShardGauges {
-    sessions: &'static Gauge,
-    resident: &'static Gauge,
-    spilled: &'static Gauge,
-    tier: &'static Gauge,
-    lag: &'static Gauge,
-    out_high_water: &'static Gauge,
-    tick_hist: &'static Histogram,
-    lag_hist: &'static Histogram,
-}
-
-impl ShardGauges {
-    fn register(index: usize) -> Self {
-        Self {
-            sessions: SHARD_SESSIONS.get(index),
-            resident: SHARD_RESIDENT.get(index),
-            spilled: SHARD_SPILLED.get(index),
-            tier: SHARD_TIER.get(index),
-            lag: SHARD_LAG.get(index),
-            out_high_water: SHARD_OUT_HW.get(index),
-            tick_hist: SHARD_TICK_HIST.get(index),
-            lag_hist: SHARD_LAG_HIST.get(index),
-        }
-    }
-
-    fn publish(&self, shared: &Shared, shard: &ShardState) {
-        self.sessions
-            .set(shard.sessions.load(Ordering::Relaxed) as i64);
-        self.resident
-            .set(shard.resident_bytes.load(Ordering::Relaxed) as i64);
-        self.spilled
-            .set(shard.spilled_bytes.load(Ordering::Relaxed) as i64);
-        self.tier
-            .set(tier_code(current_tier(&shared.config, shard)));
-        self.lag
-            .set(shard.last_lag_micros.load(Ordering::Relaxed) as i64);
-        self.out_high_water
-            .set(shard.out_high_water.load(Ordering::Relaxed) as i64);
-    }
-}
 
 /// One live profiling session (between `Hello` and `Finish`).
 struct LiveSession {
@@ -356,7 +280,8 @@ fn apply_delta(total: &AtomicU64, old: u64, new: u64) {
 /// The shard thread body: multiplexes this shard's connections until
 /// shutdown has drained them all.
 pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
-    let gauges = ShardGauges::register(shard.index);
+    let tick_hist = SHARD_TICK_HIST.get(shard.index);
+    let lag_hist = SHARD_LAG_HIST.get(shard.index);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut scratch_ids: Vec<u64> = Vec::new();
     let mut prev_tier = AdmissionTier::Accept;
@@ -439,8 +364,8 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
         let tick_time = now.duration_since(service_start);
         let lag = now.duration_since(iter_start).saturating_sub(POLL_TICK);
         iter_start = now;
-        gauges.tick_hist.observe_duration(tick_time);
-        gauges.lag_hist.observe_duration(lag);
+        tick_hist.observe_duration(tick_time);
+        lag_hist.observe_duration(lag);
         shard
             .last_tick_micros
             .store(tick_time.as_micros() as u64, Ordering::Relaxed);
@@ -489,9 +414,7 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
             }
             prev_tier = tier;
         }
-        gauges.publish(shared, shard);
     }
-    gauges.publish(shared, shard);
 }
 
 /// One tick's view of a connection, as the shard loop observed it.
@@ -695,11 +618,6 @@ fn handle_frame(
                     conn.session = Some(live);
                     shard.sessions.fetch_add(1, Ordering::Relaxed);
                     shared.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    twodprof_obs::counter!(
-                        "serve_sessions_opened_total",
-                        "Sessions that completed Hello."
-                    )
-                    .inc();
                     push_frame(
                         &mut conn.out,
                         &ServerFrame::HelloOk {
@@ -810,11 +728,6 @@ fn handle_frame(
             }
             live.events += n;
             shared.events_ingested.fetch_add(n, Ordering::Relaxed);
-            twodprof_obs::counter!(
-                "serve_events_total",
-                "Branch events ingested across all sessions."
-            )
-            .add(n);
             // spill the recording tail if it crossed the threshold, then
             // fold the resident/spilled deltas into the shard accounting
             if let Some(rec) = live.recorded.as_mut() {
@@ -902,11 +815,6 @@ fn handle_frame(
             }
             release_session_accounting(shared, shard, &mut live);
             shared.sessions_finished.fetch_add(1, Ordering::Relaxed);
-            twodprof_obs::counter!(
-                "serve_sessions_finished_total",
-                "Sessions that ran to Finish and received a report."
-            )
-            .inc();
             if live.recorded.is_some() {
                 twodprof_obs::counter!(
                     "trace_record_total",
@@ -925,8 +833,10 @@ fn handle_frame(
         }
         ClientFrame::Stats => {
             // valid in any state; replies and keeps the connection going
-            let snapshot = twodprof_obs::global().snapshot();
-            push_frame(&mut conn.out, &ServerFrame::StatsReply(snapshot.to_bytes()));
+            push_frame(
+                &mut conn.out,
+                &ServerFrame::StatsReply(shared.snapshot().to_bytes()),
+            );
         }
         ClientFrame::Blackbox => {
             // sessionless, like Stats: ship the flight recorder's ring as
@@ -1147,11 +1057,6 @@ fn teardown(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, mut conn: Co
         }
         release_session_accounting(shared, shard, &mut live);
         shared.sessions_aborted.fetch_add(1, Ordering::SeqCst);
-        twodprof_obs::counter!(
-            "serve_sessions_aborted_total",
-            "Sessions dropped before Finish (disconnect, error, reap, limit)."
-        )
-        .inc();
         shared.flight.record(
             FlightKind::SessionAbort,
             shard.index as u32,

@@ -1,5 +1,7 @@
 //! The one text rendering of a daemon's metrics [`Snapshot`], shared by the
-//! `twodprofd --stats-interval` stderr summary and `twodprof-client top`.
+//! `twodprofd --stats-interval` stderr summary and `twodprof-client top`,
+//! and the one reading of its per-shard rows, which `/vars` and `/healthz`
+//! use too.
 
 use crate::wire::AdmissionTier;
 use std::fmt::Write as _;
@@ -32,12 +34,42 @@ const COUNTERS: &[(&str, &str, &str)] = &[
     ("spill", "serve_spill_bytes", "byte(s)"),
 ];
 
+/// One shard's row of a daemon snapshot: its `serve_shard{i}_*` gauges.
+pub(crate) struct ShardRow {
+    pub(crate) tier: AdmissionTier,
+    pub(crate) sessions: i64,
+    pub(crate) resident_bytes: i64,
+    pub(crate) spilled_bytes: i64,
+    pub(crate) lag_micros: i64,
+    pub(crate) tick_micros: i64,
+    pub(crate) out_buffer_high_water_bytes: i64,
+}
+
+/// The shard rows of `snap`, shard 0 first: one per index with a
+/// `serve_shard{i}_sessions` gauge, up to the first missing index. A
+/// missing gauge reads as zero, an unknown tier as shed.
+pub(crate) fn shard_rows(snap: &Snapshot) -> Vec<ShardRow> {
+    (0..)
+        .map_while(|i| {
+            let gauge = |name: &str| snap.gauge(&format!("serve_shard{i}_{name}"));
+            let level = |name: &str| gauge(name).unwrap_or(0);
+            Some(ShardRow {
+                sessions: gauge("sessions")?,
+                tier: AdmissionTier::from_u64(level("tier") as u64).unwrap_or(AdmissionTier::Shed),
+                resident_bytes: level("resident_bytes"),
+                spilled_bytes: level("spilled_bytes"),
+                lag_micros: level("lag_micros"),
+                tick_micros: level("last_tick_micros"),
+                out_buffer_high_water_bytes: level("out_buffer_high_water_bytes"),
+            })
+        })
+        .collect()
+}
+
 /// Appends the summary of `snap` to `out`, every line starting with
 /// `prefix`: one line per counter group, each total with its rate over the
 /// `secs` since `prev` (zero without a `prev`), then the live sessions and
-/// one row per shard from the `serve_shard{i}_*` gauges. A snapshot
-/// without metrics (`TWODPROF_METRICS=off`) renders zeros and a note in
-/// place of the shard rows.
+/// one row per shard from [`shard_rows`].
 pub(crate) fn render(
     out: &mut String,
     prefix: &str,
@@ -60,29 +92,23 @@ pub(crate) fn render(
             items.collect::<Vec<_>>().join(", ")
         );
     }
-    let shard = |i: usize, suffix: &str| snap.gauge(&format!("serve_shard{i}_{suffix}"));
-    let shards = (0..)
-        .take_while(|&i| shard(i, "sessions").is_some())
-        .count();
-    let live: i64 = (0..shards).filter_map(|i| shard(i, "sessions")).sum();
-    let _ = writeln!(out, "{prefix}shards: {shards}, {live} live session(s)");
-    for i in 0..shards {
-        let tier = shard(i, "tier").unwrap_or(0) as u64;
-        let tier = AdmissionTier::from_u64(tier).map_or("shed", AdmissionTier::label);
+    let rows = shard_rows(snap);
+    let live: i64 = rows.iter().map(|row| row.sessions).sum();
+    let _ = writeln!(
+        out,
+        "{prefix}shards: {}, {live} live session(s)",
+        rows.len()
+    );
+    for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{prefix}shard {i}: {tier:<8} {} session(s), resident {}B, spilled {}B, lag {}us, backlog {}B",
-            shard(i, "sessions").unwrap_or(0),
-            shard(i, "resident_bytes").unwrap_or(0),
-            shard(i, "spilled_bytes").unwrap_or(0),
-            shard(i, "lag_micros").unwrap_or(0),
-            shard(i, "out_buffer_high_water_bytes").unwrap_or(0),
-        );
-    }
-    if shards == 0 {
-        let _ = writeln!(
-            out,
-            "{prefix}(no per-shard gauges in the snapshot; daemon metrics disabled?)"
+            "{prefix}shard {i}: {:<8} {} session(s), resident {}B, spilled {}B, lag {}us, backlog {}B",
+            row.tier.label(),
+            row.sessions,
+            row.resident_bytes,
+            row.spilled_bytes,
+            row.lag_micros,
+            row.out_buffer_high_water_bytes,
         );
     }
 }
@@ -136,13 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_snapshot_renders_zeros_and_the_disabled_note() {
+    fn an_empty_snapshot_renders_zeros() {
         let mut out = String::new();
         render(&mut out, "", &Snapshot::default(), None, 1.0);
         assert!(out.starts_with("sessions: 0 opened (0.0/s), "));
-        assert!(out.ends_with(
-            "shards: 0, 0 live session(s)\n\
-             (no per-shard gauges in the snapshot; daemon metrics disabled?)\n"
-        ));
+        assert!(out.ends_with("shards: 0, 0 live session(s)\n"));
     }
 }

@@ -178,7 +178,7 @@ pub enum AdmissionTier {
 }
 
 impl AdmissionTier {
-    fn as_u64(self) -> u64 {
+    pub(crate) fn as_u64(self) -> u64 {
         match self {
             AdmissionTier::Accept => 0,
             AdmissionTier::Degrade => 1,

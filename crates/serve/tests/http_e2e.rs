@@ -5,9 +5,10 @@
 //!
 //! Covers the three endpoints (`/metrics` well-formedness, `/healthz`
 //! readiness flipping to 503 under forced shed and recovering, `/vars`
-//! JSON shape), the error paths (404/405), and the flight recorder's two
+//! JSON shape), the error paths (404/405), the flight recorder's two
 //! export paths (the sessionless `Blackbox` wire frame and the checksummed
-//! on-disk dump).
+//! on-disk dump), and that two daemons in one process report only their
+//! own sessions and shards.
 
 use bpred::PredictorKind;
 use btrace::SiteId;
@@ -18,8 +19,8 @@ use std::time::{Duration, Instant};
 use twodprof_core::SliceConfig;
 use twodprof_serve::wire::AdmissionTier;
 use twodprof_serve::{
-    fetch_blackbox, ClientError, ConnectOptions, RemoteSession, Server, ServerConfig, ServerHandle,
-    ServerStats,
+    fetch_blackbox, fetch_stats, ClientError, ConnectOptions, RemoteSession, Server, ServerConfig,
+    ServerHandle, ServerStats,
 };
 
 struct Daemon {
@@ -261,6 +262,48 @@ fn vars_serves_the_json_snapshot() {
     }
     assert!(body.contains("\"serve_events_total\":"), "got:\n{body}");
     session.finish().expect("finish");
+}
+
+#[test]
+fn each_daemon_reports_only_its_own_sessions_and_shards() {
+    // daemon A: four shards, one session, then gone
+    let a = Daemon::start(Daemon::config().shards(4).build().expect("config"));
+    let mut session = connect(&a, 8).expect("connect");
+    session
+        .send_events(&synthetic_stream(4, 1_000, 8))
+        .expect("send");
+    session.finish().expect("finish");
+    drop(a);
+
+    // daemon B: one shard, never a session
+    let b = Daemon::start(Daemon::config().shards(1).build().expect("config"));
+    let stats = fetch_stats(b.addr).expect("fetch stats");
+    assert_eq!(stats.counter("serve_sessions_opened_total"), Some(0));
+    let shard_rows = stats
+        .gauges
+        .iter()
+        .filter(|(name, _, _)| name.starts_with("serve_shard") && name.ends_with("_sessions"))
+        .count();
+    assert_eq!(shard_rows, 1, "Stats shard rows: {:?}", stats.gauges);
+
+    let (_status, _headers, metrics) = http_get(b.http, "/metrics");
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "serve_sessions_opened_total 0"),
+        "got:\n{metrics}"
+    );
+    let metric_rows = metrics
+        .lines()
+        .filter(|l| l.starts_with("serve_shard") && l.contains("_sessions "))
+        .count();
+    assert_eq!(metric_rows, 1, "got:\n{metrics}");
+
+    let (_status, _headers, vars) = http_get(b.http, "/vars");
+    assert!(vars.contains("\"sessions\":{\"opened\":0,"), "got:\n{vars}");
+    assert_eq!(vars.matches("{\"index\":").count(), 1, "got:\n{vars}");
+
+    assert_eq!(b.handle.stats().sessions_opened, 0);
 }
 
 #[test]

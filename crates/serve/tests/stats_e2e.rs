@@ -2,9 +2,10 @@
 //! `Stats` snapshot over the wire, and check the counters against an
 //! independently computed event count.
 //!
-//! Lives in its own test binary (not `e2e.rs`) because the metrics registry
-//! is process-global: other daemons running in the same process would fold
-//! their traffic into the counters this test asserts on.
+//! The serve counters are per daemon, but `profiler_events_total` lives in
+//! the process-global registry, so this test keeps its own binary (not
+//! `e2e.rs`): other daemons running in the same process would fold their
+//! traffic into that counter.
 
 use bpred::PredictorKind;
 use btrace::CountingTracer;

@@ -6,6 +6,10 @@
 //! must hold client-side spans (pid 1) and daemon-side spans (pid 2) under
 //! one shared trace id, with every daemon span inside the client's
 //! `client.replay` request window.
+//!
+//! The same spawn helper also checks that a daemon started with
+//! `TWODPROF_METRICS=off` still answers `Stats` with its own session
+//! counters and shard rows: those are daemon values, not registry metrics.
 
 use std::fs;
 use std::path::PathBuf;
@@ -32,9 +36,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(dir: &std::path::Path) -> DaemonProc {
+/// Starts `twodprofd` on an ephemeral port with `env` set on top of the
+/// inherited environment, and waits for it to write its address.
+fn spawn_daemon(dir: &std::path::Path, env: &[(&str, &str)]) -> DaemonProc {
     let addr_file = dir.join("addr");
     let child = Command::new(env!("CARGO_BIN_EXE_twodprofd"))
+        .envs(env.iter().copied())
         .args([
             "--addr",
             "127.0.0.1:0",
@@ -65,7 +72,7 @@ fn spawn_daemon(dir: &std::path::Path) -> DaemonProc {
 #[test]
 fn replay_trace_out_stitches_client_and_daemon_spans() {
     let dir = scratch_dir("trace-e2e");
-    let daemon = spawn_daemon(&dir);
+    let daemon = spawn_daemon(&dir, &[]);
     let trace_path = dir.join("trace.json");
 
     let output = Command::new(env!("CARGO_BIN_EXE_twodprof-client"))
@@ -140,6 +147,19 @@ fn replay_trace_out_stitches_client_and_daemon_spans() {
         server.iter().map(|e| &e.name).collect::<Vec<_>>()
     );
 
+    drop(daemon);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metrics_off_still_reports_the_daemon_values() {
+    let dir = scratch_dir("metrics-off");
+    let daemon = spawn_daemon(&dir, &[("TWODPROF_METRICS", "off")]);
+    let snap = twodprof_serve::fetch_stats(daemon.addr.as_str()).expect("fetch stats");
+    assert_eq!(snap.counter("serve_sessions_opened_total"), Some(0));
+    assert_eq!(snap.gauge("serve_shard0_sessions"), Some(0));
+    // the registry itself is detached: none of its metrics appear
+    assert_eq!(snap.counter("serve_frame_decode_errors_total"), None);
     drop(daemon);
     let _ = fs::remove_dir_all(&dir);
 }

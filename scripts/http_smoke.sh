@@ -7,7 +7,8 @@
 #   2. /healthz answers 200 when idle, flips to 503 with per-shard tier
 #      detail while a heavy replay holds a shard in Shed (forced by a tiny
 #      memory budget plus a spill dir that cannot exist), and recovers to
-#      200 once the session drains,
+#      200 once the session drains; then /metrics, `twodprof-client stats`
+#      and /vars agree on sessions opened and on the shard count,
 #   3. /vars answers 200 with a JSON snapshot,
 #   4. SIGUSR1 dumps the flight recorder to BLACKBOX_OUT and
 #      `twodprof-client blackbox --file` decodes it through the checksummed
@@ -120,6 +121,24 @@ for _ in $(seq 1 100); do
 done
 [[ -n "$RECOVERED" ]] || { cat "$WORK_DIR/healthz.txt"; echo "/healthz never recovered after drain"; exit 1; }
 echo "/healthz recovery OK"
+
+# ...and, with the daemon quiet, every read path renders the same
+# snapshot: /metrics, the Stats frame and /vars agree on sessions opened,
+# and /metrics has one serve_shard{i}_sessions row per /vars shard
+fetch /metrics "$WORK_DIR/metrics-quiet.txt" >/dev/null
+"$BIN_DIR/twodprof-client" stats --addr "$ADDR" >"$WORK_DIR/stats-quiet.txt"
+fetch /vars "$WORK_DIR/vars-quiet.json" >/dev/null
+opened() { awk '$1 == "serve_sessions_opened_total" { print $2 }' "$1"; }
+M_OPENED="$(opened "$WORK_DIR/metrics-quiet.txt")"
+S_OPENED="$(opened "$WORK_DIR/stats-quiet.txt")"
+V_OPENED="$(grep -o '"sessions":{"opened":[0-9]*' "$WORK_DIR/vars-quiet.json" | grep -o '[0-9]*$' || true)"
+[[ -n "$M_OPENED" && "$M_OPENED" == "$S_OPENED" && "$M_OPENED" == "$V_OPENED" ]] || {
+    echo "sessions opened disagree: /metrics '$M_OPENED', stats '$S_OPENED', /vars '$V_OPENED'"; exit 1; }
+M_SHARDS="$(grep -cE '^serve_shard[0-9]+_sessions ' "$WORK_DIR/metrics-quiet.txt" || true)"
+V_SHARDS="$(grep -o '{"index":' "$WORK_DIR/vars-quiet.json" | wc -l | tr -d ' ')"
+[[ "$M_SHARDS" -ge 1 && "$M_SHARDS" == "$V_SHARDS" ]] || {
+    echo "shard rows disagree: /metrics $M_SHARDS, /vars $V_SHARDS"; exit 1; }
+echo "one snapshot OK: $M_OPENED session(s) opened, $M_SHARDS shard(s) on every read path"
 
 # 3. /vars: 200 and a JSON snapshot with the expected keys
 CODE="$(fetch /vars "$WORK_DIR/vars.json")"
