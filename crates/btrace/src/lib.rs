@@ -11,6 +11,11 @@
 //! edge profilers, branch-predictor simulators, the 2D-profiler itself —
 //! implement [`Tracer`] and are composed with [`Tee`].
 //!
+//! A stream is recorded once into a [`RecordedTrace`] — the one recorded
+//! form, stored on disk as 2DPR — and replayed through any number of
+//! observers. The varint, frame and [`Fnv1a`] primitives it is built from
+//! are shared by every other binary format in the workspace.
+//!
 //! # Example
 //!
 //! ```
@@ -27,19 +32,14 @@
 //! ```
 
 mod edge;
-mod record;
 mod recorded;
 mod serial;
 mod site;
 mod tee;
 
 pub use edge::{EdgeCount, EdgeProfiler};
-pub use record::{RecordingTracer, Trace, TraceEvent, TraceIter, TraceStats};
 pub use recorded::{RecordedTrace, SiteRun, SiteRuns};
-pub use serial::{
-    read_frame, read_trace, read_varint, write_frame, write_trace, write_varint, ReadTraceError,
-    MAX_FRAME_LEN,
-};
+pub use serial::{read_frame, read_varint, write_frame, write_varint, Fnv1a, MAX_FRAME_LEN};
 pub use site::{validate_sites, BranchKind, SiteDecl, SiteId};
 pub use tee::Tee;
 

@@ -1,17 +1,18 @@
 //! Columnar recorded traces: record a branch stream once, replay it many
 //! times.
 //!
-//! [`RecordedTrace`] is the record-once/simulate-many buffer behind the
-//! sweep engine's trace cache. Unlike the row-format [`Trace`] (one packed
-//! `u32` per event), it stores the stream in two columns:
+//! [`RecordedTrace`] is the one recorded form of a branch stream: the
+//! record-once/simulate-many buffer behind the sweep engine's trace cache,
+//! the daemon's `Resim` and its spill files. It stores the stream in two
+//! columns:
 //!
 //! * **site ids**, delta-encoded against the previous event's site and
 //!   written as zigzag LEB128 varints — consecutive events usually revisit
 //!   nearby sites, so most deltas fit in one byte;
 //! * **directions**, packed one bit per event into `u64` words.
 //!
-//! A 10M-event run therefore costs ~11 MB instead of the row format's
-//! 40 MB, and [`replay_into`](RecordedTrace::replay_into) decodes with a
+//! A 10M-event run therefore costs ~11 MB (a packed `u32` per event would
+//! cost 40 MB), and [`replay_into`](RecordedTrace::replay_into) decodes with a
 //! tight monomorphized loop — no boxed closure, no per-event allocation.
 //!
 //! # Serialized format (`2DPR`, version 1)
@@ -33,7 +34,7 @@
 //! consumption — so a trace that decodes successfully can always be
 //! replayed without panicking.
 
-use crate::{read_varint, write_varint, SiteId, Trace, Tracer};
+use crate::{read_varint, write_varint, Fnv1a, SiteId, Tracer};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"2DPR";
@@ -299,13 +300,6 @@ impl RecordedTrace {
         Ok(trace)
     }
 
-    /// Converts to the row-format [`Trace`] (one `u32` per event).
-    pub fn to_trace(&self) -> Trace {
-        let mut trace = Trace::with_capacity(self.num_sites(), self.num_events as usize);
-        self.replay_into(&mut trace);
-        trace
-    }
-
     /// Iterates over the packed direction words as `(word, valid_bits)`.
     ///
     /// Bit `i` of each word is the direction of event `word_index * 64 + i`;
@@ -419,25 +413,6 @@ impl Tracer for RecordedTrace {
     }
 }
 
-impl Tracer for Trace {
-    #[inline]
-    fn branch(&mut self, site: SiteId, taken: bool) {
-        self.push(site, taken);
-    }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.len() as u64)
-    }
-}
-
-impl From<&Trace> for RecordedTrace {
-    fn from(trace: &Trace) -> Self {
-        let mut recorded = RecordedTrace::new(trace.num_sites());
-        trace.replay(&mut recorded);
-        recorded
-    }
-}
-
 /// LEB128 varint decode over a slice cursor; `None` on truncation or an
 /// over-long encoding. A slice-specialized twin of [`read_varint`] that the
 /// per-event replay loop can afford.
@@ -459,33 +434,19 @@ fn decode_varint(cursor: &mut &[u8]) -> Option<u64> {
     }
 }
 
-/// Streaming FNV-1a — the same non-cryptographic integrity hash the
-/// engine's result cache uses.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RecordingTracer;
+
+    /// Collects a replayed stream back into a flat event list.
+    #[derive(Default)]
+    struct Collector(Vec<(SiteId, bool)>);
+
+    impl Tracer for Collector {
+        fn branch(&mut self, site: SiteId, taken: bool) {
+            self.0.push((site, taken));
+        }
+    }
 
     fn sample() -> RecordedTrace {
         let mut t = RecordedTrace::new(5);
@@ -499,15 +460,8 @@ mod tests {
     fn record_and_replay_roundtrip() {
         let t = sample();
         assert_eq!(t.events(), 200);
-        let mut rec = RecordingTracer::new(5);
-        t.replay_into(&mut rec);
-        let row = rec.into_trace();
-        assert_eq!(row.len(), 200);
-        for i in 0..200usize {
-            let e = row.get(i).unwrap();
-            assert_eq!(e.site, SiteId((i % 5) as u32));
-            assert_eq!(e.taken, i % 3 == 0);
-        }
+        let expected: Vec<_> = (0..200u32).map(|i| (SiteId(i % 5), i % 3 == 0)).collect();
+        assert_eq!(recorded_events(&t), expected);
     }
 
     #[test]
@@ -528,14 +482,6 @@ mod tests {
         let t = sample();
         // 200 events: one delta byte each vs 4 bytes each in row format
         assert!(t.memory_bytes() < 200 * 4 / 2);
-    }
-
-    #[test]
-    fn row_trace_conversions_roundtrip() {
-        let t = sample();
-        let row = t.to_trace();
-        assert_eq!(RecordedTrace::from(&row), t);
-        assert_eq!(row.num_sites(), t.num_sites());
     }
 
     #[test]
@@ -599,13 +545,9 @@ mod tests {
     }
 
     fn recorded_events(t: &RecordedTrace) -> Vec<(SiteId, bool)> {
-        let row = t.to_trace();
-        (0..row.len())
-            .map(|i| {
-                let e = row.get(i).unwrap();
-                (e.site, e.taken)
-            })
-            .collect()
+        let mut events = Collector::default();
+        t.replay_into(&mut events);
+        events.0
     }
 
     #[test]

@@ -1,81 +1,12 @@
-//! Compact binary serialization of branch traces.
+//! Byte-level primitives shared by every format in the workspace: LEB128
+//! varints, length-prefixed frames, and the FNV-1a checksum.
 //!
-//! Traces are written as a small header plus one varint-packed event per
-//! dynamic branch, delta-encoding nothing but exploiting that most events
-//! revisit a small set of hot sites: each event is `site << 1 | taken` as a
-//! LEB128 varint, so hot low-numbered sites cost one byte.
-//!
-//! Format:
-//!
-//! ```text
-//! magic  "2DPT"            4 bytes
-//! version u8               currently 1
-//! num_sites u32 LE
-//! num_events u64 LE
-//! events: LEB128(site << 1 | taken) ...
-//! ```
+//! The 2DPR recorded-trace format, the sweep engine's result cache and the
+//! `twodprof-serve` wire protocol are all built from these.
 
-use crate::{SiteId, Trace};
 use std::io::{self, Read, Write};
 
-const MAGIC: &[u8; 4] = b"2DPT";
-const VERSION: u8 = 1;
-
-/// Errors from reading a serialized trace.
-#[derive(Debug)]
-pub enum ReadTraceError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Missing/incorrect magic bytes.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u8),
-    /// An event referenced a site outside the declared table.
-    SiteOutOfRange {
-        /// The offending site index.
-        site: u32,
-        /// The declared table size.
-        num_sites: u32,
-    },
-    /// The stream ended before `num_events` events were read.
-    Truncated,
-}
-
-impl std::fmt::Display for ReadTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadTraceError::Io(e) => write!(f, "i/o error reading trace: {e}"),
-            ReadTraceError::BadMagic => f.write_str("not a 2DPT trace (bad magic)"),
-            ReadTraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            ReadTraceError::SiteOutOfRange { site, num_sites } => {
-                write!(f, "event site {site} outside table of {num_sites}")
-            }
-            ReadTraceError::Truncated => f.write_str("trace stream ended early"),
-        }
-    }
-}
-
-impl std::error::Error for ReadTraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ReadTraceError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for ReadTraceError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ReadTraceError::Truncated
-        } else {
-            ReadTraceError::Io(e)
-        }
-    }
-}
-
-/// Writes `v` as a LEB128 varint — the primitive the 2DPT trace format and
-/// the sweep engine's result cache share.
+/// Writes `v` as a LEB128 varint.
 ///
 /// # Errors
 ///
@@ -155,146 +86,45 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Writes `trace` to `w` in the 2DPT format.
-///
-/// # Errors
-///
-/// Propagates any I/O error from `w`.
-pub fn write_trace<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])?;
-    w.write_all(&(trace.num_sites() as u32).to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    for ev in trace.iter() {
-        write_varint(w, ((ev.site.0 as u64) << 1) | ev.taken as u64)?;
+/// Streaming 64-bit FNV-1a: the non-cryptographic checksum of 2DPR traces,
+/// the engine's cache entries and fabric payloads, and the engine's spec
+/// content hash. It guards against torn writes and stray bit flips, not
+/// adversaries, and unlike the standard library's `DefaultHasher` its
+/// output is stable across releases, so it can name files on disk.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    Ok(())
 }
 
-/// Reads a trace in the 2DPT format from `r`.
-///
-/// # Errors
-///
-/// Returns a [`ReadTraceError`] on malformed input or I/O failure.
-pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, ReadTraceError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(ReadTraceError::BadMagic);
+impl Fnv1a {
+    /// The hash of `bytes` in one call.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut h = Self::default();
+        h.update(bytes);
+        h.finish()
     }
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version)?;
-    if version[0] != VERSION {
-        return Err(ReadTraceError::BadVersion(version[0]));
-    }
-    let mut buf4 = [0u8; 4];
-    r.read_exact(&mut buf4)?;
-    let num_sites = u32::from_le_bytes(buf4);
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let num_events = u64::from_le_bytes(buf8);
-    let mut trace = Trace::with_capacity(num_sites as usize, num_events as usize);
-    for _ in 0..num_events {
-        let packed = read_varint(r)?;
-        let site = (packed >> 1) as u32;
-        if site >= num_sites {
-            return Err(ReadTraceError::SiteOutOfRange { site, num_sites });
+
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        trace.push(SiteId(site), packed & 1 == 1);
     }
-    Ok(trace)
+
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Trace {
-        let mut t = Trace::new(300);
-        for i in 0..5_000u32 {
-            t.push(SiteId(i % 300), i % 3 == 0);
-        }
-        t
-    }
-
-    #[test]
-    fn roundtrip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn empty_trace_roundtrips() {
-        let t = Trace::new(5);
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.len(), 0);
-        assert_eq!(back.num_sites(), 5);
-    }
-
-    #[test]
-    fn hot_low_sites_cost_one_byte_each() {
-        let mut t = Trace::new(4);
-        for i in 0..1_000u32 {
-            t.push(SiteId(i % 4), i % 2 == 0);
-        }
-        let mut buf = Vec::new();
-        write_trace(&t, &mut buf).unwrap();
-        // header is 17 bytes; each event must be exactly 1 byte
-        assert_eq!(buf.len(), 17 + 1_000);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf[0] = b'X';
-        match read_trace(&mut buf.as_slice()) {
-            Err(ReadTraceError::BadMagic) => {}
-            other => panic!("expected BadMagic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(matches!(
-            read_trace(&mut buf.as_slice()),
-            Err(ReadTraceError::BadVersion(99))
-        ));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let mut buf = Vec::new();
-        write_trace(&sample(), &mut buf).unwrap();
-        buf.truncate(buf.len() - 10);
-        assert!(matches!(
-            read_trace(&mut buf.as_slice()),
-            Err(ReadTraceError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn out_of_range_site_detected() {
-        // handcraft: 1 site declared, event referencing site 3
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"2DPT");
-        buf.push(1);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.push((3 << 1) as u8);
-        assert!(matches!(
-            read_trace(&mut buf.as_slice()),
-            Err(ReadTraceError::SiteOutOfRange { site: 3, .. })
-        ));
-    }
 
     #[test]
     fn frames_roundtrip_back_to_back() {
@@ -328,9 +158,15 @@ mod tests {
     }
 
     #[test]
-    fn error_messages_render() {
-        assert!(ReadTraceError::BadMagic.to_string().contains("magic"));
-        assert!(ReadTraceError::Truncated.to_string().contains("early"));
-        assert!(ReadTraceError::BadVersion(7).to_string().contains('7'));
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(Fnv1a::hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(Fnv1a::hash(b"foobar"), 0x8594_4171_f739_67e8);
+        // streaming in pieces hashes the concatenation
+        let mut h = Fnv1a::default();
+        h.update(b"foo");
+        h.update(b"");
+        h.update(b"bar");
+        assert_eq!(h.finish(), Fnv1a::hash(b"foobar"));
     }
 }

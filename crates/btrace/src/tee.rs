@@ -21,11 +21,11 @@ use crate::{SiteId, Tracer};
 /// [`into_inner`](Tee::into_inner):
 ///
 /// ```
-/// use btrace::{Tee, CountingTracer, EdgeProfiler, RecordingTracer, Tracer, SiteId};
+/// use btrace::{Tee, CountingTracer, EdgeProfiler, RecordedTrace, Tracer, SiteId};
 ///
-/// // three-way nesting: remote-ish recorder + (edge profiler + counter)
+/// // three-way nesting: recorder + (edge profiler + counter)
 /// let mut t = Tee::new(
-///     RecordingTracer::new(2),
+///     RecordedTrace::new(2),
 ///     Tee::new(EdgeProfiler::new(2), CountingTracer::new()),
 /// );
 /// for i in 0..10u32 {
@@ -34,7 +34,7 @@ use crate::{SiteId, Tracer};
 /// // every child saw the identical stream, in program order
 /// let (recorder, rest) = t.into_inner();
 /// let (edges, counter) = rest.into_inner();
-/// assert_eq!(recorder.trace().len(), 10);
+/// assert_eq!(recorder.events(), 10);
 /// assert_eq!(edges.edge(SiteId(0)).total() + edges.edge(SiteId(1)).total(), 10);
 /// assert_eq!(counter.count(), 10);
 /// ```

@@ -6,9 +6,8 @@
 //! [`JobResult`]s; *where* those specs execute is a backend decision. This
 //! module defines the seam:
 //!
-//! - [`LocalBackend`] (and [`Engine`] itself) runs specs on the in-process
-//!   worker pool — the default, byte-identical to calling the engine
-//!   directly.
+//! - [`Engine`] itself runs specs on the in-process worker pool — the
+//!   default.
 //! - `twodprof_fabric::RemoteBackend` (in the `twodprof-fabric` crate)
 //!   ships specs to one or more `twodprofd --compute` nodes and streams
 //!   results back, turning the daemons' disk caches into a shared tier.
@@ -18,7 +17,7 @@
 //! implementation must return the same bytes for the same spec, which the
 //! fabric crate's e2e tests pin down.
 
-use crate::{Engine, EngineConfig, JobResult, JobSpec};
+use crate::{Engine, JobResult, JobSpec};
 
 /// An executor of content-addressed jobs.
 ///
@@ -54,73 +53,12 @@ impl JobBackend for Engine {
     }
 }
 
-/// The in-process backend: a thin, behavior-preserving wrapper around
-/// [`Engine`]. Exists so call sites choosing a backend by name have a
-/// concrete local type to construct, and so the engine can later grow
-/// local-only policy (admission, priorities) without touching `Engine`'s
-/// public API.
-#[derive(Debug)]
-pub struct LocalBackend {
-    engine: Engine,
-}
-
-impl LocalBackend {
-    /// Builds a local backend around a fresh engine.
-    pub fn new(config: EngineConfig) -> Self {
-        Self {
-            engine: Engine::new(config),
-        }
-    }
-
-    /// Wraps an existing engine.
-    pub fn from_engine(engine: Engine) -> Self {
-        Self { engine }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl JobBackend for LocalBackend {
-    fn describe(&self) -> String {
-        self.engine.describe()
-    }
-
-    fn run_one(&self, spec: &JobSpec) -> JobResult {
-        self.engine.run_one(spec)
-    }
-
-    fn run_jobs(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        self.engine.run_jobs(specs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{JobOutput, JobStatus};
-    use bpred::PredictorKind;
+    use crate::{EngineConfig, JobOutput, JobStatus};
     use std::sync::Arc;
     use workloads::Scale;
-
-    #[test]
-    fn local_backend_matches_direct_engine_results() {
-        let direct = Engine::new(EngineConfig::default());
-        let backend = LocalBackend::new(EngineConfig::default());
-        let specs = vec![
-            JobSpec::count("gzip", "train", Scale::Tiny),
-            JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
-            JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
-        ];
-        let a = direct.run_jobs(&specs);
-        let b = JobBackend::run_jobs(&backend, &specs);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.output, y.output, "{} diverged", x.spec.describe());
-        }
-    }
 
     #[test]
     fn backend_trait_objects_dispatch() {

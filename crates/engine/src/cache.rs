@@ -26,7 +26,7 @@
 
 use crate::{JobKind, JobSpec, CACHE_SCHEMA_VERSION};
 use bpred::AccuracyProfile;
-use btrace::{read_varint, write_varint, RecordedTrace};
+use btrace::{read_varint, write_varint, Fnv1a, RecordedTrace};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -126,7 +126,7 @@ impl JobOutput {
 /// fabric `JobResult` frames carry so receivers can verify payload bytes
 /// end-to-end before decoding.
 pub fn payload_checksum(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    Fnv1a::hash(bytes)
 }
 
 /// The outcome of a cache probe (see [`DiskCache::lookup`]).
@@ -230,17 +230,6 @@ impl DiskCache {
     }
 }
 
-/// FNV-1a over the payload bytes. Not cryptographic — it guards against
-/// torn writes and stray bit flips, not adversaries.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn write_entry<W: Write>(w: &mut W, spec: &JobSpec, output: &JobOutput) -> io::Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION])?;
@@ -248,7 +237,7 @@ fn write_entry<W: Write>(w: &mut W, spec: &JobSpec, output: &JobOutput) -> io::R
     w.write_all(&[output.tag()])?;
     let payload = output.to_payload();
     w.write_all(&payload)?;
-    w.write_all(&fnv1a(&payload).to_le_bytes())
+    w.write_all(&payload_checksum(&payload).to_le_bytes())
 }
 
 fn read_entry(bytes: &[u8], spec: &JobSpec) -> io::Result<JobOutput> {
@@ -280,7 +269,7 @@ fn read_entry(bytes: &[u8], spec: &JobSpec) -> io::Result<JobOutput> {
         return Err(invalid("cache entry truncated before checksum"));
     }
     let (payload, checksum) = r.split_at(r.len() - 8);
-    if fnv1a(payload) != u64::from_le_bytes(checksum.try_into().expect("8 bytes")) {
+    if payload_checksum(payload) != u64::from_le_bytes(checksum.try_into().expect("8 bytes")) {
         return Err(invalid("cache-entry payload checksum mismatch"));
     }
     JobOutput::from_payload(spec.kind, payload)

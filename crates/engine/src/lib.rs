@@ -45,7 +45,7 @@ mod cache;
 mod request;
 mod spec;
 
-pub use backend::{JobBackend, LocalBackend};
+pub use backend::JobBackend;
 pub use cache::{payload_checksum, CacheLookup, DiskCache, JobOutput};
 pub use request::{ProfileMode, ProfileRequest, TraceRef};
 pub use spec::{scale_id, JobKind, JobSpec, CACHE_SCHEMA_VERSION, MAX_SPEC_NAME_LEN};

@@ -8,7 +8,7 @@
 //! at once without touching old files.
 
 use bpred::PredictorKind;
-use btrace::{read_varint, write_varint};
+use btrace::{read_varint, write_varint, Fnv1a};
 use std::io::{self, Read};
 use workloads::Scale;
 
@@ -123,12 +123,19 @@ impl JobSpec {
     /// Stable content hash of the spec (FNV-1a over its canonical
     /// encoding, seeded with [`CACHE_SCHEMA_VERSION`]).
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(CACHE_SCHEMA_VERSION as u64);
-        h.write_str(&self.workload);
-        h.write_str(&self.input);
-        h.write_str(scale_id(self.scale));
-        h.write_str(&self.kind.slug());
+        let mut h = Fnv1a::default();
+        h.update(&(CACHE_SCHEMA_VERSION as u64).to_le_bytes());
+        let kind = self.kind.slug();
+        let fields = [
+            self.workload.as_str(),
+            &self.input,
+            scale_id(self.scale),
+            &kind,
+        ];
+        for field in fields {
+            h.update(field.as_bytes());
+            h.update(&[0xFF]); // field separator: "ab","c" hashes unlike "a","bc"
+        }
         h.finish()
     }
 
@@ -249,36 +256,6 @@ fn read_predictor(r: &mut &[u8]) -> io::Result<PredictorKind> {
     PredictorKind::from_id(&id).ok_or_else(|| invalid(format!("unknown predictor id {id:?}")))
 }
 
-/// Minimal FNV-1a, kept local so cache keys never depend on the standard
-/// library's unstable-across-releases `DefaultHasher`.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xFF]); // field separator: "ab","c" hashes unlike "a","bc"
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +264,8 @@ mod tests {
     fn hash_is_stable_and_field_sensitive() {
         let a = JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
         assert_eq!(a.content_hash(), a.clone().content_hash());
+        // pinned: a moved key would orphan every cache entry on disk
+        assert_eq!(a.content_hash(), 0x8400_16a9_1851_ff7c);
         let variants = [
             JobSpec::accuracy("gzi", "ptrain", Scale::Tiny, PredictorKind::Gshare4Kb),
             JobSpec::accuracy("gzip", "train", Scale::Small, PredictorKind::Gshare4Kb),

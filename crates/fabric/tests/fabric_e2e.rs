@@ -14,7 +14,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bpred::PredictorKind;
-use twodprof_engine::{EngineConfig, JobBackend, JobResult, JobSpec, LocalBackend};
+use twodprof_engine::{Engine, EngineConfig, JobBackend, JobResult, JobSpec};
 use twodprof_fabric::{FabricConfig, RemoteBackend};
 use twodprof_serve::{ComputeConfig, Server, ServerConfig, ServerHandle, ServerStats};
 use workloads::Scale;
@@ -153,7 +153,7 @@ fn two_node_sweep_is_bit_identical_to_local() {
     let submitted_before = counter("fabric_jobs_submitted_total");
     let backend = remote_backend(vec![a.addr.to_string(), b.addr.to_string()], 2);
     let remote_results = backend.run_jobs(&specs);
-    let local_results = LocalBackend::new(EngineConfig::default()).run_jobs(&specs);
+    let local_results = Engine::new(EngineConfig::default()).run_jobs(&specs);
     assert_bit_identical(&remote_results, &local_results);
 
     // a cold fleet computes remotely: submissions flowed through the wire
@@ -193,7 +193,7 @@ fn fresh_client_is_served_from_the_shared_cache_tier() {
     );
     assert_bit_identical(
         &second_results,
-        &LocalBackend::new(EngineConfig::default()).run_jobs(&specs),
+        &Engine::new(EngineConfig::default()).run_jobs(&specs),
     );
 }
 
@@ -241,6 +241,6 @@ fn node_killed_mid_sweep_requeues_and_stays_bit_identical() {
     );
     assert_bit_identical(
         &remote_results,
-        &LocalBackend::new(EngineConfig::default()).run_jobs(&specs),
+        &Engine::new(EngineConfig::default()).run_jobs(&specs),
     );
 }

@@ -80,8 +80,9 @@ fn lane(s: &ExportSpan) -> u32 {
     }
 }
 
-/// JSON string literal with the escapes the format requires.
-fn quote(s: &str) -> String {
+/// JSON string literal with the escapes the format requires. Shared by
+/// every JSON the workspace emits (this exporter, the daemon's `/vars`).
+pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -485,6 +486,14 @@ mod tests {
         let doc = to_json(&spans, &[]);
         let events = parse_events(&doc).unwrap();
         assert_eq!(events[0].name, "odd \"name\"\\with\nescapes");
+    }
+
+    #[test]
+    fn quote_escapes_the_awkward_cases() {
+        assert_eq!(quote("serve_events_total"), "\"serve_events_total\"");
+        assert_eq!(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(quote("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+        assert_eq!(quote("bell\u{7}"), "\"bell\\u0007\"");
     }
 
     #[test]

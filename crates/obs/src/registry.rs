@@ -179,22 +179,6 @@ impl<M> Family<M> {
             (self.register)(name, self.help)
         })
     }
-
-    /// The full metric name for `index`, interned whether or not the member
-    /// has been registered yet.
-    pub fn name(&self, index: usize) -> &'static str {
-        intern_name(format!("{}{index}{}", self.base, self.suffix))
-    }
-}
-
-impl Family<Counter> {
-    /// A counter family registering on the global registry.
-    pub const fn counter(base: &'static str, suffix: &'static str, help: &'static str) -> Self {
-        fn register(name: &'static str, help: &'static str) -> &'static Counter {
-            global().counter(name, help)
-        }
-        Self::new(base, suffix, help, register)
-    }
 }
 
 impl Family<Gauge> {
@@ -298,7 +282,6 @@ mod tests {
         let g3 = SESSIONS.get(3);
         assert!(!std::ptr::eq(g0, g3));
         assert!(std::ptr::eq(g0, SESSIONS.get(0)), "index 0 must be cached");
-        assert_eq!(SESSIONS.name(3), "obs_family_test_shard3_sessions");
         g3.set(7);
         // the family registers on the global registry under the formatted name
         let direct = global().gauge(
@@ -311,15 +294,8 @@ mod tests {
 
     #[test]
     fn family_counter_and_histogram_kinds() {
-        static HITS: Family<Counter> = Family::counter(
-            "obs_family_test_node",
-            "_hits_total",
-            "Family test counter.",
-        );
         static LAT: Family<Histogram> =
             Family::histogram("obs_family_test_node", "_micros", "Family test histogram.");
-        HITS.get(1).add(4);
-        assert_eq!(HITS.get(1).get(), 4);
         LAT.get(2).observe(9);
         assert_eq!(LAT.get(2).count(), 1);
     }

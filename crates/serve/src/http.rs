@@ -24,6 +24,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
+use twodprof_obs::chrome::quote;
 use twodprof_obs::Snapshot;
 
 /// How long a request may take to arrive or a reply to drain before the
@@ -164,26 +165,6 @@ fn healthz(snap: &Snapshot, budget: usize) -> (bool, String) {
     (healthy, body)
 }
 
-/// Minimal JSON string escaping: metric names are identifiers, but error
-/// details and paths can carry anything.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The `/vars` document: lifetime stats, per-shard health, every counter
 /// and gauge, the recent events/s rate, and the timeline tail — all from
 /// [`Shared::snapshot`] and the timeline it feeds.
@@ -215,7 +196,7 @@ fn vars(shared: &Shared) -> String {
         let _ = write!(
             out,
             "{{\"index\":{i},\"tier\":{},\"tier_code\":{},\"sessions\":{},\"resident_bytes\":{},\"spilled_bytes\":{},\"lag_micros\":{},\"tick_micros\":{},\"out_buffer_high_water_bytes\":{}}}",
-            json_str(row.tier.label()),
+            quote(row.tier.label()),
             row.tier.as_u64(),
             row.sessions,
             row.resident_bytes,
@@ -258,20 +239,7 @@ fn json_values<V: std::fmt::Display>(out: &mut String, values: &[(String, String
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{value}", json_str(name));
+        let _ = write!(out, "{}:{value}", quote(name));
     }
     out.push('}');
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_str;
-
-    #[test]
-    fn json_strings_escape_the_awkward_cases() {
-        assert_eq!(json_str("serve_events_total"), "\"serve_events_total\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
-        assert_eq!(json_str("bell\u{7}"), "\"bell\\u0007\"");
-    }
 }

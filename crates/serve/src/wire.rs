@@ -69,8 +69,8 @@
 //! trace-id   := 16 bytes, little-endian u128
 //! ```
 //!
-//! Event packing reuses the 2DPT trace encoding (`site << 1 | taken` as one
-//! varint), so a hot low-numbered site costs one byte per dynamic branch.
+//! Each event is packed as `site << 1 | taken` in one varint, so a hot
+//! low-numbered site costs one byte per dynamic branch.
 
 use bpred::PredictorKind;
 use btrace::{read_frame, read_varint, write_frame, write_varint};
@@ -450,7 +450,7 @@ fn read_string<R: Read>(r: &mut R, max_len: usize) -> io::Result<String> {
     String::from_utf8(bytes).map_err(|_| invalid("string is not UTF-8"))
 }
 
-fn read_trace_id<R: Read>(r: &mut R) -> io::Result<u128> {
+fn read_u128<R: Read>(r: &mut R) -> io::Result<u128> {
     let mut bytes = [0u8; 16];
     r.read_exact(&mut bytes)?;
     Ok(u128::from_le_bytes(bytes))
@@ -614,12 +614,12 @@ impl ClientFrame {
                 ClientFrame::Resim(predictor)
             }
             TAG_TRACE_CTX => {
-                let trace = read_trace_id(&mut r)?;
+                let trace = read_u128(&mut r)?;
                 let parent = read_varint(&mut r)?;
                 ClientFrame::TraceCtx { trace, parent }
             }
             TAG_TRACE_EXPORT => ClientFrame::TraceExport {
-                trace: read_trace_id(&mut r)?,
+                trace: read_u128(&mut r)?,
             },
             TAG_SUBSCRIBE => {
                 let program = read_string(&mut r, MAX_PROGRAM_LEN)?;

@@ -802,10 +802,10 @@ mod tests {
     fn self_play_terminates_and_is_deterministic() {
         let w = CraftyWorkload::new(Scale::Tiny);
         let input = w.input_set("train").unwrap();
-        let mut a = btrace::RecordingTracer::new(SITES.len());
+        let mut a = btrace::RecordedTrace::new(SITES.len());
         w.run(&input, &mut a);
-        let mut b = btrace::RecordingTracer::new(SITES.len());
+        let mut b = btrace::RecordedTrace::new(SITES.len());
         w.run(&input, &mut b);
-        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a, b);
     }
 }

@@ -188,7 +188,7 @@ pub const EXTENDED_BENCHMARKS: &[&str] = &["bzip2", "gzip", "twolf", "gap", "cra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrace::{validate_sites, CountingTracer, RecordingTracer, Tracer};
+    use btrace::{validate_sites, CountingTracer, EdgeProfiler, RecordedTrace};
 
     #[test]
     fn suite_has_twelve_distinct_workloads() {
@@ -232,22 +232,16 @@ mod tests {
     fn runs_are_deterministic() {
         for w in suite(Scale::Tiny) {
             let input = w.input_set("train").unwrap();
-            let mut a = RecordingTracer::new(w.sites().len());
+            let mut a = RecordedTrace::new(w.sites().len());
             w.run(&input, &mut a);
-            let mut b = RecordingTracer::new(w.sites().len());
+            let mut b = RecordedTrace::new(w.sites().len());
             w.run(&input, &mut b);
-            assert_eq!(
-                a.trace(),
-                b.trace(),
-                "{} must be deterministic on {}",
-                w.name(),
-                input.name
-            );
+            assert_eq!(a, b, "{} must be deterministic on {}", w.name(), input.name);
             assert!(
-                a.trace().len() > 1_000,
+                a.events() > 1_000,
                 "{} tiny train run should still produce branches, got {}",
                 w.name(),
-                a.trace().len()
+                a.events()
             );
         }
     }
@@ -280,23 +274,14 @@ mod tests {
         // Every declared static branch should be reachable on at least one
         // of train/ref — dead sites indicate instrumentation bugs.
         for w in suite(Scale::Tiny) {
-            let mut seen = vec![false; w.sites().len()];
+            let mut edges = EdgeProfiler::new(w.sites().len());
             for name in ["train", "ref"] {
-                let input = w.input_set(name).unwrap();
-                let mut rec = RecordingTracer::new(w.sites().len());
-                w.run(&input, &mut rec);
-                for (i, &e) in rec.trace().stats().per_site_exec.iter().enumerate() {
-                    if e > 0 {
-                        seen[i] = true;
-                    }
-                }
+                w.run(&w.input_set(name).unwrap(), &mut edges);
             }
-            let dead: Vec<_> = w
-                .sites()
+            let dead: Vec<_> = edges
                 .iter()
-                .enumerate()
-                .filter(|&(i, _)| !seen[i])
-                .map(|(_, d)| d.name)
+                .filter(|(_, e)| e.total() == 0)
+                .map(|(site, _)| w.sites()[site.index()].name)
                 .collect();
             assert!(dead.is_empty(), "{}: dead sites {:?}", w.name(), dead);
         }

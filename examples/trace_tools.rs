@@ -1,11 +1,11 @@
 //! Record-once, analyze-many: record a workload's branch trace, save it in
-//! the compact 2DPT format, reload it, and replay it through several
+//! the compact 2DPR format, reload it, and replay it through several
 //! predictors and the 2D-profiler — the profile-server workflow a Pin-based
 //! methodology would use for expensive target programs.
 
 use std::io::Write as _;
 use twodprof::bpred::{BranchPredictor, Gshare, GshareWithLoop, Perceptron, PredictorSim, Tage};
-use twodprof::btrace::{read_trace, write_trace, RecordingTracer};
+use twodprof::btrace::RecordedTrace;
 use twodprof::core2d::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof::workloads::{self, Scale};
 
@@ -18,29 +18,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = workload.input_set("train").expect("train exists");
 
     // 1. record
-    let mut rec = RecordingTracer::new(workload.sites().len());
-    workload.run(&input, &mut rec);
-    let trace = rec.into_trace();
+    let mut trace = RecordedTrace::new(workload.sites().len());
+    workload.run(&input, &mut trace);
     println!(
-        "recorded {} events over {} static branches ({} MB in memory)",
-        trace.len(),
+        "recorded {} events over {} static branches ({} KB in memory)",
+        trace.events(),
         trace.num_sites(),
-        trace.memory_bytes() / (1024 * 1024)
+        trace.memory_bytes() / 1024
     );
 
     // 2. serialize + reload
-    let path = std::env::temp_dir().join(format!("twodprof_{name}.2dpt"));
+    let path = std::env::temp_dir().join(format!("twodprof_{name}.2dpr"));
     let mut file = std::fs::File::create(&path)?;
-    write_trace(&trace, &mut file)?;
+    trace.write_to(&mut file)?;
     file.flush()?;
     let on_disk = std::fs::metadata(&path)?.len();
     println!(
         "saved to {} ({:.2} bytes/event)",
         path.display(),
-        on_disk as f64 / trace.len() as f64
+        on_disk as f64 / trace.events() as f64
     );
     let mut file = std::fs::File::open(&path)?;
-    let reloaded = read_trace(&mut std::io::BufReader::new(&mut file))?;
+    let reloaded = RecordedTrace::read_from(&mut std::io::BufReader::new(&mut file))?;
     assert_eq!(reloaded, trace, "lossless round-trip");
 
     // 3. replay through a predictor zoo
@@ -55,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let label = p.name();
         let kb = p.storage_bits() as f64 / 8192.0;
         let mut sim = PredictorSim::new(reloaded.num_sites(), p);
-        reloaded.replay(&mut sim);
+        reloaded.replay_into(&mut sim);
         println!(
             "  {label:<16} {kb:>5.1} KB  misprediction {:.2}%",
             sim.profile().overall_misprediction_rate().unwrap_or(0.0) * 100.0
@@ -66,9 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prof = TwoDProfiler::new(
         reloaded.num_sites(),
         Gshare::new_4kb(),
-        SliceConfig::auto(reloaded.len() as u64),
+        SliceConfig::auto(reloaded.events()),
     );
-    reloaded.replay(&mut prof);
+    reloaded.replay_into(&mut prof);
     let report = prof.finish(Thresholds::paper());
     println!(
         "\n2D-profiling the replayed trace: {} of {} branches predicted input-dependent",

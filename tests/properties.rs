@@ -1,11 +1,11 @@
 //! Property-based tests over the profiling infrastructure: predictors,
-//! traces, the 2D statistics, ground truth and the cost model.
+//! the 2D statistics, ground truth and the cost model.
 
 use proptest::prelude::*;
 use twodprof::bpred::{
     BranchPredictor, Gshare, LocalTwoLevel, Perceptron, PredictorSim, Tournament,
 };
-use twodprof::btrace::{read_trace, write_trace, RecordingTracer, SiteId, Trace, Tracer};
+use twodprof::btrace::{SiteId, Tracer};
 use twodprof::core2d::{BranchState, Confusion, CostModel, Metrics, SliceConfig, Thresholds};
 
 /// Strategy: a branch stream over up to 8 sites.
@@ -34,53 +34,6 @@ proptest! {
             let b = run(&mut p);
             prop_assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn trace_roundtrip_and_replay(events in stream()) {
-        let mut rec = RecordingTracer::new(8);
-        for &(s, taken) in &events {
-            rec.branch(SiteId(s), taken);
-        }
-        let trace = rec.into_trace();
-        prop_assert_eq!(trace.len(), events.len());
-        // iteration returns exactly what was recorded
-        for (ev, &(s, taken)) in trace.iter().zip(&events) {
-            prop_assert_eq!(ev.site, SiteId(s));
-            prop_assert_eq!(ev.taken, taken);
-        }
-        // replay into a second recorder reproduces the trace
-        let mut rec2 = RecordingTracer::new(8);
-        trace.replay(&mut rec2);
-        prop_assert_eq!(rec2.into_trace(), trace);
-    }
-
-    #[test]
-    fn trace_serialization_roundtrips(events in stream()) {
-        let mut rec = RecordingTracer::new(8);
-        for &(s, taken) in &events {
-            rec.branch(SiteId(s), taken);
-        }
-        let trace = rec.into_trace();
-        let mut buf = Vec::new();
-        write_trace(&trace, &mut buf).expect("vec write cannot fail");
-        let back = read_trace(&mut buf.as_slice()).expect("own output is valid");
-        prop_assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn trace_stats_are_consistent(events in stream()) {
-        let trace: Trace = events
-            .iter()
-            .map(|&(s, taken)| twodprof::btrace::TraceEvent { site: SiteId(s), taken })
-            .collect();
-        let stats = trace.stats();
-        prop_assert_eq!(stats.events as usize, events.len());
-        prop_assert_eq!(
-            stats.taken_events as usize,
-            events.iter().filter(|&&(_, t)| t).count()
-        );
-        prop_assert_eq!(stats.per_site_exec.iter().sum::<u64>(), stats.events);
     }
 
     #[test]
