@@ -2,8 +2,34 @@
 //!
 //! The paper's alternative target-machine predictor (§5.3): ~16 KB budget,
 //! 457 entries, 36 bits of global history.
+//!
+//! Every weight row is a fixed 64-lane `[i8; 64]`: lane 0 is the bias and
+//! lane `1 + i` weighs global-history bit `i`. The per-event input vector
+//! holds ±1 in each live lane and 0 in every lane past `history_bits`, so
+//! one branch-free 64-lane loop computes the dot product and another trains
+//! the row, whatever the history length. Dead lanes never contribute and
+//! never move.
 
 use crate::BranchPredictor;
+
+/// Weight lanes per row: the bias plus up to 63 history bits.
+const LANES: usize = 64;
+
+/// `SIGN[b][j]` is the bipolar input of bit `j` of byte `b`: +1 when set,
+/// −1 when clear.
+const SIGN: [[i8; 8]; 256] = {
+    let mut table = [[0i8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b][j] = if (b >> j) & 1 == 1 { 1 } else { -1 };
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Perceptron predictor: each table entry holds a bias weight plus one signed
 /// weight per global-history bit; the prediction is the sign of the dot
@@ -17,8 +43,10 @@ pub struct Perceptron {
     num_entries: usize,
     history_bits: u32,
     theta: i32,
-    /// `num_entries` rows of `history_bits + 1` weights (bias first).
-    weights: Vec<i8>,
+    /// 1 in lanes `0..=history_bits`, 0 in every lane past them.
+    live: [i8; LANES],
+    /// `num_entries` rows of 64 weight lanes.
+    weights: Vec<[i8; LANES]>,
     ghr: u64,
 }
 
@@ -36,11 +64,14 @@ impl Perceptron {
             (1..=63).contains(&history_bits),
             "history_bits must be in 1..=63, got {history_bits}"
         );
+        let mut live = [0i8; LANES];
+        live[..=history_bits as usize].fill(1);
         Self {
             num_entries,
             history_bits,
             theta: (1.93 * history_bits as f64 + 14.0).floor() as i32,
-            weights: vec![0; num_entries * (history_bits as usize + 1)],
+            live,
+            weights: vec![[0; LANES]; num_entries],
             ghr: 0,
         }
     }
@@ -66,62 +97,69 @@ impl Perceptron {
         ((pc >> 2) % self.num_entries as u64) as usize
     }
 
-    /// Dot product of the selected weight row with the bipolar history.
+    /// The input vector: +1 for the bias lane and each set history bit, −1
+    /// for each clear one, 0 in every lane past `history_bits`.
     #[inline]
-    fn output(&self, pc: u64) -> i32 {
-        let w = self.history_bits as usize + 1;
-        let row = &self.weights[self.row(pc) * w..(self.row(pc) + 1) * w];
-        let mut y = row[0] as i32; // bias weight (input fixed at +1)
-        for (i, &wi) in row.iter().enumerate().skip(1) {
-            let h_bit = (self.ghr >> (i - 1)) & 1;
-            if h_bit == 1 {
-                y += wi as i32;
-            } else {
-                y -= wi as i32;
-            }
+    fn inputs(&self) -> [i8; LANES] {
+        let bits = (self.ghr << 1) | 1;
+        let mut x = [0i8; LANES];
+        for (k, byte) in x.chunks_exact_mut(8).enumerate() {
+            byte.copy_from_slice(&SIGN[(bits >> (8 * k)) as u8 as usize]);
         }
-        y
+        for (xi, &m) in x.iter_mut().zip(&self.live) {
+            *xi *= m;
+        }
+        x
     }
 }
 
+/// Dot product of a weight row with an input vector. Each product is at
+/// most 128 in magnitude, so 64 of them fit an `i16`.
 #[inline]
-fn saturating_step(w: &mut i8, up: bool) {
-    *w = if up {
-        w.saturating_add(1)
-    } else {
-        w.saturating_sub(1)
-    };
+fn dot(row: &[i8; LANES], x: &[i8; LANES]) -> i32 {
+    let mut y = 0i16;
+    for (&w, &xi) in row.iter().zip(x) {
+        y += w as i16 * xi as i16;
+    }
+    y as i32
 }
 
 impl BranchPredictor for Perceptron {
     #[inline]
     fn predict(&self, pc: u64) -> bool {
-        self.output(pc) >= 0
+        dot(&self.weights[self.row(pc)], &self.inputs()) >= 0
     }
 
+    #[inline]
     fn train(&mut self, pc: u64, taken: bool) {
-        let y = self.output(pc);
+        self.predict_and_train(pc, taken);
+    }
+
+    #[inline]
+    fn predict_and_train(&mut self, pc: u64, taken: bool) -> bool {
+        let x = self.inputs();
+        let row = self.row(pc);
+        let y = dot(&self.weights[row], &x);
         let predicted = y >= 0;
         if predicted != taken || y.abs() <= self.theta {
-            let w = self.history_bits as usize + 1;
-            let start = self.row(pc) * w;
-            saturating_step(&mut self.weights[start], taken);
-            for i in 1..w {
-                let h_bit = (self.ghr >> (i - 1)) & 1 == 1;
-                // strengthen weight if history bit agrees with outcome
-                saturating_step(&mut self.weights[start + i], h_bit == taken);
+            // each live weight moves toward agreement with the outcome:
+            // +1 where its input matches `taken`, −1 where it does not
+            let t: i8 = if taken { 1 } else { -1 };
+            for (w, &xi) in self.weights[row].iter_mut().zip(&x) {
+                *w = w.saturating_add(xi * t);
             }
         }
         self.ghr = (self.ghr << 1) | taken as u64;
+        predicted
     }
 
     fn reset(&mut self) {
-        self.weights.fill(0);
+        self.weights.fill([0; LANES]);
         self.ghr = 0;
     }
 
     fn storage_bits(&self) -> usize {
-        self.weights.len() * 8
+        self.num_entries * (self.history_bits as usize + 1) * 8
     }
 
     fn name(&self) -> String {

@@ -21,7 +21,7 @@
 //! the per-event profiler performs — so reports are bit-identical to the
 //! scalar path's, which the `bitslice_equiv` differential suite enforces.
 
-use crate::JobOutput;
+use crate::{JobOutput, SimJob};
 use bpred::bitslice::{lane_for, RunLane, SurveyFused};
 use bpred::{AccuracyProfile, PredictorKind};
 use btrace::{RecordedTrace, SiteId, SiteRun};
@@ -31,13 +31,6 @@ use twodprof_core::{SliceAccum, SliceConfig, Thresholds};
 /// Sized so the buffer (16 bytes per run) stays L1-resident alongside the
 /// planes while amortizing the per-sim dispatch across ~1k runs.
 const RUN_SEGMENT: usize = 1024;
-
-/// One replay job to be served by the lane group: the predictor kind and
-/// whether the consumer wants a 2D report (vs. a plain accuracy profile).
-pub(crate) struct LaneJob {
-    pub kind: PredictorKind,
-    pub twod: bool,
-}
 
 /// The consumers of one simulated kind's correct bits.
 struct Account {
@@ -96,7 +89,7 @@ fn fold_account(account: &mut Account, correct_slice: &mut [u64], exec_slice: &[
 ///
 /// Every `kind` must be [`eligible`](bpred::bitslice::eligible); the caller
 /// (the fused fan-out) routes ineligible kinds to scalar slots.
-pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[LaneJob]) -> Vec<JobOutput> {
+pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobOutput> {
     let _sp = twodprof_obs::span!("engine.bitslice");
     let num_sites = trace.num_sites();
     let slice_config = SliceConfig::auto(trace.events());

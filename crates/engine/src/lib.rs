@@ -18,7 +18,9 @@
 //! replays the trace once for all the jobs it is handed. Inside it one
 //! choice is made, from the input: a trace with at least two jobs whose
 //! predictor has a bit-sliced lane serves them from one shared lane group,
-//! and every other job runs in a chunked scalar slot. A batch hands
+//! and every other job rides a chunked scalar slot. Either way each
+//! predictor kind is simulated once per trace: the one simulation of a
+//! kind serves all of that kind's accuracy and 2D jobs. A batch hands
 //! `fan_out` all of a trace's jobs; [`Engine::run_one`] hands it one.
 //! Branch counts are read from the trace header. Results pass through
 //! three cache tiers — an in-memory memo, the disk cache, then
@@ -50,7 +52,7 @@ pub use cache::{payload_checksum, CacheLookup, DiskCache, JobOutput};
 pub use request::{ProfileMode, ProfileRequest, TraceRef};
 pub use spec::{scale_id, JobKind, JobSpec, CACHE_SCHEMA_VERSION, MAX_SPEC_NAME_LEN};
 
-use bpred::{BranchPredictor, PredictorHost, PredictorKind, PredictorSim};
+use bpred::{site_pc, AccuracyProfile, BranchPredictor, PredictorHost, PredictorKind};
 use btrace::{RecordedTrace, SiteId, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,7 +60,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_core::{SliceAccum, SliceConfig, Thresholds};
 use workloads::Scale;
 
 /// Engine configuration.
@@ -134,11 +136,12 @@ pub struct EngineCounters {
     /// Branch streams recorded from a live workload run (each one feeds
     /// every simulation of its (workload, input, scale) trio).
     pub traces_recorded: u64,
-    /// Simulations served by replaying a recorded trace instead of
-    /// re-executing the workload.
+    /// Jobs served by replaying a recorded trace instead of re-executing
+    /// the workload. This counts jobs, not simulations: one simulation of
+    /// a kind serves every job of that kind on its trace.
     pub replays: u64,
-    /// Replayed simulations served by the bit-sliced lane group (each such
-    /// job is also counted in `replays`).
+    /// Replayed jobs served by the bit-sliced lane group (each such job is
+    /// also counted in `replays`).
     pub bitsliced: u64,
 }
 
@@ -573,23 +576,14 @@ impl Engine {
     /// `pending` specs (which all share one trace) are served by one
     /// [`RecordedTrace`] decode pass per lane family. When at least two
     /// jobs have a bit-sliced lane, those jobs share the lane group in
-    /// [`bitgroup`]; every other job is seated in a chunked scalar slot
-    /// fed by a second decode pass. Outputs come back in `pending` order.
+    /// [`bitgroup`]; every other job is seated in the chunked scalar slot
+    /// of its kind, one per kind, fed by a second decode pass. Outputs come
+    /// back in `pending` order.
     fn fan_out(&self, specs: &[JobSpec], pending: &[usize]) -> Vec<JobOutput> {
         let trace = self.trace(&TraceRef::of_spec(&specs[pending[0]]));
-        let mut sliced: Vec<usize> = Vec::new(); // positions within `pending`
-        let mut scalar: Vec<usize> = Vec::new();
-        for (p, &i) in pending.iter().enumerate() {
-            let kind = match specs[i].kind {
-                JobKind::Accuracy(kind) | JobKind::TwoD(kind) => kind,
-                _ => unreachable!("only simulation jobs are fused"),
-            };
-            if bpred::bitslice::eligible(kind) {
-                sliced.push(p);
-            } else {
-                scalar.push(p);
-            }
-        }
+        let jobs: Vec<SimJob> = pending.iter().map(|&i| SimJob::of(&specs[i])).collect();
+        let (mut sliced, mut scalar): (Vec<usize>, Vec<usize>) =
+            (0..jobs.len()).partition(|&p| bpred::bitslice::eligible(jobs[p].kind));
         // A lane group exists to share one run decode across many jobs; a
         // lone eligible job gains nothing from it, so keep it on the
         // scalar slot path alongside everything else.
@@ -599,37 +593,38 @@ impl Engine {
         }
         let mut outputs: Vec<Option<JobOutput>> = pending.iter().map(|_| None).collect();
         if !sliced.is_empty() {
-            let jobs: Vec<bitgroup::LaneJob> = sliced
+            let lane_jobs: Vec<SimJob> = sliced.iter().map(|&p| jobs[p]).collect();
+            for (&p, output) in sliced
                 .iter()
-                .map(|&p| match specs[pending[p]].kind {
-                    JobKind::Accuracy(kind) => bitgroup::LaneJob { kind, twod: false },
-                    JobKind::TwoD(kind) => bitgroup::LaneJob { kind, twod: true },
-                    _ => unreachable!("only simulation jobs are fused"),
-                })
-                .collect();
-            for (&p, output) in sliced.iter().zip(bitgroup::run_lane_group(&trace, &jobs)) {
+                .zip(bitgroup::run_lane_group(&trace, &lane_jobs))
+            {
                 self.note_replay();
                 self.bump(|c| c.bitsliced += 1);
                 twodprof_obs::counter!(
                     "engine_bitslice_jobs_total",
-                    "Replayed simulations served by the bit-sliced lane group."
+                    "Replayed jobs served by the bit-sliced lane group."
                 )
                 .inc();
                 outputs[p] = Some(output);
             }
         }
         if !scalar.is_empty() {
-            let mut slots: Vec<Box<dyn SimSlot>> = scalar
+            // one slot per kind, serving every job of that kind
+            let mut seats: Vec<(PredictorKind, Vec<usize>)> = Vec::new();
+            for &p in &scalar {
+                match seats.iter_mut().find(|(kind, _)| *kind == jobs[p].kind) {
+                    Some((_, seated)) => seated.push(p),
+                    None => seats.push((jobs[p].kind, vec![p])),
+                }
+            }
+            let mut slots: Vec<Box<dyn SimSlot>> = seats
                 .iter()
-                .map(|&p| match specs[pending[p]].kind {
-                    JobKind::Accuracy(kind) => kind.host(AccSlotHost {
+                .map(|(kind, seated)| {
+                    kind.host(ScalarSlotHost {
                         num_sites: trace.num_sites(),
-                    }),
-                    JobKind::TwoD(kind) => kind.host(TwoDSlotHost {
-                        num_sites: trace.num_sites(),
-                        events: trace.events(),
-                    }),
-                    _ => unreachable!("only simulation jobs are fused"),
+                        slice_config: SliceConfig::auto(trace.events()),
+                        twod: seated.iter().map(|&p| jobs[p].twod).collect(),
+                    })
                 })
                 .collect();
             let mut fan = FanOut::new(&mut slots);
@@ -639,9 +634,11 @@ impl Engine {
                 fan.flush();
             }
             drop(fan);
-            for (&p, slot) in scalar.iter().zip(slots) {
-                self.note_replay();
-                outputs[p] = Some(slot.finish());
+            for ((_, seated), slot) in seats.iter().zip(slots) {
+                for (&p, output) in seated.iter().zip(slot.finish()) {
+                    self.note_replay();
+                    outputs[p] = Some(output);
+                }
             }
         }
         outputs
@@ -715,7 +712,7 @@ impl Engine {
         self.bump(|c| c.replays += 1);
         twodprof_obs::counter!(
             "trace_replay_total",
-            "Simulations served by replaying a recorded trace."
+            "Jobs served by replaying a recorded trace; one simulation may serve several."
         )
         .inc();
     }
@@ -751,6 +748,25 @@ enum Unit {
     Fused(Vec<usize>),
 }
 
+/// One accuracy or 2D job as a simulation path sees it: the predictor kind
+/// and whether the consumer wants a 2D report (vs. a plain accuracy
+/// profile).
+#[derive(Clone, Copy)]
+struct SimJob {
+    kind: PredictorKind,
+    twod: bool,
+}
+
+impl SimJob {
+    fn of(spec: &JobSpec) -> Self {
+        match spec.kind {
+            JobKind::Accuracy(kind) => SimJob { kind, twod: false },
+            JobKind::TwoD(kind) => SimJob { kind, twod: true },
+            _ => unreachable!("only simulation jobs are fused"),
+        }
+    }
+}
+
 /// Events per fused-replay chunk. Sized so the chunk buffer (8 bytes per
 /// event) stays within half an L1 data cache while still amortizing one
 /// virtual `run_chunk` call per simulation across thousands of events.
@@ -765,65 +781,84 @@ const FAN_CHUNK: usize = 2048;
 /// a per-event round-robin over all seated simulations would.
 trait SimSlot: Send {
     fn run_chunk(&mut self, events: &[(SiteId, bool)]);
-    fn finish(self: Box<Self>) -> JobOutput;
+    /// One output per job the slot serves, in the order it was seated with.
+    fn finish(self: Box<Self>) -> Vec<JobOutput>;
 }
 
-struct AccSlot<P>(PredictorSim<P>);
+/// The one scalar simulation of a kind on a trace: a single predictor
+/// whose per-event correct bit feeds every job of that kind — the per-site
+/// counts behind its accuracy profiles and one [`SliceAccum`] per 2D job
+/// (duplicate 2D specs are rare but legal; each gets its own fold). The
+/// counts and folds are exactly those of a [`bpred::PredictorSim`] and a
+/// [`twodprof_core::TwoDProfiler`] fed the same stream.
+struct ScalarSlot<P> {
+    predictor: P,
+    exec: Vec<u64>,
+    correct: Vec<u64>,
+    accums: Vec<SliceAccum>,
+    /// Per seated job, in order: whether it wants a 2D report.
+    twod: Vec<bool>,
+}
 
-impl<P: BranchPredictor + 'static> SimSlot for AccSlot<P> {
+impl<P: BranchPredictor + 'static> SimSlot for ScalarSlot<P> {
     fn run_chunk(&mut self, events: &[(SiteId, bool)]) {
         for &(site, taken) in events {
-            Tracer::branch(&mut self.0, site, taken);
+            let correct = self.predictor.predict_and_train(site_pc(site), taken) == taken;
+            self.exec[site.index()] += 1;
+            self.correct[site.index()] += correct as u64;
+            for accum in &mut self.accums {
+                accum.record(site, correct);
+            }
         }
     }
-    fn finish(self: Box<Self>) -> JobOutput {
-        JobOutput::Accuracy(self.0.into_profile().into())
+
+    fn finish(self: Box<Self>) -> Vec<JobOutput> {
+        let name = self.predictor.name();
+        let accuracy = JobOutput::Accuracy(
+            AccuracyProfile::from_parts(self.exec, self.correct, name.clone()).into(),
+        );
+        let mut reports = self
+            .accums
+            .into_iter()
+            .map(|a| JobOutput::Report(a.finish(Thresholds::paper(), name.clone()).into()));
+        // outputs are Arc-backed, so the accuracy clones are reference counts
+        self.twod
+            .iter()
+            .map(|&twod| {
+                if twod {
+                    reports.next().expect("one fold per 2D job")
+                } else {
+                    accuracy.clone()
+                }
+            })
+            .collect()
     }
 }
 
-struct TwoDSlot<P>(TwoDProfiler<P>);
-
-impl<P: BranchPredictor + 'static> SimSlot for TwoDSlot<P> {
-    fn run_chunk(&mut self, events: &[(SiteId, bool)]) {
-        for &(site, taken) in events {
-            Tracer::branch(&mut self.0, site, taken);
-        }
-    }
-    fn finish(self: Box<Self>) -> JobOutput {
-        JobOutput::Report(self.0.finish(Thresholds::paper()).into())
-    }
-}
-
-/// [`PredictorHost`] that seats an accuracy simulation in a fused-replay
-/// slot.
-struct AccSlotHost {
+/// [`PredictorHost`] that seats one kind's jobs in a [`ScalarSlot`].
+struct ScalarSlotHost {
     num_sites: usize,
+    slice_config: SliceConfig,
+    twod: Vec<bool>,
 }
 
-impl PredictorHost for AccSlotHost {
+impl PredictorHost for ScalarSlotHost {
     type Out = Box<dyn SimSlot>;
 
     fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
-        Box::new(AccSlot(PredictorSim::new(self.num_sites, predictor)))
-    }
-}
-
-/// [`PredictorHost`] that seats a 2D-profiling simulation in a fused-replay
-/// slot.
-struct TwoDSlotHost {
-    num_sites: usize,
-    events: u64,
-}
-
-impl PredictorHost for TwoDSlotHost {
-    type Out = Box<dyn SimSlot>;
-
-    fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
-        Box::new(TwoDSlot(TwoDProfiler::new(
-            self.num_sites,
+        let accums = self
+            .twod
+            .iter()
+            .filter(|&&twod| twod)
+            .map(|_| SliceAccum::new(self.num_sites, self.slice_config))
+            .collect();
+        Box::new(ScalarSlot {
             predictor,
-            SliceConfig::auto(self.events),
-        )))
+            exec: vec![0; self.num_sites],
+            correct: vec![0; self.num_sites],
+            accums,
+            twod: self.twod,
+        })
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Every accuracy and 2D job goes through one engine path, which serves a
 //! trace's bit-sliceable jobs from a shared lane group and every other job
-//! from a chunked scalar slot. These tests hold both halves to an oracle
-//! that involves no engine at all: the workload runs straight into one
-//! [`PredictorSim`] or [`TwoDProfiler`]. Results must be *bit-identical* —
+//! from a chunked scalar slot, one per kind. These tests hold both halves
+//! to an oracle that involves no engine at all: the workload runs straight
+//! into one [`PredictorSim`] or [`TwoDProfiler`]. Results must be *bit-identical* —
 //! not merely "equal within floating-point tolerance" — at the
 //! serialized-payload level, where every `f64` is compared by its exact
 //! bit pattern. A property test also races a [`CounterPlane`] against 64
@@ -162,6 +162,35 @@ fn counters_attribute_lane_group_jobs() {
     )]);
     let c = lone.counters();
     assert_eq!((c.bitsliced, c.replays), (0, 1));
+}
+
+/// One batch on one tiny trace where each scalar kind carries an accuracy
+/// job, a 2D job and a duplicate of that 2D job. Each kind runs one scalar
+/// simulation serving all three of its jobs; every payload must still be
+/// the oracle's, and every job counts as one replay.
+#[test]
+fn shared_scalar_slots_match_the_oracle() {
+    let mut specs = Vec::new();
+    for kind in [PredictorKind::Perceptron16Kb, PredictorKind::Tage8Kb] {
+        specs.push(JobSpec::accuracy("gzip", "train", Scale::Tiny, kind));
+        specs.push(JobSpec::two_d("gzip", "train", Scale::Tiny, kind));
+        specs.push(JobSpec::two_d("gzip", "train", Scale::Tiny, kind));
+    }
+    let engine = engine();
+    let results = engine.run_jobs(&specs);
+    for (r, spec) in results.iter().zip(&specs) {
+        assert_eq!(r.spec, *spec, "results must come back in spec order");
+        assert_eq!(r.status, JobStatus::Computed, "{}", spec.describe());
+        assert!(
+            r.output.as_ref().expect("computed output").to_payload() == oracle(spec),
+            "shared scalar slot diverged from the oracle for {}",
+            spec.describe()
+        );
+    }
+    let c = engine.counters();
+    assert_eq!(c.traces_recorded, 1);
+    assert_eq!(c.replays as usize, specs.len(), "one replay per job");
+    assert_eq!(c.bitsliced, 0, "no kind here has a bit-sliced lane");
 }
 
 proptest! {

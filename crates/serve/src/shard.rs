@@ -875,7 +875,7 @@ fn handle_frame(
             let report = profiler.finish(Thresholds::paper());
             twodprof_obs::counter!(
                 "trace_replay_total",
-                "Simulations served by replaying a recorded trace."
+                "Jobs served by replaying a recorded trace; one simulation may serve several."
             )
             .inc();
             shared.log(format_args!(
