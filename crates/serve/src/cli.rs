@@ -757,9 +757,9 @@ pub fn blackbox_main(args: &[String]) -> Result<(), String> {
 /// SIGUSR1 handler that requests a flight-recorder (blackbox) dump.
 ///
 /// Uses the C `signal` entry point directly (std links libc anyway) to stay
-/// dependency-free; every handler body is a single atomic store, which is
-/// async-signal-safe. The actual dump happens on the accept loop's next
-/// pass, off the signal stack.
+/// dependency-free; every handler body is an atomic store plus one
+/// `write(2)` to the accept loop's waker, both async-signal-safe. The
+/// actual dump happens on the accept loop, off the signal stack.
 #[cfg(unix)]
 fn install_signal_handlers(handle: ServerHandle) {
     static HANDLE: OnceLock<ServerHandle> = OnceLock::new();
@@ -770,12 +770,12 @@ fn install_signal_handlers(handle: ServerHandle) {
     const SIGTERM: i32 = 15;
     const SIGUSR1: i32 = 10;
     extern "C" fn on_signal(signum: i32) {
-        if signum == SIGUSR1 {
-            crate::flight::request_dump();
-            return;
-        }
         if let Some(handle) = HANDLE.get() {
-            handle.shutdown();
+            if signum == SIGUSR1 {
+                handle.request_dump();
+            } else {
+                handle.shutdown();
+            }
         }
     }
     let _ = HANDLE.set(handle);

@@ -16,8 +16,8 @@
 //! Compute connections are ordinary shard connections: the shard answers
 //! `CacheQuery` inline and submits jobs here with a reply target — the
 //! owning [`ShardState`] and the connection id. A worker pushes its
-//! finished `JobResult` onto that shard's inbox, and the shard moves it
-//! into the connection's out-buffer on its next tick. A reply whose
+//! finished `JobResult` onto that shard's inbox, which wakes the shard to
+//! move it into the connection's out-buffer at once. A reply whose
 //! connection is gone is dropped — the client treats the dead connection
 //! as node loss and requeues, which is exactly the semantic we want on
 //! daemon shutdown.

@@ -281,12 +281,14 @@ pub fn decode(bytes: &[u8]) -> io::Result<Vec<FlightEvent>> {
     Ok(events)
 }
 
-/// `SIGUSR1` handshake: the signal handler may only touch an atomic, so it
-/// sets this flag and the accept loop performs the actual dump on its next
-/// pass.
+/// `SIGUSR1` handshake: the signal handler may only touch an atomic and
+/// write to a waker, so it sets this flag, wakes the accept loop, and the
+/// accept loop performs the actual dump.
 static DUMP_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 /// Requests a blackbox dump. Async-signal-safe (a single atomic store).
+/// The accept loop performs it when it next wakes; the daemon's `SIGUSR1`
+/// handler also wakes it, so its dump happens at once.
 pub fn request_dump() {
     DUMP_REQUESTED.store(true, Ordering::SeqCst);
 }

@@ -7,22 +7,22 @@
 //! | `/healthz` | readiness from per-shard admission tier; 503 on shed    |
 //! | `/vars`    | JSON snapshot: stats, per-shard health, timeline tail   |
 //!
-//! The listener runs on one dedicated thread (`twodprofd-http`),
-//! nonblocking-accepts with a short sleep so it notices shutdown, and
-//! serves each request synchronously — scrapes are rare (1 Hz-ish) and
+//! The listener runs on one dedicated thread (`twodprofd-http`), blocks in
+//! `poll(2)` on the listener and the daemon's stop waker, and serves each
+//! request synchronously — scrapes are rare (1 Hz-ish) and
 //! tiny, so a thread per request would be waste. Replies are HTTP/1.0
 //! with `Content-Length` and `Connection: close`: every scraper speaks
 //! it, and close-delimited bodies sidestep keep-alive state entirely.
 //! Read/write timeouts bound how long one stuck scraper can hold the
 //! thread.
 
+use crate::poll::PollSet;
 use crate::server::Shared;
 use crate::summary::shard_rows;
 use crate::wire::AdmissionTier;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::thread;
 use std::time::Duration;
 use twodprof_obs::chrome::quote;
 use twodprof_obs::Snapshot;
@@ -44,20 +44,27 @@ pub(crate) fn http_loop(shared: &Shared, listener: TcpListener) {
         shared.log(format_args!("http listener setup failed: {e}"));
         return;
     }
+    let mut set = PollSet::new();
+    let listener_slot = set.push(crate::poll::fd_of(&listener));
+    set.push(shared.stop_waker.fd());
     while !shared.is_stopped() {
+        set.wait(None);
+        if !set.is_ready(listener_slot) {
+            continue;
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if let Err(e) = serve_request(shared, stream) {
                     shared.log(format_args!("http request failed: {e}"));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
+                // back off rather than spin on a listener that stays
+                // readable; the stop wake cuts the backoff short
                 shared.log(format_args!("http accept error: {e}"));
-                thread::sleep(Duration::from_millis(50));
+                shared.stop_waker.wait(Some(Duration::from_millis(50)));
             }
         }
     }

@@ -12,6 +12,12 @@
 //! workers hand their out-of-order replies back to the owning shard's
 //! inbox, so no connection ever gets a thread of its own.
 //!
+//! Every loop is event-driven: the accept loop blocks in `poll(2)` on the
+//! listener and a [`Waker`] that shutdown and the `SIGUSR1` handshake
+//! write to, each shard on its sockets and its own waker, and the sampler
+//! and HTTP threads on a stop waker. No sleep timer sits between a client
+//! and its reply, and an idle daemon runs no loop iterations.
+//!
 //! # Session state machine
 //!
 //! ```text
@@ -40,6 +46,7 @@
 use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightRecorder;
+use crate::poll::{PollSet, Waker};
 use crate::shard::{current_tier, shard_loop, ShardState};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -78,9 +85,22 @@ pub(crate) struct ProgramStream {
 
 /// A `watch` connection's bounded drift-event queue, filled by publishing
 /// shard threads and drained by the owning shard's watch pump.
-#[derive(Default)]
 pub(crate) struct Subscriber {
     pub(crate) queue: Mutex<SubQueue>,
+    /// The shard owning the watch connection, and that connection's id:
+    /// whom a publisher notifies.
+    shard: Arc<ShardState>,
+    conn: u64,
+}
+
+impl Subscriber {
+    pub(crate) fn new(shard: Arc<ShardState>, conn: u64) -> Self {
+        Self {
+            queue: Mutex::new(SubQueue::default()),
+            shard,
+            conn,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -108,6 +128,13 @@ pub(crate) struct Shared {
     accept_stopped: AtomicBool,
     /// Drain timed out: shards tear down every remaining connection.
     force_close: AtomicBool,
+    /// Ends the accept loop's poll wait: shutdown and the `SIGUSR1`
+    /// handshake write to it, and the last connection's teardown, which
+    /// ends the shutdown drain's wait on it.
+    accept_waker: Waker,
+    /// Written once when the daemon stops and never drained: the sampler
+    /// and HTTP threads wait on it.
+    pub(crate) stop_waker: Waker,
     next_conn: AtomicU64,
     active_conns: AtomicUsize,
     pub(crate) live_sessions: AtomicUsize,
@@ -215,7 +242,7 @@ impl Shared {
             );
             snap.put_gauge(
                 format!("serve_shard{i}_lag_micros"),
-                "Event-loop lag of the shard's last tick, in microseconds.",
+                "Loop lag of the shard's last iteration (time outside poll), in microseconds.",
                 level(&shard.last_lag_micros),
             );
             snap.put_gauge(
@@ -262,9 +289,27 @@ impl Shared {
     }
 
     /// One connection finished its life (shard teardown or failed
-    /// handoff).
+    /// handoff). The last one wakes the shutdown drain.
     pub(crate) fn conn_gone(&self) {
-        self.active_conns.fetch_sub(1, Ordering::SeqCst);
+        if self.active_conns.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.accept_waker.wake();
+        }
+    }
+
+    /// Gives back a session slot claimed at admission. During drain, the
+    /// last release wakes every shard: its watchers close once no session
+    /// can publish drift.
+    pub(crate) fn release_session_slot(&self) {
+        if self.live_sessions.fetch_sub(1, Ordering::SeqCst) == 1 && self.is_draining() {
+            self.wake_shards();
+        }
+    }
+
+    /// Ends every shard's poll wait so it re-reads the shutdown state.
+    pub(crate) fn wake_shards(&self) {
+        for shard in &self.shards {
+            shard.wake();
+        }
     }
 
     /// Looks up (or creates) the program's streaming state and attaches a
@@ -330,18 +375,27 @@ pub(crate) fn publish_drift(shared: &Shared, stream: &ProgramStream, events: &[D
         if q.closed || q.shed {
             return false;
         }
-        if q.events.len() + events.len() > shared.config.limits.max_subscriber_queue {
+        let keep = q.events.len() + events.len() <= shared.config.limits.max_subscriber_queue;
+        // notify on the empty → non-empty edge (a non-empty queue already
+        // has a notice on its way) and on shedding, which the pump must
+        // report to the watcher
+        let notify = !keep || q.events.is_empty();
+        if keep {
+            q.events.extend(events.iter().copied());
+            max_depth = max_depth.max(q.events.len());
+        } else {
             q.shed = true;
             twodprof_obs::counter!(
                 "serve_subscriber_drops_total",
                 "Watch subscribers shed because their drift queue overflowed."
             )
             .inc();
-            return false;
         }
-        q.events.extend(events.iter().copied());
-        max_depth = max_depth.max(q.events.len());
-        true
+        drop(q);
+        if notify {
+            sub.shard.push_watch(sub.conn);
+        }
+        keep
     });
     drop(subs);
     twodprof_obs::gauge!(
@@ -413,9 +467,18 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Requests a graceful shutdown: stop accepting, drain in-flight
     /// sessions, then return from [`Server::run`]. Safe to call from a
-    /// signal handler (a single atomic store).
+    /// signal handler (an atomic store plus the accept loop's wake, one
+    /// `write(2)`).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.accept_waker.wake();
+    }
+
+    /// Requests a blackbox dump from the accept loop — the `SIGUSR1`
+    /// handshake. Async-signal-safe, like [`shutdown`](Self::shutdown).
+    pub(crate) fn request_dump(&self) {
+        crate::flight::request_dump();
+        self.shared.accept_waker.wake();
     }
 
     /// Whether shutdown has been requested.
@@ -480,8 +543,8 @@ impl Server {
         };
         let compute = config.compute.as_ref().map(ComputePool::start);
         let shards = (0..config.shards.count.max(1))
-            .map(|i| Arc::new(ShardState::new(i)))
-            .collect();
+            .map(|i| ShardState::new(i).map(Arc::new))
+            .collect::<io::Result<_>>()?;
         let spill_dir = config.shards.spill_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join(format!(
                 "twodprofd-spill-{}-{}",
@@ -501,6 +564,8 @@ impl Server {
                 stopped: AtomicBool::new(false),
                 accept_stopped: AtomicBool::new(false),
                 force_close: AtomicBool::new(false),
+                accept_waker: Waker::new()?,
+                stop_waker: Waker::new()?,
                 next_conn: AtomicU64::new(1),
                 active_conns: AtomicUsize::new(0),
                 live_sessions: AtomicUsize::new(0),
@@ -596,25 +661,18 @@ impl Server {
             self.shared.shards.len(),
             self.shared.config.shards.memory_budget
         ));
-        let shard_count = self.shared.shards.len() as u64;
+        // block on the listener and the accept waker: a connection, a
+        // shutdown or a dump request ends the wait, and nothing else does
+        let mut set = PollSet::new();
+        let listener_slot = set.push(crate::poll::fd_of(&self.listener));
+        let waker_slot = set.push(self.shared.accept_waker.fd());
         while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
-                    self.shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                    self.shared.shards[(id % shard_count) as usize].push_socket(id, stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    self.shared.log(format_args!("accept error: {e}"));
-                    thread::sleep(Duration::from_millis(50));
-                }
+            set.wait(None);
+            if set.is_ready(waker_slot) {
+                self.shared.accept_waker.drain();
             }
-            // SIGUSR1 handshake: the handler only sets a flag; the actual
-            // blackbox dump happens here, off the signal stack
+            // SIGUSR1 handshake: the handler only sets a flag and wakes us;
+            // the actual blackbox dump happens here, off the signal stack
             if crate::flight::take_dump_request() {
                 match dump_blackbox(&self.shared) {
                     Ok(path) => self
@@ -623,8 +681,12 @@ impl Server {
                     Err(e) => self.shared.log(format_args!("blackbox dump failed: {e}")),
                 }
             }
+            if set.is_ready(listener_slot) {
+                self.accept_pending();
+            }
         }
         self.shared.accept_stopped.store(true, Ordering::SeqCst);
+        self.shared.wake_shards();
         self.drain();
         for t in shard_threads {
             t.join().expect("shard thread never panics");
@@ -636,6 +698,7 @@ impl Server {
             pool.shutdown();
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
+        self.shared.stop_waker.wake();
         sampler_thread.join().expect("sampler thread never panics");
         if let Some(t) = http_thread {
             t.join().expect("http thread never panics");
@@ -643,22 +706,62 @@ impl Server {
         Ok(self.shared.stats())
     }
 
-    /// Waits for in-flight connections to wind down, force-closing any left
-    /// after the drain timeout: shards honor the `force_close` flag on
-    /// their next tick.
-    fn drain(&self) {
-        let start = Instant::now();
-        let mut forced = false;
-        while self.shared.active_conns.load(Ordering::SeqCst) > 0 {
-            if !forced && start.elapsed() > self.shared.config.limits.drain_timeout {
-                forced = true;
-                self.shared.force_close.store(true, Ordering::SeqCst);
-                self.shared.log(format_args!(
-                    "drain timeout: force-closing {} connection(s)",
-                    self.shared.active_conns.load(Ordering::SeqCst)
-                ));
+    /// Accepts every connection the listener has queued and hands each to
+    /// its shard (`id % shard count`).
+    fn accept_pending(&self) {
+        let shard_count = self.shared.shards.len() as u64;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    let id = self.shared.next_conn.fetch_add(1, Ordering::Relaxed);
+                    self.shared.active_conns.fetch_add(1, Ordering::SeqCst);
+                    self.shared.shards[(id % shard_count) as usize].push_socket(id, stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    // out of descriptors, say: back off rather than spin on
+                    // a listener that stays readable, unless shutdown or a
+                    // dump request wakes us first
+                    self.shared.log(format_args!("accept error: {e}"));
+                    self.shared
+                        .accept_waker
+                        .wait(Some(Duration::from_millis(50)));
+                    return;
+                }
             }
-            thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    /// Waits for in-flight connections to wind down, force-closing any left
+    /// after the drain timeout: the last connection's teardown wakes the
+    /// accept waker this waits on, and a forced close wakes every shard.
+    fn drain(&self) {
+        let shared = &self.shared;
+        let start = Instant::now();
+        let deadline = start + shared.config.limits.drain_timeout;
+        let mut forced = false;
+        loop {
+            // drain before the check, so a teardown racing it leaves the
+            // waker readable for the wait below
+            shared.accept_waker.drain();
+            if shared.active_conns.load(Ordering::SeqCst) == 0 {
+                break;
+            }
+            let now = Instant::now();
+            if forced {
+                shared.accept_waker.wait(None);
+            } else if now >= deadline {
+                forced = true;
+                shared.force_close.store(true, Ordering::SeqCst);
+                shared.log(format_args!(
+                    "drain timeout: force-closing {} connection(s)",
+                    shared.active_conns.load(Ordering::SeqCst)
+                ));
+                shared.wake_shards();
+            } else {
+                shared.accept_waker.wait(Some(deadline - now));
+            }
         }
         twodprof_obs::histogram!(
             "serve_drain_micros",
@@ -706,8 +809,12 @@ fn sample_loop(shared: &Shared) {
             eprint!("{out}");
             last_stats = (now, snap);
         }
-        // sleep in short hops so shutdown isn't delayed by a long interval
-        thread::sleep(floor);
+        // sleep until the next record or print is due; the stop wake cuts
+        // the wait short, so a long interval never delays shutdown
+        let next = stats_every.map_or(next_record, |every| next_record.min(last_stats.0 + every));
+        shared
+            .stop_waker
+            .wait(Some(next.saturating_duration_since(Instant::now())));
     }
 }
 

@@ -3,14 +3,25 @@
 //! nonblocking sockets and a [`poll`](crate::poll) readiness loop instead
 //! of a thread per connection.
 //!
-//! A shard's tick: drain the inbox of newly accepted sockets, poll for
-//! readiness, then for each connection read whatever the kernel has, feed
-//! it through the incremental [`FrameDecoder`], handle complete frames
-//! (queueing replies into a per-connection out-buffer), pump any watch
-//! subscriber's drift queue, and flush the out-buffer until `WouldBlock`.
-//! Finally it sweeps idle connections (replacing the old GC thread) and
-//! records its self-health: tick and lag histograms plus the last-pass
-//! levels in [`ShardState`].
+//! The loop is event-driven: it blocks in `poll(2)` on its connections
+//! plus its own [`Waker`], and runs one iteration per wakeup. Other threads
+//! hand it work through its inbox — newly accepted sockets, finished
+//! compute replies and watch notifications — and wake it when the inbox
+//! goes from empty to non-empty; shutdown, accept-stop and force-close wake
+//! every shard. The only timeout is the next idle-sweep deadline, floored
+//! at [`MIN_POLL_TIMEOUT`], so an idle shard sleeps until something
+//! happens.
+//!
+//! An iteration: take the inbox, then service only the connections that
+//! poll reported ready or that the inbox touched — read whatever the
+//! kernel has, feed it through the incremental [`FrameDecoder`], handle
+//! complete frames (queueing replies into a per-connection out-buffer),
+//! pump any watch subscriber's drift queue, and flush the out-buffer until
+//! `WouldBlock`. The poll table persists across iterations and changes
+//! only on insert, teardown and interest changes. When the sweep deadline
+//! passes, idle connections are reaped (replacing the old GC thread).
+//! Finally the shard records its self-health: service-pass and loop-lag
+//! histograms plus the last-pass levels in [`ShardState`].
 //!
 //! Admission is tiered per shard: sessions are accepted with full service
 //! while the shard's resident recorded-trace bytes sit below half its
@@ -23,15 +34,14 @@
 //! Fabric compute connections (`SubmitJob`/`CacheQuery`) live here too.
 //! Cache queries are answered inline; submitted jobs go to the compute
 //! pool, whose workers push each finished `JobResult` onto the owning
-//! shard's inbox. The shard moves it into the connection's out-buffer on
-//! its next tick, so reply pickup shares the [`POLL_TICK`] bound of socket
-//! intake and watch pushes.
+//! shard's inbox. The push wakes the shard, which moves the reply into the
+//! connection's out-buffer at once.
 
 use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightKind;
-use crate::poll::{self, Interest};
-use crate::server::{detach_program, publish_drift, ProgramSession, Shared};
+use crate::poll::{PollSet, Waker};
+use crate::server::{detach_program, publish_drift, ProgramSession, Shared, Subscriber};
 use crate::spill::SessionTrace;
 use crate::wire::{
     codes, AdmissionTier, ClientFrame, FrameDecoder, Hello, ServerFrame, MAX_SITES,
@@ -50,30 +60,36 @@ use twodprof_obs::trace::{self, Span, TraceContext};
 use twodprof_obs::{Family, Histogram};
 use twodprof_stream::DriftEvent;
 
-/// Readiness-loop tick: the ceiling on how long a shard sleeps when no
-/// socket is ready. Bounds inbox pickup (new sockets and compute replies)
-/// and watch-push latency.
-const POLL_TICK: Duration = Duration::from_millis(10);
+/// Floor on a shard's poll timeout. The timeout is the next idle-sweep
+/// deadline, and a sweep due sooner than this waits this long, so a shard
+/// never polls in a tight loop on an almost-due deadline.
+const MIN_POLL_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Per-connection, per-tick ceiling on bytes pulled off the socket, so one
-/// fire-hose session cannot starve its shard siblings. A readable socket
-/// keeps the next poll from sleeping, so this caps latency, not
-/// throughput.
+/// Slot of a shard's poll table that holds its waker; connections follow.
+const WAKER_SLOT: usize = 0;
+
+/// Per-connection, per-iteration ceiling on bytes pulled off the socket,
+/// so one fire-hose session cannot starve its shard siblings. A socket
+/// with bytes left stays readable, so the next poll returns at once: this
+/// caps latency, not throughput.
 const MAX_READ_PER_TICK: usize = 4 << 20;
 
-/// Event-loop lag past which a tick is notable enough for the flight
-/// recorder: the shard spent this much longer than [`POLL_TICK`] on one
-/// iteration, starving its other connections.
+/// Loop lag past which an iteration is notable enough for the flight
+/// recorder: the shard spent this long outside `poll` on one iteration,
+/// starving its other connections.
 const SLOW_TICK_LAG: Duration = Duration::from_millis(250);
 
 /// State shared between a shard's event loop, the accept loop that feeds
 /// it, and admission decisions made on other threads.
 pub(crate) struct ShardState {
     pub(crate) index: usize,
-    /// Newly accepted sockets from the accept loop and finished job
-    /// replies from compute workers, drained by the shard's loop each tick
-    /// under one lock.
+    /// Newly accepted sockets from the accept loop, finished job replies
+    /// from compute workers and watch notifications from publishing
+    /// shards, taken by the shard's loop each iteration under one lock.
     inbox: Mutex<Vec<Inbox>>,
+    /// Ends the shard's poll wait: written when the inbox goes from empty
+    /// to non-empty, and on shutdown, accept-stop and force-close.
+    waker: Waker,
     /// Resident bytes of this shard's recorded session traces — the input
     /// to tiered admission.
     pub(crate) resident_bytes: AtomicU64,
@@ -81,11 +97,11 @@ pub(crate) struct ShardState {
     pub(crate) spilled_bytes: AtomicU64,
     /// Sessions currently open on this shard.
     pub(crate) sessions: AtomicUsize,
-    /// Duration of the last service pass (poll return to tick end), in
-    /// microseconds; `serve_shard{i}_last_tick_micros` in snapshots.
+    /// Duration of the last service pass (poll return to iteration end),
+    /// in microseconds; `serve_shard{i}_last_tick_micros` in snapshots.
     pub(crate) last_tick_micros: AtomicU64,
-    /// Event-loop lag of the last iteration — how far it ran past
-    /// [`POLL_TICK`] — in microseconds.
+    /// Loop lag of the last iteration — its time outside `poll` — in
+    /// microseconds.
     pub(crate) last_lag_micros: AtomicU64,
     /// Deepest per-connection reply backlog this shard has ever seen, in
     /// bytes.
@@ -98,39 +114,61 @@ enum Inbox {
     Socket(u64, TcpStream),
     /// An encoded `JobResult` frame for the connection with this id.
     Reply(u64, Vec<u8>),
+    /// The watch connection with this id has drift events (or a shed
+    /// notice) queued in its subscriber.
+    Watch(u64),
 }
 
 impl ShardState {
-    pub(crate) fn new(index: usize) -> Self {
-        Self {
+    pub(crate) fn new(index: usize) -> io::Result<Self> {
+        Ok(Self {
             index,
             inbox: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
             resident_bytes: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
             sessions: AtomicUsize::new(0),
             last_tick_micros: AtomicU64::new(0),
             last_lag_micros: AtomicU64::new(0),
             out_high_water: AtomicU64::new(0),
-        }
+        })
+    }
+
+    /// Ends the shard's current poll wait so it re-reads the daemon's
+    /// shutdown state.
+    pub(crate) fn wake(&self) {
+        self.waker.wake();
     }
 
     /// Hands a newly accepted socket to this shard.
     pub(crate) fn push_socket(&self, id: u64, stream: TcpStream) {
-        self.inbox
-            .lock()
-            .expect("shard inbox")
-            .push(Inbox::Socket(id, stream));
+        self.push(Inbox::Socket(id, stream));
     }
 
     /// Queues a compute reply for connection `conn`; the shard delivers it
-    /// on its next tick, or drops it if the connection is gone.
+    /// at once, or drops it if the connection is gone.
     pub(crate) fn push_reply(&self, conn: u64, frame: &ServerFrame) {
         let mut bytes = Vec::new();
         push_frame(&mut bytes, frame);
-        self.inbox
-            .lock()
-            .expect("shard inbox")
-            .push(Inbox::Reply(conn, bytes));
+        self.push(Inbox::Reply(conn, bytes));
+    }
+
+    /// Tells the shard that watch connection `conn` has queued drift.
+    pub(crate) fn push_watch(&self, conn: u64) {
+        self.push(Inbox::Watch(conn));
+    }
+
+    /// Appends to the inbox, waking the shard on the empty → non-empty
+    /// edge: a non-empty inbox already has a wake in flight, because the
+    /// loop drains its waker before it takes the inbox.
+    fn push(&self, entry: Inbox) {
+        let mut inbox = self.inbox.lock().expect("shard inbox");
+        let was_empty = inbox.is_empty();
+        inbox.push(entry);
+        drop(inbox);
+        if was_empty {
+            self.waker.wake();
+        }
     }
 }
 
@@ -164,12 +202,12 @@ pub(crate) fn current_tier(config: &ServerConfig, shard: &ShardState) -> Admissi
 static SHARD_TICK_HIST: Family<Histogram> = Family::histogram(
     "serve_shard",
     "_tick_micros",
-    "Shard service-pass duration per tick, in microseconds.",
+    "Shard service-pass duration per loop iteration, in microseconds.",
 );
 static SHARD_LAG_HIST: Family<Histogram> = Family::histogram(
     "serve_shard",
     "_loop_lag_micros",
-    "Shard event-loop lag per tick, in microseconds.",
+    "Shard loop lag per iteration (time outside poll), in microseconds.",
 );
 
 /// One live profiling session (between `Hello` and `Finish`).
@@ -201,7 +239,8 @@ struct LiveSession {
 /// One multiplexed connection owned by a shard.
 struct Conn {
     stream: TcpStream,
-    fd: i32,
+    /// This connection's slot in the shard's poll table.
+    slot: usize,
     decoder: FrameDecoder,
     /// Reply bytes not yet accepted by the kernel; `out_pos` is the sent
     /// prefix.
@@ -212,7 +251,7 @@ struct Conn {
     session: Option<Box<LiveSession>>,
     /// Set when the connection became a watch subscription: the shard
     /// pumps the queue into `out` and stops decoding client frames.
-    watch: Option<Arc<crate::server::Subscriber>>,
+    watch: Option<Arc<Subscriber>>,
     /// `Some(n)` once a job frame made this a compute channel, with `n`
     /// submitted jobs still owed a `JobResult`. The idle sweep spares the
     /// connection while any are outstanding.
@@ -224,17 +263,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        #[cfg(unix)]
-        let fd = {
-            use std::os::fd::AsRawFd;
-            stream.as_raw_fd()
-        };
-        #[cfg(not(unix))]
-        let fd = 0;
+    fn new(stream: TcpStream, slot: usize) -> Self {
         Self {
             stream,
-            fd,
+            slot,
             decoder: FrameDecoder::new(),
             out: Vec::new(),
             out_pos: 0,
@@ -251,6 +283,19 @@ impl Conn {
     fn out_pending(&self) -> bool {
         self.out_pos < self.out.len()
     }
+
+    /// Whether reading could still matter: not after the peer's EOF, nor
+    /// once the daemon is saying goodbye. Hangups and errors are reported
+    /// regardless, so dropping read interest never hides a dead peer.
+    fn wants_read(&self) -> bool {
+        !self.eof && !self.closing
+    }
+
+    /// Spared by the idle sweep: a compute channel still owed replies, or
+    /// a watcher, which is idle on purpose between drift events.
+    fn idle_exempt(&self) -> bool {
+        self.jobs.unwrap_or(0) > 0 || self.watch.is_some()
+    }
 }
 
 fn push_frame(out: &mut Vec<u8>, frame: &ServerFrame) {
@@ -261,7 +306,7 @@ fn push_error(out: &mut Vec<u8>, code: u64, msg: String) {
     push_frame(out, &ServerFrame::Error { code, msg });
 }
 
-/// What to do with a connection after servicing it this tick.
+/// What to do with a connection after servicing it this iteration.
 enum Fate {
     Keep,
     /// Tear the connection down (flushing was already attempted).
@@ -277,93 +322,191 @@ fn apply_delta(total: &AtomicU64, old: u64, new: u64) {
     }
 }
 
+/// A shard's connections and the persistent poll table that watches them:
+/// slot [`WAKER_SLOT`] is the waker, every other slot one connection.
+struct ConnTable {
+    conns: HashMap<u64, Conn>,
+    set: PollSet,
+    /// Connection id per poll slot (the waker's slot holds 0, never an id).
+    slot_ids: Vec<u64>,
+}
+
+impl ConnTable {
+    fn new(waker: &Waker) -> Self {
+        let mut set = PollSet::new();
+        set.push(waker.fd());
+        Self {
+            conns: HashMap::new(),
+            set,
+            slot_ids: vec![0],
+        }
+    }
+
+    fn insert(&mut self, id: u64, stream: TcpStream) {
+        let slot = self.set.push(crate::poll::fd_of(&stream));
+        self.slot_ids.push(id);
+        self.conns.insert(id, Conn::new(stream, slot));
+    }
+
+    /// Takes a connection out of the table, moving the last slot's
+    /// connection into its poll slot.
+    fn remove(&mut self, id: u64) -> Conn {
+        let conn = self.conns.remove(&id).expect("conn");
+        self.set.swap_remove(conn.slot);
+        self.slot_ids.swap_remove(conn.slot);
+        if let Some(&moved) = self.slot_ids.get(conn.slot) {
+            self.conns.get_mut(&moved).expect("moved conn").slot = conn.slot;
+        }
+        conn
+    }
+
+    /// Brings a kept connection's poll interest up to date.
+    fn refresh_interest(&mut self, id: u64) {
+        let conn = &self.conns[&id];
+        self.set
+            .set_interest(conn.slot, conn.wants_read(), conn.out_pending());
+    }
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<Instant>, b: Instant) -> Option<Instant> {
+    Some(a.map_or(b, |a| a.min(b)))
+}
+
 /// The shard thread body: multiplexes this shard's connections until
 /// shutdown has drained them all.
 pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
     let tick_hist = SHARD_TICK_HIST.get(shard.index);
     let lag_hist = SHARD_LAG_HIST.get(shard.index);
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut scratch_ids: Vec<u64> = Vec::new();
+    let idle_timeout = shared.config.limits.idle_timeout;
+    let mut table = ConnTable::new(&shard.waker);
+    let mut intake: Vec<Inbox> = Vec::new();
+    let mut touched: Vec<u64> = Vec::new();
+    // when the idle sweep next has something that could expire
+    let mut next_sweep: Option<Instant> = None;
     let mut prev_tier = AdmissionTier::Accept;
-    let mut iter_start = Instant::now();
+    let mut iter_end = Instant::now();
     loop {
-        // intake newly accepted sockets and finished compute replies
-        {
-            let mut inbox = shard.inbox.lock().expect("shard inbox");
-            for entry in inbox.drain(..) {
-                match entry {
-                    Inbox::Socket(id, stream) => {
-                        stream.set_nodelay(true).ok();
-                        if stream.set_nonblocking(true).is_err() {
-                            shared.conn_gone();
-                            continue;
-                        }
-                        conns.insert(id, Conn::new(stream));
-                    }
-                    // a reply whose connection is gone goes into the void
-                    Inbox::Reply(id, bytes) => {
-                        if let Some(conn) = conns.get_mut(&id) {
-                            conn.out.extend_from_slice(&bytes);
-                            conn.jobs = conn.jobs.map(|n| n.saturating_sub(1));
-                            conn.last_seen = Instant::now();
-                        }
-                    }
-                }
-            }
-        }
-        let draining = shared.is_draining();
-        if draining && conns.is_empty() && shared.accept_stopped() {
+        if shared.is_draining() && table.conns.is_empty() && shared.accept_stopped() {
             // re-check the inbox under its lock: the accept loop stopped,
-            // but a socket may have landed between our drain and its exit
-            // (orphan replies don't hold the shard up)
+            // but a socket may have landed after our last intake — its push
+            // woke us, so the wait below returns at once (orphan replies
+            // and watch notices don't hold the shard up)
             let inbox = shard.inbox.lock().expect("shard inbox");
             if !inbox.iter().any(|e| matches!(e, Inbox::Socket(..))) {
                 break;
             }
-            continue;
         }
 
-        scratch_ids.clear();
-        scratch_ids.extend(conns.keys().copied());
-        scratch_ids.sort_unstable();
-        let interests: Vec<Interest> = scratch_ids
-            .iter()
-            .map(|id| {
-                let c = &conns[id];
-                Interest {
-                    fd: c.fd,
-                    read: true,
-                    write: c.out_pending(),
-                }
-            })
-            .collect();
-        let ready = poll::wait(&interests, POLL_TICK);
+        let wait_start = Instant::now();
+        table.set.wait(next_sweep.map(|at| {
+            at.saturating_duration_since(wait_start)
+                .max(MIN_POLL_TIMEOUT)
+        }));
         let service_start = Instant::now();
+        // read after the wait: a shutdown wake must see the new state
+        let draining = shared.is_draining();
         let force = shared.force_closing();
+        let woken = table.set.is_ready(WAKER_SLOT);
+        if woken {
+            // drain before taking the inbox, so a push racing with the take
+            // leaves the waker readable for the next wait
+            shard.waker.drain();
+        }
 
-        for (i, &id) in scratch_ids.iter().enumerate() {
-            let conn = conns.get_mut(&id).expect("conn");
-            let readable = ready.get(i).is_none_or(|r| r.read);
+        // intake: newly accepted sockets, finished compute replies, and
+        // watch notifications
+        touched.clear();
+        std::mem::swap(&mut intake, &mut *shard.inbox.lock().expect("shard inbox"));
+        for entry in intake.drain(..) {
+            match entry {
+                Inbox::Socket(id, stream) => {
+                    stream.set_nodelay(true).ok();
+                    if stream.set_nonblocking(true).is_err() {
+                        shared.conn_gone();
+                        continue;
+                    }
+                    table.insert(id, stream);
+                    next_sweep = earliest(next_sweep, service_start + idle_timeout);
+                }
+                // a reply whose connection is gone goes into the void
+                Inbox::Reply(id, bytes) => {
+                    if let Some(conn) = table.conns.get_mut(&id) {
+                        conn.out.extend_from_slice(&bytes);
+                        conn.jobs = conn.jobs.map(|n| n.saturating_sub(1));
+                        conn.last_seen = service_start;
+                        next_sweep = earliest(next_sweep, service_start + idle_timeout);
+                        touched.push(id);
+                    }
+                }
+                Inbox::Watch(id) => touched.push(id),
+            }
+        }
+        // the ready set; a forced close or a drain-time wake widens it to
+        // every connection or every watcher
+        if force {
+            touched.extend(table.conns.keys().copied());
+        } else {
+            touched.extend(
+                (1..table.set.len())
+                    .filter(|&slot| table.set.is_ready(slot))
+                    .map(|slot| table.slot_ids[slot]),
+            );
+            if draining && woken {
+                // a drain-time wake may mean the last session ended: let
+                // every watcher re-check whether it can close
+                touched.extend(
+                    table
+                        .conns
+                        .iter()
+                        .filter(|(_, c)| c.watch.is_some())
+                        .map(|(&id, _)| id),
+                );
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+
+        let mut backlog = 0u64;
+        for &id in &touched {
+            let Some(conn) = table.conns.get_mut(&id) else {
+                continue;
+            };
+            let ready = table.set.readiness(conn.slot);
             let tick = Tick {
-                readable,
-                // output produced *this* tick was not registered for write
-                // interest, so attempt it optimistically; backlogged output
-                // waits for the kernel to report writability
-                writable: !interests[i].write || ready.get(i).is_none_or(|r| r.write),
+                readable: ready.read,
+                // output produced since the last wait was not registered
+                // for write interest, so attempt it optimistically;
+                // backlogged output waits for the kernel to report
+                // writability
+                writable: !table.set.wants_write(conn.slot) || ready.write,
                 draining,
                 force,
             };
-            if let Fate::Close = service_conn(shared, shard, id, conn, tick) {
-                let conn = conns.remove(&id).expect("conn");
-                teardown(shared, shard, id, conn);
+            match service_conn(shared, shard, id, conn, tick) {
+                Fate::Keep => {
+                    backlog = backlog.max((conn.out.len() - conn.out_pos) as u64);
+                    table.refresh_interest(id);
+                }
+                Fate::Close => {
+                    let conn = table.remove(id);
+                    teardown(shared, shard, id, conn);
+                }
             }
         }
-        // self-health: service-pass duration, event-loop lag beyond the
-        // poll tick, the deepest reply backlog, and tier transitions
+        if next_sweep.is_some_and(|at| service_start >= at) {
+            next_sweep = sweep_idle(shared, shard, &mut table, idle_timeout);
+        }
+
+        // self-health: service-pass duration, loop lag (the iteration's
+        // time outside poll), the deepest reply backlog, and tier
+        // transitions
         let now = Instant::now();
         let tick_time = now.duration_since(service_start);
-        let lag = now.duration_since(iter_start).saturating_sub(POLL_TICK);
-        iter_start = now;
+        let lag = now
+            .duration_since(iter_end)
+            .saturating_sub(service_start.duration_since(wait_start));
+        iter_end = now;
         tick_hist.observe_duration(tick_time);
         lag_hist.observe_duration(lag);
         shard
@@ -372,11 +515,6 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
         shard
             .last_lag_micros
             .store(lag.as_micros() as u64, Ordering::Relaxed);
-        let backlog = conns
-            .values()
-            .map(|c| (c.out.len() - c.out_pos) as u64)
-            .max()
-            .unwrap_or(0);
         shard.out_high_water.fetch_max(backlog, Ordering::Relaxed);
         if lag >= SLOW_TICK_LAG {
             shared.flight.record(
@@ -384,10 +522,9 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                 shard.index as u32,
                 0,
                 format!(
-                    "tick ran {}ms past the {}ms poll tick ({} connection(s))",
+                    "loop iteration spent {}ms outside poll ({} connection(s))",
                     lag.as_millis(),
-                    POLL_TICK.as_millis(),
-                    conns.len()
+                    table.conns.len()
                 ),
             );
         }
@@ -417,7 +554,41 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
     }
 }
 
-/// One tick's view of a connection, as the shard loop observed it.
+/// Reaps every connection idle past `idle_timeout` that is not exempt,
+/// and returns when the earliest survivor could next expire (`None` when
+/// nothing can).
+fn sweep_idle(
+    shared: &Arc<Shared>,
+    shard: &Arc<ShardState>,
+    table: &mut ConnTable,
+    idle_timeout: Duration,
+) -> Option<Instant> {
+    let mut expired = Vec::new();
+    let mut next = None;
+    for (&id, conn) in &table.conns {
+        if conn.idle_exempt() {
+            continue;
+        }
+        if conn.last_seen.elapsed() > idle_timeout {
+            expired.push(id);
+        } else {
+            next = earliest(next, conn.last_seen + idle_timeout);
+        }
+    }
+    for id in expired {
+        shared.log(format_args!("conn {id}: idle timeout, reaping"));
+        twodprof_obs::counter!(
+            "serve_sessions_reaped_total",
+            "Connections reaped by the idle-timeout sweep."
+        )
+        .inc();
+        let conn = table.remove(id);
+        teardown(shared, shard, id, conn);
+    }
+    next
+}
+
+/// One iteration's view of a connection, as the shard loop observed it.
 #[derive(Clone, Copy)]
 struct Tick {
     readable: bool,
@@ -426,8 +597,9 @@ struct Tick {
     force: bool,
 }
 
-/// Services one connection for one tick: read + decode + handle frames,
-/// pump the watch queue, flush the out-buffer, then decide its fate.
+/// Services one connection for one iteration: read + decode + handle
+/// frames, pump the watch queue, flush the out-buffer, then decide its
+/// fate. Idle reaping is the sweep's job, not this one's.
 fn service_conn(
     shared: &Arc<Shared>,
     shard: &Arc<ShardState>,
@@ -475,19 +647,10 @@ fn service_conn(
     if conn.closing && !conn.out_pending() {
         return Fate::Close;
     }
-    if conn.jobs.unwrap_or(0) == 0 && conn.last_seen.elapsed() > shared.config.limits.idle_timeout {
-        shared.log(format_args!("conn {id}: idle timeout, reaping"));
-        twodprof_obs::counter!(
-            "serve_sessions_reaped_total",
-            "Connections reaped by the idle-timeout sweep."
-        )
-        .inc();
-        return Fate::Close;
-    }
     Fate::Keep
 }
 
-/// Reads until `WouldBlock`, EOF, or the per-tick fairness cap, feeding
+/// Reads until `WouldBlock`, EOF, or the per-iteration fairness cap, feeding
 /// the incremental decoder. Watch connections discard the bytes instead —
 /// their frames were never read in the thread-per-connection design
 /// either, and decoding them would change that contract.
@@ -936,7 +1099,7 @@ fn handle_frame(
                 &ServerFrame::VerdictSnapshot(snapshot.to_bytes()),
             );
             if watch {
-                let sub = Arc::new(crate::server::Subscriber::default());
+                let sub = Arc::new(Subscriber::new(shard.clone(), id));
                 stream
                     .subscribers
                     .lock()
@@ -987,12 +1150,7 @@ fn compute_pool<'s>(shared: &'s Shared, id: u64, conn: &mut Conn) -> Option<&'s 
 /// Drains a watch subscriber's drift queue into the out-buffer; sheds the
 /// watcher with `Busy` on overflow and closes it cleanly once the daemon
 /// is draining (after the queue is empty and no session can publish more).
-fn pump_watch(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    sub: &crate::server::Subscriber,
-    draining: bool,
-) {
+fn pump_watch(shared: &Arc<Shared>, conn: &mut Conn, sub: &Subscriber, draining: bool) {
     let events: Vec<DriftEvent> = {
         let mut q = sub.queue.lock().expect("subscriber queue");
         if q.shed && !conn.closing {
@@ -1013,12 +1171,12 @@ fn pump_watch(
     for event in &events {
         push_frame(&mut conn.out, &ServerFrame::DriftEvent(event.to_bytes()));
     }
-    // an event-less watcher is idle on purpose
-    conn.last_seen = Instant::now();
     if draining && !conn.closing && shared.live_sessions.load(Ordering::SeqCst) == 0 {
         // every publisher is gone (Finish publishes before releasing its
         // session slot, so live == 0 means no more drift is coming):
-        // close the subscription cleanly — the watcher sees EOF
+        // close the subscription cleanly — the watcher sees EOF. A release
+        // to zero during drain wakes every shard, so this is re-checked
+        // when another shard's last session ends.
         sub.queue.lock().expect("subscriber queue").closed = true;
         conn.closing = true;
     }
@@ -1087,7 +1245,7 @@ fn release_session_accounting(
     live.resident_last = 0;
     live.spilled_last = 0;
     shard.sessions.fetch_sub(1, Ordering::Relaxed);
-    shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
+    shared.release_session_slot();
 }
 
 enum Admission {
@@ -1151,7 +1309,7 @@ fn admit(
     // up to the budget, shed beyond it (same tiering `/healthz` reports)
     let tier = match current_tier(&shared.config, shard) {
         AdmissionTier::Shed => {
-            shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
+            shared.release_session_slot();
             let msg = format!(
                 "shard {} memory budget exhausted ({} of {} bytes resident)",
                 shard.index,
@@ -1172,7 +1330,7 @@ fn admit(
             Ok(ps) => Some(ps),
             Err(msg) => {
                 // release the session slot claimed above
-                shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
+                shared.release_session_slot();
                 return Admission::Reject(codes::BAD_HELLO, msg);
             }
         }
