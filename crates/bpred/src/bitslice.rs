@@ -27,6 +27,7 @@
 //! state that is not a two-bit counter table, so [`lane_for`] declines them
 //! and the engine keeps them on the chunked scalar path.
 
+use crate::counter::NEXT;
 use crate::{site_pc, PredictorKind, TwoBitCounter};
 use btrace::SiteRun;
 
@@ -57,21 +58,9 @@ const fn build_step8() -> [[u16; 256]; 4] {
             let mut correct = 0u16;
             let mut i = 0;
             while i < 8 {
-                let taken = byte >> i & 1 == 1;
-                if (state >= 2) == taken {
-                    correct += 1;
-                }
-                state = if taken {
-                    if state < 3 {
-                        state + 1
-                    } else {
-                        3
-                    }
-                } else if state > 0 {
-                    state - 1
-                } else {
-                    0
-                };
+                let taken = (byte >> i & 1) as u16;
+                correct += ((state >> 1) == taken) as u16;
+                state = NEXT[(state << 1 | taken) as usize] as u16;
                 i += 1;
             }
             out[s][byte] = state | correct << 2;
@@ -551,9 +540,6 @@ impl RunLane for TournamentLane {
     }
 }
 
-/// Saturating-counter transition table indexed by `state << 1 | direction`.
-const NEXT: [u8; 8] = [0, 1, 0, 2, 1, 3, 2, 3];
-
 /// Every table-based SURVEY kind stepped in one fused pass over the run
 /// stream — the whole survey grid's simulations in a single loop.
 ///
@@ -817,8 +803,6 @@ mod tests {
                 assert_eq!(plane.step_lane_bit(67, taken as u64), expect_correct as u64);
                 assert_eq!(plane.state(67), scalar);
                 assert_eq!(plane.state(66).state(), state, "neighbor untouched");
-                // the byte-packed transition table agrees with the scalar
-                assert_eq!(NEXT[(state as usize) << 1 | taken as usize], scalar.state());
                 // via step_word, single-lane mask
                 let mut plane = CounterPlane::new(64, TwoBitCounter::try_from(state).unwrap());
                 let dirs = if taken { 1u64 << 13 } else { 0 };

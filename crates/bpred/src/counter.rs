@@ -1,5 +1,13 @@
 //! Saturating two-bit counters, the building block of table-based predictors.
 
+/// Saturating-counter transition table indexed by `state << 1 | direction`:
+/// the next state of a two-bit counter in `state` that resolves toward
+/// `direction`. The one definition of the saturating step — the scalar
+/// [`TwoBitCounter::update`] and the bit-sliced lanes of
+/// [`crate::bitslice`] both look it up — so the direction bit is data,
+/// never a branch.
+pub(crate) const NEXT: [u8; 8] = [0, 1, 0, 2, 1, 3, 2, 3];
+
 /// A saturating 2-bit up/down counter with the conventional four states
 /// `00` strongly not-taken … `11` strongly taken.
 ///
@@ -47,16 +55,12 @@ impl TwoBitCounter {
         self.0 >= 2
     }
 
-    /// Saturating update toward the resolved direction.
+    /// Saturating update toward the resolved direction: one lookup in
+    /// [`NEXT`], with no branch on `taken` (the mask keeps the index in
+    /// bounds without a check; states never exceed 3).
     #[inline]
     pub fn update(&mut self, taken: bool) {
-        if taken {
-            if self.0 < 3 {
-                self.0 += 1;
-            }
-        } else if self.0 > 0 {
-            self.0 -= 1;
-        }
+        self.0 = NEXT[((self.0 as usize) << 1 | taken as usize) & 7];
     }
 }
 

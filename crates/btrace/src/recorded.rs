@@ -98,9 +98,17 @@ impl RecordedTrace {
 
     /// Appends one event.
     ///
+    /// The direction is stored as data — `taken` is shifted into its bit
+    /// of the direction word, never branched on — so recording an
+    /// input-dependent branch costs the same as recording a biased one.
+    /// The only branches are on the event count (a fresh word every 64
+    /// events) and on the site delta's width, whose multi-byte case lives
+    /// out of line.
+    ///
     /// # Panics
     ///
     /// Panics if `site` is out of range for this trace's site table.
+    #[inline]
     pub fn push(&mut self, site: SiteId, taken: bool) {
         assert!(
             site.0 < self.num_sites,
@@ -108,30 +116,37 @@ impl RecordedTrace {
             self.num_sites
         );
         let delta = site.0 as i64 - self.last_site as i64;
-        let mut z = ((delta << 1) ^ (delta >> 63)) as u64;
+        let z = ((delta << 1) ^ (delta >> 63)) as u64;
         if z < 0x80 {
-            // common case: a near-by site, one delta byte, no loop
+            // common case: a near-by site, one delta byte
             self.site_deltas.push(z as u8);
         } else {
-            loop {
-                let byte = (z & 0x7F) as u8;
-                z >>= 7;
-                if z == 0 {
-                    self.site_deltas.push(byte);
-                    break;
-                }
-                self.site_deltas.push(byte | 0x80);
-            }
+            self.push_long_delta(z);
         }
         let bit = self.num_events & 63;
+        let dir = (taken as u64) << bit;
         if bit == 0 {
-            self.taken.push(0);
-        }
-        if taken {
-            *self.taken.last_mut().expect("word pushed") |= 1 << bit;
+            self.taken.push(dir);
+        } else {
+            let last = self.taken.len() - 1;
+            self.taken[last] |= dir;
         }
         self.last_site = site.0;
         self.num_events += 1;
+    }
+
+    /// Appends a zigzagged site delta of two or more LEB128 bytes.
+    #[cold]
+    fn push_long_delta(&mut self, mut z: u64) {
+        loop {
+            let byte = (z & 0x7F) as u8;
+            z >>= 7;
+            if z == 0 {
+                self.site_deltas.push(byte);
+                return;
+            }
+            self.site_deltas.push(byte | 0x80);
+        }
     }
 
     /// Feeds every event, in order, into `tracer`.

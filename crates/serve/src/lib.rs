@@ -58,6 +58,7 @@ mod http;
 mod poll;
 mod replay;
 mod server;
+mod session;
 mod shard;
 mod spill;
 mod summary;

@@ -5,12 +5,13 @@
 use crate::client::{
     fetch_trace, ClientError, ConnectOptions, RemoteReport, RemoteTracer, TraceLink,
 };
+use crate::session::session_sim;
 use bpred::PredictorKind;
 use btrace::{CountingTracer, Tee};
 use std::collections::HashSet;
 use std::fmt;
 use std::net::ToSocketAddrs;
-use twodprof_core::{ProfileReport, SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_core::{ProfileReport, SliceConfig};
 use twodprof_obs::trace::{self, ExportSpan, Span, TraceContext};
 use workloads::Scale;
 
@@ -131,8 +132,9 @@ impl ReplaySummary {
 ///
 /// With [`ReplaySpec::verify`] set, the single workload run is fanned out
 /// through a [`Tee`] to both the [`RemoteTracer`] and a local
-/// [`TwoDProfiler`] with identical configuration, so the two reports must be
-/// bit-identical for a correct daemon.
+/// [`TwoDProfiler`](twodprof_core::TwoDProfiler) with identical
+/// configuration, so the two reports must be bit-identical for a correct
+/// daemon.
 ///
 /// # Errors
 ///
@@ -178,7 +180,7 @@ pub fn replay_workload(
     let link = session.trace_link();
     let remote = RemoteTracer::with_batch_size(session, spec.batch);
     let (events, remote, local) = if spec.verify {
-        let local = TwoDProfiler::new(workload.sites().len(), spec.predictor.build(), slice);
+        let local = session_sim(spec.predictor, workload.sites().len(), slice);
         let mut tee = Tee::new(remote, local);
         {
             let _sp = ctx.is_active().then(|| Span::enter("client.stream"));
@@ -187,11 +189,7 @@ pub fn replay_workload(
         let (remote, local) = tee.into_inner();
         let events = remote.events_total();
         let _sp = ctx.is_active().then(|| Span::enter("client.finish"));
-        (
-            events,
-            remote.finish()?,
-            Some(local.finish(Thresholds::paper())),
-        )
+        (events, remote.finish()?, Some(local.finish()))
     } else {
         let mut remote = remote;
         {

@@ -23,6 +23,14 @@
 //! Finally the shard records its self-health: service-pass and loop-lag
 //! histograms plus the last-pass levels in [`ShardState`].
 //!
+//! An `Events` frame is decoded in place into the connection's recycled
+//! event vector, and handled with one virtual call into the session's
+//! [`SessionSim`], which runs one monomorphic loop over the frame:
+//! predictor step, 2D accumulation, stream tally and recording. The
+//! direction bits are data on that path — the two-bit counter update is a
+//! table lookup and the recording shifts each bit into place — so no
+//! per-event branch follows the branch being profiled.
+//!
 //! Admission is tiered per shard: sessions are accepted with full service
 //! while the shard's resident recorded-trace bytes sit below half its
 //! memory budget, admitted *degraded* (no recording, streaming verdicts
@@ -42,20 +50,19 @@ use crate::config::ServerConfig;
 use crate::flight::FlightKind;
 use crate::poll::{PollSet, Waker};
 use crate::server::{detach_program, publish_drift, ProgramSession, Shared, Subscriber};
+use crate::session::{session_sim, SessionSim};
 use crate::spill::SessionTrace;
 use crate::wire::{
     codes, AdmissionTier, ClientFrame, FrameDecoder, Hello, ServerFrame, MAX_SITES,
     PROTOCOL_VERSION,
 };
-use bpred::BranchPredictor;
-use btrace::SiteId;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_core::SliceConfig;
 use twodprof_obs::trace::{self, Span, TraceContext};
 use twodprof_obs::{Family, Histogram};
 use twodprof_stream::DriftEvent;
@@ -73,6 +80,11 @@ const WAKER_SLOT: usize = 0;
 /// with bytes left stays readable, so the next poll returns at once: this
 /// caps latency, not throughput.
 const MAX_READ_PER_TICK: usize = 4 << 20;
+
+/// Largest `Events` vector a connection keeps for reuse (512 KiB, eight
+/// default client batches). A rare larger frame's vector is freed rather
+/// than pinned for the life of the connection.
+const MAX_SPARE_EVENTS: usize = 1 << 16;
 
 /// Loop lag past which an iteration is notable enough for the flight
 /// recorder: the shard spent this long outside `poll` on one iteration,
@@ -212,7 +224,9 @@ static SHARD_LAG_HIST: Family<Histogram> = Family::histogram(
 
 /// One live profiling session (between `Hello` and `Finish`).
 struct LiveSession {
-    profiler: TwoDProfiler<Box<dyn BranchPredictor>>,
+    /// The session predictor's 2D-profiling run, one virtual call per
+    /// `Events` frame.
+    sim: Box<dyn SessionSim>,
     num_sites: u32,
     events: u64,
     /// The session's spillable branch-stream recording, present when the
@@ -242,6 +256,9 @@ struct Conn {
     /// This connection's slot in the shard's poll table.
     slot: usize,
     decoder: FrameDecoder,
+    /// The last `Events` frame's vector, handed back to the decoder so a
+    /// session's frames reuse one allocation.
+    spare_events: Vec<(u32, bool)>,
     /// Reply bytes not yet accepted by the kernel; `out_pos` is the sent
     /// prefix.
     out: Vec<u8>,
@@ -268,6 +285,7 @@ impl Conn {
             stream,
             slot,
             decoder: FrameDecoder::new(),
+            spare_events: Vec::new(),
             out: Vec::new(),
             out_pos: 0,
             last_seen: Instant::now(),
@@ -693,7 +711,7 @@ fn process_frames(
         if conn.closing {
             return Ok(());
         }
-        let frame = match conn.decoder.next_client() {
+        let frame = match conn.decoder.next_client_reusing(&mut conn.spare_events) {
             Ok(Some(frame)) => frame,
             Ok(None) => return Ok(()),
             Err(e) => {
@@ -851,7 +869,13 @@ fn handle_frame(
                 conn.closing = true;
                 return Ok(());
             }
-            if let Some(&(site, _)) = events.iter().find(|&&(site, _)| site >= live.num_sites) {
+            // one branch-free max over the frame; the search below runs
+            // only to name the offender
+            if events.iter().map(|&(site, _)| site).max() >= Some(live.num_sites) {
+                let (site, _) = events
+                    .iter()
+                    .find(|&&(site, _)| site >= live.num_sites)
+                    .expect("an event past the table");
                 push_error(
                     &mut conn.out,
                     codes::SITE_RANGE,
@@ -860,34 +884,13 @@ fn handle_frame(
                 conn.closing = true;
                 return Ok(());
             }
-            match live.program.as_mut() {
-                // Streaming sessions iterate in chunks bounded by the
-                // open epoch's remaining capacity, so the per-event
-                // streaming cost is two counter adds — the slice
-                // bookkeeping settles once per chunk.
-                Some(ps) => {
-                    let mut rest = &events[..];
-                    while !rest.is_empty() {
-                        let take = (ps.ingest.slice_remaining() as usize).min(rest.len());
-                        for &(site, taken) in &rest[..take] {
-                            let correct = live.profiler.branch_outcome(SiteId(site), taken);
-                            ps.ingest.tally(SiteId(site), correct);
-                            if let Some(rec) = live.recorded.as_mut() {
-                                rec.branch(SiteId(site), taken);
-                            }
-                        }
-                        ps.ingest.advance(take as u64);
-                        rest = &rest[take..];
-                    }
-                }
-                None => {
-                    for &(site, taken) in &events {
-                        live.profiler.branch_outcome(SiteId(site), taken);
-                        if let Some(rec) = live.recorded.as_mut() {
-                            rec.branch(SiteId(site), taken);
-                        }
-                    }
-                }
+            live.sim.ingest(
+                &events,
+                live.program.as_mut().map(|ps| &mut ps.ingest),
+                live.recorded.as_mut(),
+            );
+            if events.capacity() <= MAX_SPARE_EVENTS {
+                conn.spare_events = events;
             }
             live.events += n;
             shared.events_ingested.fetch_add(n, Ordering::Relaxed);
@@ -986,7 +989,7 @@ fn handle_frame(
                 .inc();
             }
             let events = live.events;
-            let report = live.profiler.finish(Thresholds::paper());
+            let report = live.sim.finish();
             shared.log(format_args!(
                 "conn {id}: session finished, {events} event(s), {} site(s)",
                 report.num_sites()
@@ -1025,8 +1028,8 @@ fn handle_frame(
                 conn.closing = true;
                 return Ok(());
             };
-            let mut profiler = TwoDProfiler::new(live.num_sites as usize, kind.build(), live.slice);
-            if let Err(e) = rec.replay_into(&mut profiler) {
+            let mut sim = session_sim(kind, live.num_sites as usize, live.slice);
+            if let Err(e) = sim.replay(rec) {
                 push_error(
                     &mut conn.out,
                     codes::BAD_STATE,
@@ -1035,7 +1038,7 @@ fn handle_frame(
                 conn.closing = true;
                 return Ok(());
             }
-            let report = profiler.finish(Thresholds::paper());
+            let report = sim.finish();
             twodprof_obs::counter!(
                 "trace_replay_total",
                 "Jobs served by replaying a recorded trace; one simulation may serve several."
@@ -1363,7 +1366,7 @@ fn admit(
         )
     });
     Admission::Accept(Box::new(LiveSession {
-        profiler: TwoDProfiler::new(hello.num_sites as usize, hello.predictor.build(), config),
+        sim: session_sim(hello.predictor, hello.num_sites as usize, config),
         num_sites: hello.num_sites,
         events: 0,
         recorded,

@@ -56,11 +56,6 @@ impl SessionTrace {
         }
     }
 
-    /// Appends one event to the tail.
-    pub(crate) fn branch(&mut self, site: SiteId, taken: bool) {
-        self.active.push(site, taken);
-    }
-
     /// Total events recorded (segments + tail).
     pub(crate) fn events(&self) -> u64 {
         self.spilled_events + self.active.events()
@@ -117,6 +112,14 @@ impl SessionTrace {
         }
         self.active.replay_into(tracer);
         Ok(())
+    }
+}
+
+impl Tracer for SessionTrace {
+    /// Appends one event to the tail.
+    #[inline]
+    fn branch(&mut self, site: SiteId, taken: bool) {
+        self.active.push(site, taken);
     }
 }
 

@@ -365,7 +365,7 @@ fn resim_reports_match_in_process_runs_for_every_predictor() {
     assert_eq!(session.flush().expect("flush"), 20_000);
     // one streamed session, every predictor re-simulated server-side — each
     // report must be bit-identical to an in-process run over the same prefix
-    for &kind in &PredictorKind::EXTENDED {
+    for kind in PredictorKind::SURVEY {
         let remote = session.resimulate(kind).expect("resim");
         assert_eq!(
             remote.bytes(),
@@ -393,6 +393,44 @@ fn resim_reports_match_in_process_runs_for_every_predictor() {
     assert_eq!(stats.sessions_finished, 1);
     assert_eq!(stats.sessions_aborted, 0);
     assert_eq!(stats.events_ingested, stream.len() as u64);
+}
+
+/// Every predictor a session can name, live: one session per kind, with a
+/// streaming program attached and recording on, so each monomorphic
+/// ingest loop the daemon builds (predictor step, stream tally and
+/// recording together) must match a plain in-process run.
+#[test]
+fn live_sessions_match_in_process_runs_for_every_predictor() {
+    const NUM_SITES: usize = 24;
+    let daemon = Daemon::start(Daemon::quiet_config());
+    let slice = SliceConfig::new(700, 8);
+    let stream = synthetic_stream(23, 12_000, NUM_SITES as u32);
+    for kind in PredictorKind::SURVEY {
+        let mut session = ConnectOptions::new(NUM_SITES, kind, slice)
+            .program("every-kind")
+            .connect(daemon.addr)
+            .expect("connect");
+        // uneven batches, so frames straddle slices and stream epochs
+        for batch in stream.chunks(1_537) {
+            session.send_events(batch).expect("send");
+        }
+        let expected = local_report_bytes(&stream, NUM_SITES, kind, slice);
+        // a resim succeeds only on a recorded session, and replays what
+        // the live loop recorded
+        let resim = session
+            .resimulate(kind)
+            .expect("resim of a recorded session");
+        assert_eq!(resim.bytes(), &expected[..], "recording under {kind}");
+        let report = session.finish().expect("finish");
+        assert_eq!(report.bytes(), &expected[..], "live session under {kind}");
+    }
+    let stats = daemon.stop();
+    assert_eq!(stats.sessions_finished, PredictorKind::SURVEY.len() as u64);
+    assert_eq!(stats.sessions_aborted, 0);
+    assert_eq!(
+        stats.events_ingested,
+        (stream.len() * PredictorKind::SURVEY.len()) as u64
+    );
 }
 
 #[test]
@@ -852,18 +890,27 @@ fn job_frames_are_refused_outside_a_compute_channel() {
 fn compute_channel_outlives_idle_timeout_while_a_job_runs() {
     let idle = Duration::from_millis(20);
     // a job that runs far past the idle timeout on this machine: time it
-    // locally first, escalating the scale until it is slow enough
-    let (spec, expected) = [Scale::Small, Scale::Full]
+    // locally first, escalating until one is slow enough. The last
+    // candidate, TAGE at full scale, has no fast path in the engine, so it
+    // stays slow in an optimized build.
+    let candidates = [
+        (Scale::Small, PredictorKind::Perceptron16Kb),
+        (Scale::Full, PredictorKind::Perceptron16Kb),
+        (Scale::Full, PredictorKind::Tage8Kb),
+    ];
+    let last = candidates.len() - 1;
+    let (spec, expected) = candidates
         .into_iter()
-        .map(|scale| {
-            let spec = JobSpec::two_d("gcc", "train", scale, PredictorKind::Perceptron16Kb);
+        .enumerate()
+        .map(|(i, (scale, kind))| {
+            let spec = JobSpec::two_d("gcc", "train", scale, kind);
             let start = Instant::now();
             let bytes = local_payload(&spec);
-            (spec, bytes, start.elapsed())
+            (i, spec, bytes, start.elapsed())
         })
-        .find(|(spec, _, took)| *took >= idle * 20 || spec.scale == Scale::Full)
-        .map(|(spec, bytes, _)| (spec, bytes))
-        .expect("a Full-scale job always qualifies");
+        .find(|(i, _, _, took)| *took >= idle * 20 || *i == last)
+        .map(|(_, spec, bytes, _)| (spec, bytes))
+        .expect("the last candidate always qualifies");
     let daemon = compute_daemon(idle);
     let mut chan = TcpStream::connect(daemon.addr).expect("connect");
     chan.set_read_timeout(Some(Duration::from_secs(120)))

@@ -10,7 +10,7 @@ use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_engine::JobSpec;
 use twodprof_serve::wire::{
     AdmissionTier, ClientFrame, FrameDecoder, Hello, JobOutcome, JobPayload, ServerFrame,
-    PROTOCOL_VERSION,
+    MAX_EVENTS_PER_FRAME, PROTOCOL_VERSION,
 };
 use workloads::Scale;
 
@@ -323,6 +323,144 @@ proptest! {
         prop_assert_eq!(decoder.buffered(), 0, "no bytes may be left behind");
         prop_assert_eq!(&decoded, &frames);
         prop_assert_eq!(decoded, blocking_decode(&bytes));
+    }
+}
+
+/// Drains with the shard's recycling path: each decoded `Events` vector,
+/// contents and all, comes back as the spare for the next frame.
+fn drain_reusing(decoder: &mut FrameDecoder, spare: &mut Vec<(u32, bool)>) -> Vec<ClientFrame> {
+    let mut frames = Vec::new();
+    while let Some(frame) = decoder.next_client_reusing(spare).unwrap() {
+        match frame {
+            ClientFrame::Events(events) => {
+                frames.push(ClientFrame::Events(events.clone()));
+                *spare = events;
+            }
+            other => frames.push(other),
+        }
+    }
+    frames
+}
+
+/// Cut points splitting `len` bytes: every byte on its own, or the
+/// random `splits`.
+fn cut_points(len: usize, one_byte: bool, splits: &[u16]) -> Vec<usize> {
+    let mut cuts: Vec<usize> = if one_byte {
+        (0..=len).collect()
+    } else {
+        splits.iter().map(|&s| s as usize % (len + 1)).collect()
+    };
+    cuts.push(0);
+    cuts.push(len);
+    cuts.sort_unstable();
+    cuts
+}
+
+/// One complete frame around `payload`, whatever the payload holds.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    btrace::write_frame(&mut bytes, payload).unwrap();
+    bytes
+}
+
+proptest! {
+    // The shard decodes each Events frame into the previous frame's
+    // vector. A long frame followed by a shorter one must not leak the
+    // long frame's tail into the short one, under any read boundaries.
+    #[test]
+    fn recycling_decoder_matches_the_blocking_reader(
+        raw in prop::collection::vec((0u32..1 << 20, any::<bool>(), 0u8..4), 1..300),
+        short_seed in any::<u16>(),
+        kinds in prop::collection::vec(any::<u8>(), 0..6),
+        name in "[a-z0-9./-]{0,24}",
+        pred_seed in any::<u8>(),
+        one_byte in any::<bool>(),
+        splits in prop::collection::vec(any::<u16>(), 0..32),
+    ) {
+        // three events in four at a hot site below 64 (one byte each), so
+        // runs of one-byte events alternate with wider ones
+        let long: Vec<(u32, bool)> = raw
+            .iter()
+            .map(|&(site, taken, hot)| (if hot > 0 { site % 64 } else { site }, taken))
+            .collect();
+        let short_len = short_seed as usize % long.len();
+        // the short frame differs from the long one in every event, so a
+        // stale event shows as a wrong value, not only a wrong length
+        let short: Vec<(u32, bool)> =
+            long[..short_len].iter().map(|&(site, taken)| (site ^ 1, !taken)).collect();
+        let mut frames = vec![ClientFrame::Events(long.clone()), ClientFrame::Events(short)];
+        frames.extend(kinds.iter().map(|&k| client_frame_from(k, &long[short_len..], &name, pred_seed)));
+        frames.push(ClientFrame::Events(Vec::new()));
+        let bytes = wire_bytes(&frames);
+        let mut decoder = FrameDecoder::new();
+        let mut spare = Vec::new();
+        let mut decoded = Vec::new();
+        for pair in cut_points(bytes.len(), one_byte, &splits).windows(2) {
+            decoder.push(&bytes[pair[0]..pair[1]]);
+            decoded.extend(drain_reusing(&mut decoder, &mut spare));
+        }
+        prop_assert_eq!(decoder.buffered(), 0, "no bytes may be left behind");
+        prop_assert_eq!(&decoded, &frames);
+        prop_assert_eq!(decoded, blocking_decode(&bytes));
+    }
+
+    // A complete frame whose Events body stops short is an error on both
+    // paths — never a panic, never a partial batch.
+    #[test]
+    fn truncated_events_body_is_an_error_on_both_paths(
+        events in prop::collection::vec((0u32..1 << 20, any::<bool>()), 1..200),
+        cut_seed in any::<u16>(),
+        one_byte in any::<bool>(),
+        splits in prop::collection::vec(any::<u16>(), 0..8),
+    ) {
+        let payload = ClientFrame::Events(events).encode();
+        // keep the tag, drop at least the last byte
+        let keep = 1 + cut_seed as usize % (payload.len() - 1);
+        let body = &payload[..keep];
+        prop_assert!(ClientFrame::decode(body).is_err());
+        let bytes = framed(body);
+        let mut decoder = FrameDecoder::new();
+        let mut spare = vec![(7, true); 3];
+        let mut outcome = None;
+        for pair in cut_points(bytes.len(), one_byte, &splits).windows(2) {
+            decoder.push(&bytes[pair[0]..pair[1]]);
+            match decoder.next_client_reusing(&mut spare) {
+                Ok(None) => {}
+                other => {
+                    outcome = Some(other);
+                    break;
+                }
+            }
+        }
+        prop_assert!(matches!(outcome, Some(Err(_))), "got {:?}", outcome);
+    }
+
+    // An Events frame may declare up to MAX_EVENTS_PER_FRAME events; a
+    // frame that declares more than its bytes can hold must fail without
+    // reserving for the declared count.
+    #[test]
+    fn events_count_beyond_the_payload_reserves_only_the_payload(
+        events in prop::collection::vec((0u32..1 << 20, any::<bool>()), 0..100),
+        declared_seed in any::<u32>(),
+    ) {
+        let encoded = ClientFrame::Events(events.clone()).encode();
+        // the count of under 128 events is the single byte after the tag
+        let body = &encoded[2..];
+        let declared = body.len() + 1 + declared_seed as usize % (MAX_EVENTS_PER_FRAME - body.len());
+        let mut payload = vec![encoded[0]];
+        btrace::write_varint(&mut payload, declared as u64).unwrap();
+        payload.extend_from_slice(body);
+        prop_assert!(ClientFrame::decode(&payload).is_err());
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&framed(&payload));
+        let mut spare = Vec::new();
+        prop_assert!(decoder.next_client_reusing(&mut spare).is_err());
+        prop_assert!(
+            spare.capacity() <= payload.len(),
+            "reserved {} events for a {}-byte payload",
+            spare.capacity(),
+            payload.len()
+        );
     }
 }
 

@@ -61,12 +61,12 @@ echo "stitched trace OK: $TRACE_OUT"
 
 # the metrics endpoint must answer with exposition text reflecting the replay
 STATS="$("$BIN_DIR/twodprof-client" stats --addr "$ADDR")"
-echo "$STATS" | grep -q '^serve_sessions_finished_total 1$' || {
+grep -q '^serve_sessions_finished_total 1$' <<<"$STATS" || {
     echo "$STATS"
     echo "stats output missing finished-session counter"
     exit 1
 }
-echo "$STATS" | grep -q '^serve_events_total [1-9]' || {
+grep -q '^serve_events_total [1-9]' <<<"$STATS" || {
     echo "$STATS"
     echo "stats output missing ingested-events counter"
     exit 1
@@ -101,12 +101,12 @@ wait "$DRIVE1_PID" || { echo "first drive client failed"; exit 1; }
 wait "$DRIVE2_PID" || { echo "second drive client failed"; exit 1; }
 
 SOAK_STATS="$("$BIN_DIR/twodprof-client" stats --addr "$ADDR")"
-echo "$SOAK_STATS" | grep -q '^stream_drift_events_total [1-9]' || {
+grep -q '^stream_drift_events_total [1-9]' <<<"$SOAK_STATS" || {
     echo "$SOAK_STATS"
     echo "stats output missing drift-event counter"
     exit 1
 }
-if echo "$SOAK_STATS" | grep -q '^serve_frame_decode_errors_total [1-9]'; then
+if grep -q '^serve_frame_decode_errors_total [1-9]' <<<"$SOAK_STATS"; then
     echo "$SOAK_STATS"
     echo "frame decode errors during soak"
     exit 1
