@@ -4,10 +4,10 @@
 //! [`SliceAccum`] owns everything in a 2D-profiling run *except* the
 //! predictor simulation: the per-branch [`BranchState`](crate::BranchState)
 //! table, the global slice clock, the program-accuracy totals, optional
-//! time-series recording, and the finish-time MEAN/STD/PAM evaluation.
-//! [`TwoDProfiler`](crate::TwoDProfiler) drives it one event at a time;
-//! the sweep engine's bit-sliced lane group drives it in per-site batches,
-//! folding each site's `(executions, correct)` once per slice.
+//! time-series recording, and the statistics its finish-time report
+//! classifies. [`TwoDProfiler`](crate::TwoDProfiler) drives it one event at
+//! a time; the sweep engine's bit-sliced lane group drives it in per-site
+//! batches, folding each site's `(executions, correct)` once per slice.
 //!
 //! Both drivers produce bit-identical [`ProfileReport`]s because every
 //! per-event quantity is a `u64` addition (associative, so batch order
@@ -15,9 +15,8 @@
 //! here, at slice boundaries, in site order — exactly where and how the
 //! per-event path has always done it.
 
-use crate::report::SeriesData;
-use crate::thresholds::evaluate;
-use crate::{BranchStats, Classification, ProfileReport, SliceConfig, Thresholds};
+use crate::report::{Measured, SeriesData};
+use crate::{ProfileReport, SliceConfig, Thresholds};
 use btrace::SiteId;
 
 /// Slice accounting for one profiling run: per-branch state, the global
@@ -193,49 +192,27 @@ impl SliceAccum {
         self.in_slice = 0;
     }
 
-    /// Ends the run: folds any open partial slice, resolves the MEAN-test
-    /// threshold against the run's overall accuracy, applies the three
-    /// tests to every branch, and returns the report attributed to
-    /// `predictor_name`.
+    /// Ends the run: folds any open partial slice and returns the report,
+    /// attributed to `predictor_name` and classified against the run's
+    /// overall accuracy.
     pub fn finish(mut self, thresholds: Thresholds, predictor_name: String) -> ProfileReport {
         if self.in_slice > 0 {
             self.roll_slice();
         }
         let program_accuracy =
             (self.total_exec > 0).then(|| self.total_correct as f64 / self.total_exec as f64);
-        // With an empty run every branch is Insufficient and the MEAN
-        // threshold is never consulted; 1.0 is a harmless stand-in.
-        let resolved = program_accuracy.map(|a| thresholds.resolve_mean(a));
-        let stats = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let site = SiteId(i as u32);
-                let outcomes = evaluate(st, &thresholds, program_accuracy.unwrap_or(1.0));
-                let classification = match outcomes {
-                    None => Classification::Insufficient,
-                    Some(o) if o.predicts_dependent() => Classification::Dependent,
-                    Some(_) => Classification::Independent,
-                };
-                BranchStats {
-                    site,
-                    slices: st.slices(),
-                    mean: st.mean(),
-                    std_dev: st.std_dev(),
-                    pam_fraction: st.points_above_mean(),
-                    executions: st.total_executions(),
-                    aggregate_accuracy: st.aggregate_accuracy(),
-                    outcomes,
-                    classification,
-                }
-            })
-            .collect();
+        let measured = self.states.iter().map(|st| Measured {
+            slices: st.slices(),
+            mean: st.mean(),
+            std_dev: st.std_dev(),
+            pam_fraction: st.points_above_mean(),
+            executions: st.total_executions(),
+            aggregate_accuracy: st.aggregate_accuracy(),
+        });
         ProfileReport::new(
-            stats,
+            measured,
             thresholds,
             program_accuracy,
-            resolved,
             self.slice_index,
             self.total_exec,
             predictor_name,

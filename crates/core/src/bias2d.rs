@@ -13,8 +13,8 @@
 //! frequency, `max(r, 1-r)`), since "low accuracy" has no direct analogue
 //! for edges but "weak bias" does.
 
-use crate::report::SeriesData;
-use crate::{BranchStats, Classification, ProfileReport, SliceConfig, TestOutcomes, Thresholds};
+use crate::report::{Measured, SeriesData};
+use crate::{ProfileReport, SliceConfig, Thresholds};
 use btrace::{SiteId, Tracer};
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -151,46 +151,21 @@ impl Bias2DProfiler {
             (s + r.max(1.0 - r) * st.total_exec as f64, t + st.total_exec)
         });
         let program_bias = (wtot > 0).then(|| wsum / wtot as f64);
-        let resolved = program_bias.map(|b| thresholds.resolve_mean(b));
-        let stats = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let outcomes = st.mean_bias().map(|mb| TestOutcomes {
-                    mean: mb < resolved.unwrap_or(1.0),
-                    std: st.std_rate().expect("n > 0") > thresholds.std,
-                    pam: {
-                        let p = st.pam().expect("n > 0");
-                        p >= thresholds.pam && p <= 1.0 - thresholds.pam
-                    },
-                });
-                let classification = match outcomes {
-                    None => Classification::Insufficient,
-                    Some(o) if o.predicts_dependent() => Classification::Dependent,
-                    Some(_) => Classification::Independent,
-                };
-                BranchStats {
-                    site: SiteId(i as u32),
-                    slices: st.n,
-                    mean: st.mean_bias(),
-                    std_dev: st.std_rate(),
-                    pam_fraction: st.pam(),
-                    executions: st.total_exec,
-                    aggregate_accuracy: (st.total_exec > 0).then(|| {
-                        let r = st.total_taken as f64 / st.total_exec as f64;
-                        r.max(1.0 - r)
-                    }),
-                    outcomes,
-                    classification,
-                }
-            })
-            .collect();
+        let measured = self.states.iter().map(|st| Measured {
+            slices: st.n,
+            mean: st.mean_bias(),
+            std_dev: st.std_rate(),
+            pam_fraction: st.pam(),
+            executions: st.total_exec,
+            aggregate_accuracy: (st.total_exec > 0).then(|| {
+                let r = st.total_taken as f64 / st.total_exec as f64;
+                r.max(1.0 - r)
+            }),
+        });
         ProfileReport::new(
-            stats,
+            measured,
             thresholds,
             program_bias,
-            resolved,
             self.slice_index,
             self.total_events,
             "edge-bias".to_owned(),
@@ -218,7 +193,7 @@ impl Tracer for Bias2DProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Thresholds;
+    use crate::{Classification, Thresholds};
 
     #[test]
     fn bias_phase_shift_is_flagged() {

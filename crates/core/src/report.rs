@@ -59,6 +59,18 @@ pub struct BranchStats {
     pub classification: Classification,
 }
 
+/// One branch's statistics as a profiler measured them, before any test
+/// ran: the [`BranchStats`] fields [`ProfileReport::new`] classifies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Measured {
+    pub slices: u64,
+    pub mean: Option<f64>,
+    pub std_dev: Option<f64>,
+    pub pam_fraction: Option<f64>,
+    pub executions: u64,
+    pub aggregate_accuracy: Option<f64>,
+}
+
 /// The complete result of one 2D-profiling run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileReport {
@@ -83,27 +95,72 @@ pub(crate) struct SeriesData {
 }
 
 impl ProfileReport {
-    #[allow(clippy::too_many_arguments)]
+    /// Builds a report from per-site measurements (site `i` is the `i`-th
+    /// item), classifying each through [`Thresholds::classify`] against
+    /// `program_accuracy` — the run's overall accuracy, or for a bias report
+    /// its overall bias; `None` for an empty run.
     pub(crate) fn new(
-        stats: Vec<BranchStats>,
+        measured: impl IntoIterator<Item = Measured>,
         thresholds: Thresholds,
         program_accuracy: Option<f64>,
-        resolved_mean_threshold: Option<f64>,
         total_slices: u64,
         total_branches: u64,
         predictor_name: String,
         series: Option<SeriesData>,
     ) -> Self {
+        let stats = measured
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let (outcomes, classification) =
+                    thresholds.classify(m.mean, m.std_dev, m.pam_fraction, program_accuracy);
+                BranchStats {
+                    site: SiteId(i as u32),
+                    slices: m.slices,
+                    mean: m.mean,
+                    std_dev: m.std_dev,
+                    pam_fraction: m.pam_fraction,
+                    executions: m.executions,
+                    aggregate_accuracy: m.aggregate_accuracy,
+                    outcomes,
+                    classification,
+                }
+            })
+            .collect();
         Self {
             stats,
             thresholds,
             program_accuracy,
-            resolved_mean_threshold,
+            resolved_mean_threshold: program_accuracy.map(|a| thresholds.resolve_mean(a)),
             total_slices,
             total_branches,
             predictor_name,
             series,
         }
+    }
+
+    /// The same run classified under `thresholds`. A report stores every
+    /// statistic the tests read, so this is byte-identical to the report the
+    /// profiler's `finish(thresholds)` would have returned — threshold
+    /// sweeps need no second simulation.
+    pub fn reclassify(&self, thresholds: Thresholds) -> ProfileReport {
+        let measured = self.stats.iter().map(|s| Measured {
+            slices: s.slices,
+            mean: s.mean,
+            std_dev: s.std_dev,
+            pam_fraction: s.pam_fraction,
+            executions: s.executions,
+            aggregate_accuracy: s.aggregate_accuracy,
+        });
+        Self::new(
+            measured,
+            thresholds,
+            self.program_accuracy,
+            self.total_slices,
+            self.total_branches,
+            self.predictor_name.clone(),
+            self.series.clone(),
+        )
     }
 
     /// Statistics for one branch.

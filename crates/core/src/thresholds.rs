@@ -1,6 +1,6 @@
 //! The three input-dependence tests and their thresholds (Figure 9c).
 
-use crate::BranchState;
+use crate::Classification;
 
 /// How the MEAN-test threshold is chosen.
 ///
@@ -53,27 +53,40 @@ impl Thresholds {
         }
     }
 
-    /// Applies the three tests to already-computed slice statistics: the
-    /// mean and standard deviation of a branch's (filtered) slice
-    /// accuracies, its points-above-mean fraction, and the program accuracy
-    /// the MEAN threshold resolves against.
+    /// Classifies one branch from its slice statistics: the mean and
+    /// standard deviation of its (filtered) slice accuracies, its
+    /// points-above-mean fraction, and the program accuracy the MEAN
+    /// threshold resolves against (`None` for an empty run).
     ///
-    /// This is the pure comparison step of Figure 9c, shared by the
-    /// end-of-run evaluation and the streaming profiler's windowed verdicts
-    /// (which feed it sliding-window statistics instead of whole-run ones).
-    pub fn apply(
+    /// This is Figure 9c, and the only place the three tests compare a
+    /// statistic against a threshold. Every verdict goes through it: the
+    /// end-of-run report (accuracy and bias alike), a report reclassified
+    /// under other thresholds, and the streaming profiler's windowed
+    /// verdicts. A branch without statistics (no counted slice) has no
+    /// outcomes and is [`Classification::Insufficient`].
+    pub fn classify(
         &self,
-        mean: f64,
-        std_dev: f64,
-        pam_fraction: f64,
-        program_accuracy: f64,
-    ) -> TestOutcomes {
-        let mean_th = self.resolve_mean(program_accuracy);
-        TestOutcomes {
-            mean: mean < mean_th,
+        mean: Option<f64>,
+        std_dev: Option<f64>,
+        pam_fraction: Option<f64>,
+        program_accuracy: Option<f64>,
+    ) -> (Option<TestOutcomes>, Classification) {
+        let (Some(mean), Some(std_dev), Some(pam)) = (mean, std_dev, pam_fraction) else {
+            return (None, Classification::Insufficient);
+        };
+        // a branch has statistics only if the run had events, so the
+        // stand-in for a missing program accuracy is never consulted
+        let outcomes = TestOutcomes {
+            mean: mean < self.resolve_mean(program_accuracy.unwrap_or(1.0)),
             std: std_dev > self.std,
-            pam: pam_fraction >= self.pam && pam_fraction <= 1.0 - self.pam,
-        }
+            pam: pam >= self.pam && pam <= 1.0 - self.pam,
+        };
+        let classification = if outcomes.predicts_dependent() {
+            Classification::Dependent
+        } else {
+            Classification::Independent
+        };
+        (Some(outcomes), classification)
     }
 }
 
@@ -103,27 +116,24 @@ impl TestOutcomes {
     }
 }
 
-/// Runs the three tests on a branch's end-of-run statistics.
-///
-/// Returns `None` if the branch accumulated no counted slices (the paper has
-/// nothing to test in that case; such branches default to input-independent
-/// downstream).
-pub(crate) fn evaluate(
-    state: &BranchState,
-    thresholds: &Thresholds,
-    program_accuracy: f64,
-) -> Option<TestOutcomes> {
-    let mean = state.mean()?;
-    let std = state.std_dev().expect("mean exists implies std exists");
-    let pam_frac = state
-        .points_above_mean()
-        .expect("mean exists implies PAM exists");
-    Some(thresholds.apply(mean, std, pam_frac, program_accuracy))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Measured;
+    use crate::{BranchState, ProfileReport};
+    use btrace::SiteId;
+
+    /// The three outcomes of a branch's whole-run statistics.
+    fn evaluate(
+        state: &BranchState,
+        thresholds: &Thresholds,
+        program_accuracy: f64,
+    ) -> Option<TestOutcomes> {
+        let (mean, std, pam) = (state.mean(), state.std_dev(), state.points_above_mean());
+        thresholds
+            .classify(mean, std, pam, Some(program_accuracy))
+            .0
+    }
 
     fn state_with_slices(accs: &[(u64, u64)]) -> BranchState {
         // (correct, wrong) per slice, threshold 10
@@ -233,6 +243,84 @@ mod tests {
     fn no_slices_yields_none() {
         let s = BranchState::new();
         assert_eq!(evaluate(&s, &Thresholds::default(), 0.9), None);
+        assert_eq!(
+            Thresholds::paper().classify(None, None, None, None),
+            (None, Classification::Insufficient)
+        );
+    }
+
+    /// Which statistic a boundary case moves; indexes `[mean, std, pam]`.
+    #[derive(Clone, Copy, Debug)]
+    enum Stat {
+        Mean,
+        Std,
+        Pam,
+    }
+
+    /// The paper's §3 boundaries as `(statistic, value at the threshold,
+    /// passes there?, the value one ulp across, where the outcome flips)`:
+    /// MEAN is strictly below its threshold, STD strictly above, and the PAM
+    /// window `[PAM_th, 1 − PAM_th]` includes both edges.
+    fn boundary_cases(t: &Thresholds, mean_th: f64) -> [(Stat, f64, bool, f64); 4] {
+        let pam_hi = 1.0 - t.pam;
+        [
+            (Stat::Mean, mean_th, false, mean_th.next_down()),
+            (Stat::Std, t.std, false, t.std.next_up()),
+            (Stat::Pam, t.pam, true, t.pam.next_down()),
+            (Stat::Pam, pam_hi, true, pam_hi.next_up()),
+        ]
+    }
+
+    #[test]
+    fn exact_threshold_boundaries_hold_in_classify_and_reclassify() {
+        let program_accuracy = 0.9;
+        let fixed = Thresholds {
+            mean: MeanThreshold::Fixed(0.875),
+            std: 0.125,
+            pam: 0.25,
+        };
+        for t in [Thresholds::paper(), fixed] {
+            let mean_th = t.resolve_mean(program_accuracy);
+            for (stat, at, passes, across) in boundary_cases(&t, mean_th) {
+                for (value, expect) in [(at, passes), (across, !passes)] {
+                    let mut v = [0.5, 0.0, 0.5];
+                    v[stat as usize] = value;
+                    let (mean, std, pam) = (Some(v[0]), Some(v[1]), Some(v[2]));
+                    let (outcomes, class) = t.classify(mean, std, pam, Some(program_accuracy));
+                    let o = outcomes.expect("statistics present");
+                    let got = [o.mean, o.std, o.pam][stat as usize];
+                    assert_eq!(got, expect, "{stat:?} = {value:e} under {t:?}");
+                    // the same statistics in a report classified under other
+                    // thresholds first, then reclassified under `t`
+                    let measured = Measured {
+                        slices: 3,
+                        mean,
+                        std_dev: std,
+                        pam_fraction: pam,
+                        executions: 30,
+                        aggregate_accuracy: mean,
+                    };
+                    let other = Thresholds {
+                        mean: MeanThreshold::Fixed(0.0),
+                        std: f64::MAX,
+                        pam: 0.5,
+                    };
+                    let report = ProfileReport::new(
+                        [measured],
+                        other,
+                        Some(program_accuracy),
+                        3,
+                        30,
+                        "oracle".to_owned(),
+                        None,
+                    )
+                    .reclassify(t);
+                    let stats = report.stats(SiteId(0));
+                    assert_eq!((stats.outcomes, stats.classification), (outcomes, class));
+                    assert_eq!(report.resolved_mean_threshold(), Some(mean_th));
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,33 +9,36 @@
 //! - [`run_slice`] sweeps the slice length;
 //! - [`run_tests_onoff`] disables each of the MEAN/STD/PAM tests in turn to
 //!   measure its contribution (design-choice ablation).
+//!
+//! Thresholds act only at the end of a run, so the threshold and test
+//! on/off sweeps reclassify the engine's cached gshare 2D report
+//! ([`ProfileReport::reclassify`](twodprof_core::ProfileReport::reclassify))
+//! instead of simulating again. Slice length changes the statistics
+//! themselves, so the slice sweep replays each recorded trace.
 
-use crate::tablefmt::pct;
+use crate::tablefmt::{metrics_row, pct};
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use bpred::Gshare;
-use twodprof_core::{MeanThreshold, Metrics, SliceConfig, Thresholds, TwoDProfiler};
+use twodprof_core::{GroundTruth, MeanThreshold, Metrics, SliceConfig, Thresholds, TwoDProfiler};
 use workloads::EXTENDED_BENCHMARKS;
 
-/// Mean metrics over the extended benchmarks for an arbitrary thresholds +
-/// slice configuration, against train-vs-ref gshare ground truth.
-fn metrics_with(ctx: &mut Context, thresholds: Thresholds, slice_override: Option<u64>) -> Metrics {
+/// Train-vs-ref gshare ground truth of one benchmark.
+fn truth(ctx: &mut Context, benchmark: &str) -> GroundTruth {
+    ctx.truth(
+        ProfileRequest::accuracy(benchmark, PredictorKind::Gshare4Kb),
+        &["ref"],
+    )
+}
+
+/// Mean metrics over the extended benchmarks under `thresholds`: the cached
+/// gshare 2D report, reclassified, against train-vs-ref ground truth.
+fn metrics_with(ctx: &mut Context, thresholds: Thresholds) -> Metrics {
     let mut all = Vec::new();
     for b in EXTENDED_BENCHMARKS {
-        let w = ctx.workload(b);
-        let input = w.input_set("train").expect("train exists");
-        let total = ctx.count(ProfileRequest::count(b));
-        let config = match slice_override {
-            Some(len) => SliceConfig::new(len, (len / 15_000).max(16).min(len - 1)),
-            None => SliceConfig::auto(total),
-        };
-        let mut prof = TwoDProfiler::new(w.sites().len(), Gshare::new_4kb(), config);
-        w.run(&input, &mut prof);
-        let report = prof.finish(thresholds);
-        let gt = ctx.truth(
-            ProfileRequest::accuracy(b, PredictorKind::Gshare4Kb),
-            &["ref"],
-        );
-        all.push(Metrics::score(&report.predicted_mask(), &gt));
+        let report = ctx
+            .two_d(ProfileRequest::two_d(b, PredictorKind::Gshare4Kb))
+            .reclassify(thresholds);
+        all.push(Metrics::score(&report.predicted_mask(), &truth(ctx, b)));
     }
     Metrics::average(&all)
 }
@@ -62,16 +65,8 @@ pub fn run_thresholds(ctx: &mut Context) -> Table {
                     std: std_th,
                     pam: pam_th,
                 },
-                None,
             );
-            t.row(vec![
-                format!("{std_th}"),
-                format!("{pam_th}"),
-                pct(m.cov_dep),
-                pct(m.acc_dep),
-                pct(m.cov_indep),
-                pct(m.acc_indep),
-            ]);
+            t.row(metrics_row([format!("{std_th}"), format!("{pam_th}")], &m));
         }
     }
     t
@@ -110,33 +105,40 @@ pub fn run_delta(ctx: &mut Context) -> Table {
             all.push(Metrics::score(&report.predicted_mask(), &gt));
         }
         let m = Metrics::average(&all);
-        t.row(vec![
-            format!("{:.0}%", delta * 100.0),
-            pct((frac_n > 0).then(|| frac_sum / frac_n as f64)),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+        t.row(metrics_row(
+            [
+                format!("{:.0}%", delta * 100.0),
+                pct((frac_n > 0).then(|| frac_sum / frac_n as f64)),
+            ],
+            &m,
+        ));
     }
     t
 }
 
-/// Sweeps the slice length across two orders of magnitude.
+/// Sweeps the slice length across two orders of magnitude, replaying each
+/// benchmark's recorded train trace into a gshare 2D-profiler per length.
 pub fn run_slice(ctx: &mut Context) -> Table {
+    const LENS: [u64; 5] = [2_000, 8_000, 32_000, 128_000, 512_000];
     let mut t = Table::new(
         "Ablation: slice-length sensitivity (mean over 6 benchmarks, train-vs-ref)",
         &["slice_len", "COV-dep", "ACC-dep", "COV-indep", "ACC-indep"],
     );
-    for &len in &[2_000u64, 8_000, 32_000, 128_000, 512_000] {
-        let m = metrics_with(ctx, Thresholds::paper(), Some(len));
-        t.row(vec![
-            len.to_string(),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+    let mut scores = vec![Vec::new(); LENS.len()];
+    for b in EXTENDED_BENCHMARKS {
+        let trace = ctx.trace(ProfileRequest::count(b));
+        let gt = truth(ctx, b);
+        for (&len, scores) in LENS.iter().zip(&mut scores) {
+            let config = SliceConfig::new(len, (len / 15_000).max(16).min(len - 1));
+            let mut prof = TwoDProfiler::new(trace.num_sites(), Gshare::new_4kb(), config);
+            trace.replay_into(&mut prof);
+            let report = prof.finish(Thresholds::paper());
+            scores.push(Metrics::score(&report.predicted_mask(), &gt));
+        }
+    }
+    for (len, scores) in LENS.iter().zip(&scores) {
+        let m = Metrics::average(scores);
+        t.row(metrics_row([len.to_string()], &m));
     }
     t
 }
@@ -183,14 +185,8 @@ pub fn run_tests_onoff(ctx: &mut Context) -> Table {
         ),
     ];
     for (name, thresholds) in configs {
-        let m = metrics_with(ctx, thresholds, None);
-        t.row(vec![
-            name.to_owned(),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+        let m = metrics_with(ctx, thresholds);
+        t.row(metrics_row([name.to_owned()], &m));
     }
     t
 }
@@ -210,7 +206,6 @@ mod tests {
                 std: 0.01,
                 pam: 0.05,
             },
-            None,
         );
         let tight = metrics_with(
             &mut ctx,
@@ -219,7 +214,6 @@ mod tests {
                 std: 0.30,
                 pam: 0.05,
             },
-            None,
         );
         // a very tight STD threshold flags fewer branches (lower or equal
         // dependent coverage)
@@ -258,7 +252,7 @@ mod tests {
         // PAM only *filters* candidates: removing it can only flag more
         // branches, so COV-dep(no PAM) >= COV-dep(full).
         let mut ctx = Context::new(Scale::Tiny);
-        let full = metrics_with(&mut ctx, Thresholds::paper(), None);
+        let full = metrics_with(&mut ctx, Thresholds::paper());
         let nopam = metrics_with(
             &mut ctx,
             Thresholds {
@@ -266,7 +260,6 @@ mod tests {
                 std: 0.04,
                 pam: 0.0,
             },
-            None,
         );
         assert!(
             nopam.cov_dep.unwrap_or(0.0) >= full.cov_dep.unwrap_or(0.0) - 1e-9,

@@ -7,7 +7,8 @@ use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::{Bias2DProfiler, Metrics, SliceConfig, Thresholds};
 
 /// Per-benchmark metrics of the accuracy-based and bias-based profilers
-/// against train-vs-ref gshare ground truth.
+/// against train-vs-ref gshare ground truth. The bias profiler replays the
+/// same recorded train trace the accuracy report came from.
 pub fn compute(ctx: &mut Context) -> Vec<(&'static str, Metrics, Metrics)> {
     let mut out = Vec::new();
     for w in ctx.suite() {
@@ -16,10 +17,9 @@ pub fn compute(ctx: &mut Context) -> Vec<(&'static str, Metrics, Metrics)> {
             &["ref"],
         );
         let acc_report = ctx.two_d(ProfileRequest::two_d(w.name(), PredictorKind::Gshare4Kb));
-        let input = w.input_set("train").expect("train exists");
-        let total = ctx.count(ProfileRequest::count(w.name()));
-        let mut bias = Bias2DProfiler::new(w.sites().len(), SliceConfig::auto(total));
-        w.run(&input, &mut bias);
+        let trace = ctx.trace(ProfileRequest::count(w.name()));
+        let mut bias = Bias2DProfiler::new(trace.num_sites(), SliceConfig::auto(trace.events()));
+        trace.replay_into(&mut bias);
         let bias_report = bias.finish(Thresholds::paper());
         out.push((
             w.name(),

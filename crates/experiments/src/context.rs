@@ -1,16 +1,20 @@
 //! Shared experiment context: profile caching and ground-truth
 //! construction behind the [`ProfileRequest`] API.
 //!
-//! Since the sweep engine landed, the context no longer simulates anything
-//! itself: every run is named by a [`ProfileRequest`], resolved to a
-//! content-addressed [`JobSpec`], and delegated to a
-//! [`twodprof_engine::Engine`]. One in-memory map — keyed by the spec's
-//! content hash — is a read-through layer over the engine, holding `Arc`s
-//! so repeated lookups share one allocation instead of cloning `O(sites)`
-//! payloads.
+//! The context simulates nothing itself, and experiments run no workload
+//! (Figure 16, which times live instrumentation, is the one exception):
+//! every run is named by a [`ProfileRequest`], resolved to a
+//! content-addressed [`JobSpec`], and delegated to the context's
+//! [`JobBackend`]. Experiments that need more than a report — a threshold
+//! sweep, a bias or edge profile, a time series — reclassify a cached
+//! report or replay the recorded trace from [`Context::trace`]. One
+//! in-memory map — keyed by the spec's content hash — is a read-through
+//! layer over the backend, holding `Arc`s so repeated lookups share one
+//! allocation instead of cloning `O(sites)` payloads.
 
 use bpred::AccuracyProfile;
 pub use bpred::PredictorKind;
+use btrace::RecordedTrace;
 use std::collections::HashMap;
 use std::sync::Arc;
 use twodprof_core::{GroundTruth, ProfileReport, INPUT_DEPENDENCE_DELTA};
@@ -27,10 +31,6 @@ pub struct Context {
     scale: Scale,
     min_exec: u64,
     backend: Arc<dyn JobBackend>,
-    /// Set when the backend is an in-process [`Engine`], so callers that
-    /// need engine-only facilities (counters, trace access) still reach
-    /// them; `None` under a remote backend.
-    engine: Option<Arc<Engine>>,
     /// Finished outputs keyed by [`JobSpec::content_hash`].
     results: HashMap<u64, JobOutput>,
 }
@@ -47,10 +47,7 @@ impl Context {
     /// configured with a worker pool and a persistent cache by the `repro`
     /// binary).
     pub fn with_engine(scale: Scale, engine: Engine) -> Self {
-        let engine = Arc::new(engine);
-        let mut ctx = Self::with_backend(scale, engine.clone() as Arc<dyn JobBackend>);
-        ctx.engine = Some(engine);
-        ctx
+        Self::with_backend(scale, Arc::new(engine))
     }
 
     /// Creates a context that delegates simulation to an arbitrary
@@ -71,20 +68,8 @@ impl Context {
             scale,
             min_exec,
             backend,
-            engine: None,
             results: HashMap::new(),
         }
-    }
-
-    /// The in-process engine this context delegates to, when it has one
-    /// (`None` under a remote backend).
-    pub fn engine(&self) -> Option<&Engine> {
-        self.engine.as_deref()
-    }
-
-    /// The backend this context delegates to.
-    pub fn backend(&self) -> &dyn JobBackend {
-        &*self.backend
     }
 
     /// The context's workload scale.
@@ -189,6 +174,20 @@ impl Context {
         }
     }
 
+    /// The recorded branch stream a request's simulation replays, for
+    /// experiments that feed it to a profiler of their own. The trace job
+    /// goes through the backend like any other; it runs as a batch of one
+    /// so an in-process engine drops its memoized copy afterwards, and the
+    /// context keeps none either — the caller's `Arc` is the only one.
+    pub fn trace(&mut self, req: ProfileRequest) -> Arc<RecordedTrace> {
+        let spec = req.trace_ref(self.scale).spec();
+        let result = self.backend.run_jobs(std::slice::from_ref(&spec)).pop();
+        match Self::expect_output(result.expect("one result per spec")) {
+            JobOutput::Trace(trace) => trace,
+            other => unreachable!("{} returned {other:?}", spec.describe()),
+        }
+    }
+
     /// Ground truth from `base` (an accuracy request; its input is the
     /// reference run, `train` by default) against each input named in
     /// `others`, unioned — the paper's `base-ext1-k` sets.
@@ -280,8 +279,29 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_absorbs_results_into_memory() {
+    fn replaying_a_trace_reproduces_the_engines_report() {
         let mut ctx = Context::new(Scale::Tiny);
+        let trace = ctx.trace(ProfileRequest::count("gap"));
+        assert_eq!(trace.events(), ctx.count(ProfileRequest::count("gap")));
+        assert_eq!(trace.num_sites(), ctx.workload("gap").sites().len());
+        let config = twodprof_core::SliceConfig::auto(trace.events());
+        let mut prof = twodprof_core::TwoDProfiler::new(
+            trace.num_sites(),
+            PredictorKind::Gshare4Kb.build(),
+            config,
+        );
+        trace.replay_into(&mut prof);
+        let report = ctx.two_d(ProfileRequest::two_d("gap", PredictorKind::Gshare4Kb));
+        assert_eq!(
+            prof.finish(twodprof_core::Thresholds::paper()).to_bytes(),
+            report.to_bytes()
+        );
+    }
+
+    #[test]
+    fn prewarm_absorbs_results_into_memory() {
+        let engine = Arc::new(Engine::new(EngineConfig::default()));
+        let mut ctx = Context::with_backend(Scale::Tiny, engine.clone());
         let specs = vec![
             JobSpec::count("gzip", "train", Scale::Tiny),
             JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
@@ -290,13 +310,10 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.status.is_success()));
         // both lookups must now be memory hits: the engine sees no new jobs
-        let before = ctx.engine().expect("local engine").counters().total();
+        let before = engine.counters().total();
         ctx.count(ProfileRequest::count("gzip"));
         ctx.accuracy(ProfileRequest::accuracy("gzip", PredictorKind::Gshare4Kb));
-        assert_eq!(
-            ctx.engine().expect("local engine").counters().total(),
-            before
-        );
+        assert_eq!(engine.counters().total(), before);
     }
 
     #[test]

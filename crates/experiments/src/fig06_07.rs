@@ -1,5 +1,6 @@
 //! Figures 6 and 7: the paper's two example input-dependent branches,
-//! reproduced live.
+//! measured on every input set from the engine's accuracy profiles and an
+//! edge profile replayed from each input's recorded trace.
 //!
 //! Figure 6 is gap's `T_INT` type-check branch (`sum_operands_are_t_int` in
 //! our gap analogue): ~90% predictable on the train mix, much worse when the
@@ -45,9 +46,10 @@ pub fn measure(ctx: &mut Context, workload: &str, site_name: &str) -> Vec<Exampl
         if profile.executions(site) == 0 {
             continue;
         }
-        // taken rate via an edge profile of the same run
-        let mut edges = btrace::EdgeProfiler::new(w.sites().len());
-        w.run(&input, &mut edges);
+        // taken rate via an edge profile of the same recorded run
+        let trace = ctx.trace(ProfileRequest::count(workload).input(input.name));
+        let mut edges = btrace::EdgeProfiler::new(trace.num_sites());
+        trace.replay_into(&mut edges);
         out.push(ExampleBranch {
             input: input.name,
             executions: profile.executions(site),

@@ -24,17 +24,17 @@ pub struct SeriesPair {
     pub overall: Vec<(u64, f64)>,
 }
 
-/// Profiles `workload`'s train input with series recording and picks the
-/// strongest 2D-flagged branch plus the lowest-accuracy unflagged branch —
-/// the same contrast the paper draws in Figure 8.
+/// Replays `workload`'s recorded train trace into a series-recording
+/// profiler and picks the strongest 2D-flagged branch plus the
+/// lowest-accuracy unflagged branch — the same contrast the paper draws in
+/// Figure 8.
 pub fn compute(ctx: &mut Context, workload: &str) -> SeriesPair {
     let w = ctx.workload(workload);
-    let input = w.input_set("train").expect("train exists");
-    let total = ctx.count(ProfileRequest::count(workload));
-    let config = SliceConfig::auto(total);
+    let trace = ctx.trace(ProfileRequest::count(workload));
+    let config = SliceConfig::auto(trace.events());
     let mut prof =
-        TwoDProfiler::with_series(w.sites().len(), PredictorKind::Gshare4Kb.build(), config);
-    w.run(&input, &mut prof);
+        TwoDProfiler::with_series(trace.num_sites(), PredictorKind::Gshare4Kb.build(), config);
+    trace.replay_into(&mut prof);
     let report = prof.finish(Thresholds::paper());
 
     // dependent example: flagged branch with the highest std x executions

@@ -1,7 +1,7 @@
 //! Figure 10: 2D-profiling coverage and accuracy with two input sets
 //! (train profiling run scored against train-vs-ref ground truth).
 
-use crate::tablefmt::pct;
+use crate::tablefmt::metrics_row;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
 
@@ -27,13 +27,7 @@ pub fn run(ctx: &mut Context) -> Table {
         &["benchmark", "COV-dep", "ACC-dep", "COV-indep", "ACC-indep"],
     );
     for (name, m) in compute(ctx) {
-        t.row(vec![
-            name.to_owned(),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+        t.row(metrics_row([name.to_owned()], &m));
     }
     t
 }

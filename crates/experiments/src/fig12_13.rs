@@ -3,7 +3,7 @@
 //! benchmarks; Figure 13 shows each benchmark at the maximum pool.
 
 use crate::fig11_14::cumulative_sets;
-use crate::tablefmt::pct;
+use crate::tablefmt::metrics_row;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
 use workloads::EXTENDED_BENCHMARKS;
@@ -39,13 +39,7 @@ pub fn run_fig12(ctx: &mut Context) -> Table {
         } else {
             format!("base-ext1-{k}")
         };
-        t.row(vec![
-            label,
-            pct(avg.cov_dep),
-            pct(avg.acc_dep),
-            pct(avg.cov_indep),
-            pct(avg.acc_indep),
-        ]);
+        t.row(metrics_row([label], &avg));
     }
     t
 }
@@ -60,13 +54,7 @@ pub fn run_fig13(ctx: &mut Context) -> Table {
         let m = *metrics_growth(ctx, b, PredictorKind::Gshare4Kb)
             .last()
             .expect("at least the base set");
-        t.row(vec![
-            (*b).to_owned(),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+        t.row(metrics_row([(*b).to_owned()], &m));
     }
     t
 }

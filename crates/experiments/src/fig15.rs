@@ -4,7 +4,7 @@
 //! input-set pool.
 
 use crate::fig11_14::cumulative_sets;
-use crate::tablefmt::pct;
+use crate::tablefmt::metrics_row;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::Metrics;
 use workloads::EXTENDED_BENCHMARKS;
@@ -32,13 +32,7 @@ pub fn run(ctx: &mut Context) -> Table {
         &["benchmark", "COV-dep", "ACC-dep", "COV-indep", "ACC-indep"],
     );
     for (name, m) in compute(ctx) {
-        t.row(vec![
-            name.to_owned(),
-            pct(m.cov_dep),
-            pct(m.acc_dep),
-            pct(m.cov_indep),
-            pct(m.acc_indep),
-        ]);
+        t.row(metrics_row([name.to_owned()], &m));
     }
     t
 }

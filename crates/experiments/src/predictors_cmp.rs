@@ -12,11 +12,13 @@
 //! [`PredictorKind::EXTENDED`], so the runs go through the engine's trace
 //! cache like any other accuracy request (one recorded trace per input,
 //! four predictor replays), instead of the bespoke uncached simulations
-//! this module used to spin up.
+//! this module used to spin up. All of them are submitted as one batch, so
+//! the engine records each trace once and fuses its replays.
 
 use crate::tablefmt::pct;
 use crate::{Context, PredictorKind, ProfileRequest, Table};
 use twodprof_core::{GroundTruth, INPUT_DEPENDENCE_DELTA};
+use twodprof_engine::JobSpec;
 
 /// The predictor families compared: every named configuration in `bpred`.
 pub const TARGETS: &[PredictorKind] = &PredictorKind::EXTENDED;
@@ -34,7 +36,14 @@ pub fn run(ctx: &mut Context) -> Table {
         "Extension: input-dependence under different target predictors (train vs ref)",
         &header_refs,
     );
-    for w in ctx.suite() {
+    let (suite, scale) = (ctx.suite(), ctx.scale());
+    let specs: Vec<_> = suite
+        .iter()
+        .flat_map(|w| TARGETS.iter().map(move |&t| (w.name(), t)))
+        .flat_map(|(w, t)| ["train", "ref"].map(|i| JobSpec::accuracy(w, i, scale, t)))
+        .collect();
+    ctx.prewarm(&specs);
+    for w in suite {
         let mut row = vec![w.name().to_owned()];
         for &target in TARGETS {
             let base = ProfileRequest::accuracy(w.name(), target);

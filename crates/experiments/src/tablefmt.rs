@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use twodprof_core::Metrics;
 
 /// A simple column-aligned table that renders to ASCII (for the terminal)
 /// and CSV (for plotting).
@@ -118,6 +119,13 @@ pub fn pct(v: Option<f64>) -> String {
         Some(x) => format!("{:.1}%", x * 100.0),
         None => "n/a".to_owned(),
     }
+}
+
+/// A table row: the `lead` cells, then the four Table 3 metrics (COV-dep,
+/// ACC-dep, COV-indep, ACC-indep) as percentages.
+pub fn metrics_row<const N: usize>(lead: [String; N], m: &Metrics) -> Vec<String> {
+    let metrics = [m.cov_dep, m.acc_dep, m.cov_indep, m.acc_indep];
+    lead.into_iter().chain(metrics.map(pct)).collect()
 }
 
 /// Formats a large count with thousands separators.

@@ -46,7 +46,6 @@ struct Slot {
 struct State {
     pending: VecDeque<usize>,
     slots: Vec<Slot>,
-    live_nodes: usize,
 }
 
 pub(crate) struct Board {
@@ -57,13 +56,12 @@ pub(crate) struct Board {
 }
 
 impl Board {
-    pub(crate) fn new(specs: &[JobSpec], nodes: usize, max_attempts: u32) -> Self {
+    pub(crate) fn new(specs: &[JobSpec], max_attempts: u32) -> Self {
         Self {
             specs: specs.to_vec(),
             state: Mutex::new(State {
                 pending: (0..specs.len()).collect(),
                 slots: specs.iter().map(|_| Slot::default()).collect(),
-                live_nodes: nodes,
             }),
             cond: Condvar::new(),
             max_attempts: max_attempts.max(1),
@@ -194,11 +192,10 @@ impl Board {
         self.cond.notify_all();
     }
 
-    /// `node` disconnected (or never connected): release everything it
-    /// held, requeuing jobs no survivor owns.
+    /// `node` left the batch — finished, disconnected or never connected:
+    /// release everything it held, requeuing jobs no survivor owns.
     pub(crate) fn node_died(&self, node: usize) {
         let mut s = self.state.lock().expect("board state");
-        s.live_nodes = s.live_nodes.saturating_sub(1);
         for idx in 0..s.slots.len() {
             let had = s.slots[idx].owners.contains(&node);
             s.slots[idx].owners.retain(|&o| o != node);
@@ -208,11 +205,6 @@ impl Board {
         }
         drop(s);
         self.cond.notify_all();
-    }
-
-    /// Nodes still connected (or not yet failed).
-    pub(crate) fn live_nodes(&self) -> usize {
-        self.state.lock().expect("board state").live_nodes
     }
 
     /// Consumes the board after the workers exited: verified remote results

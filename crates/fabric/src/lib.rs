@@ -37,6 +37,7 @@ mod board;
 mod node;
 
 use board::Board;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Duration;
 use twodprof_engine::{Engine, EngineConfig, JobBackend, JobResult, JobSpec};
@@ -102,14 +103,19 @@ impl RemoteBackend {
 
     fn run_batch(&self, specs: &[JobSpec]) -> Vec<JobResult> {
         let _span = twodprof_obs::span!("fabric.run_jobs");
-        let board = Board::new(specs, self.config.nodes.len(), self.config.max_attempts);
+        let board = Board::new(specs, self.config.max_attempts);
+        let lost = AtomicUsize::new(0);
         thread::scope(|scope| {
             for (i, addr) in self.config.nodes.iter().enumerate() {
-                let board = &board;
-                scope.spawn(move || node::run_node(board, i, addr, &self.config));
+                let (board, lost) = (&board, &lost);
+                scope.spawn(move || {
+                    if node::run_node(board, i, addr, &self.config) {
+                        lost.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
             }
         });
-        let lost_all = self.config.nodes.is_empty() || board.live_nodes() == 0;
+        let lost_all = lost.into_inner() == self.config.nodes.len();
         let mut locals = 0usize;
         let results: Vec<JobResult> = board
             .into_results()

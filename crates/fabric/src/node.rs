@@ -55,20 +55,21 @@ fn connect(addr: &str, config: &FabricConfig) -> io::Result<TcpStream> {
     Err(last.unwrap_or_else(|| io::Error::other("no connect attempts configured")))
 }
 
-/// Runs `node`'s side of the batch to completion (or node death). Always
-/// tells the board the node is gone on the way out, which requeues any
-/// in-flight jobs it still owned.
-pub(crate) fn run_node(board: &Board, node: usize, addr: &str, config: &FabricConfig) {
+/// Runs `node`'s side of the batch to completion (or node death) and
+/// returns whether the node was lost. Always tells the board the node is
+/// gone on the way out, which requeues any in-flight jobs it still owned.
+pub(crate) fn run_node(board: &Board, node: usize, addr: &str, config: &FabricConfig) -> bool {
     let _span = twodprof_obs::span!("fabric.node");
     let gauge = INFLIGHT.get(node);
     let result = drive(board, node, addr, config, |n| gauge.set(n as i64));
     gauge.set(0);
-    if let Err(e) = result {
+    if let Err(e) = &result {
         if !config.quiet {
             eprintln!("[fabric] node {node} ({addr}) lost: {e}");
         }
     }
     board.node_died(node);
+    result.is_err()
 }
 
 fn drive(

@@ -14,7 +14,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bpred::PredictorKind;
-use twodprof_engine::{Engine, EngineConfig, JobBackend, JobResult, JobSpec};
+use twodprof_engine::{Engine, EngineConfig, JobBackend, JobResult, JobSpec, JobStatus};
 use twodprof_fabric::{FabricConfig, RemoteBackend};
 use twodprof_serve::{ComputeConfig, Server, ServerConfig, ServerHandle, ServerStats};
 use workloads::Scale;
@@ -195,6 +195,30 @@ fn fresh_client_is_served_from_the_shared_cache_tier() {
         &second_results,
         &Engine::new(EngineConfig::default()).run_jobs(&specs),
     );
+}
+
+/// A cached payload too large for the wire must read as a `CacheQuery`
+/// miss, as it reads `TooLarge` on the `SubmitJob` path: the client
+/// computes that job locally and the node stays up for the rest of the
+/// batch. A long recorded trace is such a payload.
+#[test]
+fn oversized_cached_payload_is_a_miss_not_a_lost_node() {
+    let _guard = fabric_lock();
+    let node = Daemon::start("oversized", 1);
+    // crafty's tiny train trace encodes to about 9.6 MB, over the limit
+    let specs = [
+        JobSpec::trace("crafty", "train", Scale::Tiny),
+        JobSpec::count("gzip", "train", Scale::Tiny),
+    ];
+    let local = Engine::new(EngineConfig::default()).run_jobs(&specs);
+    let backend = remote_backend(vec![node.addr.to_string()], 1);
+    // the first batch leaves the trace in the node's cache tier
+    assert_bit_identical(&backend.run_jobs(&specs), &local);
+    // the second probes it first; the count after it must still be a
+    // remote cache hit rather than a local fallback after a lost node
+    let second = backend.run_jobs(&specs);
+    assert_bit_identical(&second, &local);
+    assert_eq!(second[1].status, JobStatus::Cached, "the node must survive");
 }
 
 /// Killing one of two nodes mid-sweep must not lose or corrupt anything:

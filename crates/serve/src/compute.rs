@@ -128,15 +128,20 @@ impl ComputePool {
 
     /// Probes the node's cache tier (memo + disk) without scheduling
     /// compute — the `CacheQuery` path. Counts a fabric cache hit when it
-    /// answers.
+    /// answers. A payload too large for the wire (a long recorded trace)
+    /// reads as a miss: the `SubmitJob` that follows answers `TooLarge`, and
+    /// the client computes the job locally.
     pub(crate) fn lookup(&self, spec: &JobSpec) -> Option<JobPayload> {
-        let output = self.engine.peek(spec)?;
+        let bytes = self.engine.peek(spec)?.to_payload();
+        if bytes.len() > MAX_RESULT_PAYLOAD {
+            return None;
+        }
         twodprof_obs::counter!(
             "fabric_remote_cache_hits_total",
             "Jobs answered from a remote daemon's shared cache tier."
         )
         .inc();
-        Some(payload_of(spec, &output.to_payload(), true))
+        Some(payload_of(spec, &bytes, true))
     }
 
     /// Stops accepting work, finishes what is queued (replies to dead

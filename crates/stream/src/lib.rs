@@ -16,8 +16,8 @@
 //!   (commutative count addition, so results are invariant under session
 //!   interleaving), folds each completed epoch into O(window) per-site
 //!   rings, classifies every site with the batch decision rule
-//!   (`Thresholds::apply`), and publishes verdict flips through a hysteresis
-//!   filter;
+//!   (`Thresholds::classify`), and publishes verdict flips through a
+//!   hysteresis filter;
 //! - [`DriftEvent`] / [`VerdictSnapshot`] — the wire-shaped outputs the
 //!   serve layer pushes to `twodprof-client watch` subscribers.
 //!

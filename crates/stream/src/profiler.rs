@@ -483,22 +483,11 @@ impl StreamingProfiler {
     /// decision rule of the batch report, fed sliding-window inputs.
     fn classify(&self, site: usize, program_accuracy: Option<f64>) -> Classification {
         let w = &self.sites[site];
-        match (w.mean(), w.std_dev(), w.pam_fraction()) {
-            (Some(mean), Some(std), Some(pam)) => {
-                // With an empty global window nothing is classified anyway;
-                // 1.0 is the same harmless stand-in the batch path uses.
-                let outcomes =
-                    self.config
-                        .thresholds
-                        .apply(mean, std, pam, program_accuracy.unwrap_or(1.0));
-                if outcomes.predicts_dependent() {
-                    Classification::Dependent
-                } else {
-                    Classification::Independent
-                }
-            }
-            _ => Classification::Insufficient,
-        }
+        let (mean, std, pam) = (w.mean(), w.std_dev(), w.pam_fraction());
+        self.config
+            .thresholds
+            .classify(mean, std, pam, program_accuracy)
+            .1
     }
 
     /// Advances one site's hysteresis state toward `verdict`, publishing a

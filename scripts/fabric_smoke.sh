@@ -17,7 +17,7 @@ set -euo pipefail
 
 BIN_DIR="${BIN_DIR:-target/release}"
 OUT_DIR="${OUT_DIR:-target/fabric-smoke}"
-EXPERIMENTS="${EXPERIMENTS:-fig3 table1}"
+EXPERIMENTS="${EXPERIMENTS:-fig3 table1 fig8 bias2d}"
 WORK_DIR="$(mktemp -d)"
 
 cleanup() {
