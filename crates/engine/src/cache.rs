@@ -177,16 +177,6 @@ impl DiskCache {
         self.root.join(spec.cache_file_name())
     }
 
-    /// Loads the cached output for `spec`, or `None` on a miss. Corrupt,
-    /// truncated, or mismatched entries are misses, never errors: the
-    /// worker will recompute and overwrite them.
-    pub fn load(&self, spec: &JobSpec) -> Option<JobOutput> {
-        match self.lookup(spec) {
-            CacheLookup::Hit(output) => Some(output),
-            CacheLookup::Miss | CacheLookup::Corrupt => None,
-        }
-    }
-
     /// Probes the cache for `spec`, distinguishing a cold miss from an
     /// entry that exists but fails validation. Never errors: an unreadable
     /// entry is [`CacheLookup::Corrupt`] and the caller recomputes.
@@ -293,11 +283,11 @@ mod tests {
         let dir = tmpdir("count");
         let cache = DiskCache::open(&dir).unwrap();
         let spec = JobSpec::count("gzip", "train", Scale::Tiny);
-        assert!(cache.load(&spec).is_none());
+        assert!(matches!(cache.lookup(&spec), CacheLookup::Miss));
         cache.store(&spec, &JobOutput::Count(12_345)).unwrap();
-        match cache.load(&spec) {
-            Some(JobOutput::Count(12_345)) => {}
-            other => panic!("expected Count(12345), got {other:?}"),
+        match cache.lookup(&spec) {
+            CacheLookup::Hit(JobOutput::Count(12_345)) => {}
+            other => panic!("expected Hit(Count(12345)), got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -309,7 +299,8 @@ mod tests {
         let spec = JobSpec::count("mcf", "ref", Scale::Tiny);
         cache.store(&spec, &JobOutput::Count(7)).unwrap();
         fs::write(cache.entry_path(&spec), b"garbage").unwrap();
-        assert!(cache.load(&spec).is_none());
+        // the engine recomputes a corrupt entry, as it does a miss
+        assert!(matches!(cache.lookup(&spec), CacheLookup::Corrupt));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -322,7 +313,10 @@ mod tests {
         // same file, hand-rewritten to claim the accuracy spec's name
         let acc = JobSpec::accuracy("gap", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
         fs::copy(cache.entry_path(&count), cache.entry_path(&acc)).unwrap();
-        assert!(cache.load(&acc).is_none(), "hash check must reject");
+        assert!(
+            matches!(cache.lookup(&acc), CacheLookup::Corrupt),
+            "hash check must reject"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -443,23 +443,6 @@ impl Engine {
             .retain(|_, output| !matches!(output, JobOutput::Trace(_)));
     }
 
-    /// Probes the in-memory memo and the disk cache for a finished result
-    /// without computing, memoizing, or touching the engine's job counters
-    /// — the side-effect-free lookup the daemon's shared-cache-tier
-    /// `CacheQuery` path needs. Corrupt disk entries read as misses.
-    pub fn peek(&self, spec: &JobSpec) -> Option<JobOutput> {
-        if let Some(output) = self
-            .memo
-            .lock()
-            .expect("memo lock")
-            .get(&spec.content_hash())
-            .cloned()
-        {
-            return Some(output);
-        }
-        self.cache.as_ref().and_then(|c| c.load(spec))
-    }
-
     /// Runs `units` of work over `specs` on the worker pool and returns one
     /// result per spec, in spec order. Every spec index must appear in
     /// exactly one unit.

@@ -168,6 +168,8 @@ fn run(args: &[String]) -> Result<(), String> {
             start.elapsed()
         );
     }
+    // Figures 6 and 7 come from one measurement of both example branches
+    let mut fig06_07_tables = None;
     for e in &args.experiments {
         let start = std::time::Instant::now();
         match e.as_str() {
@@ -184,15 +186,12 @@ fn run(args: &[String]) -> Result<(), String> {
             "table1" => emit(&table1::run(&mut ctx), "table1", &args.out),
             "table2" => emit(&table2::run(&mut ctx), "table2", &args.out),
             "fig6" | "fig7" => {
-                // both example-branch tables are produced together; emit the
-                // requested one
-                let tables = fig06_07::run(&mut ctx);
-                let idx = usize::from(e == "fig7");
-                emit(&tables[idx], e, &args.out);
+                let tables = fig06_07_tables.get_or_insert_with(|| fig06_07::run(&mut ctx));
+                emit(&tables[usize::from(e == "fig7")], e, &args.out);
             }
             "fig8" => {
-                emit(&fig08::run(&mut ctx, "gap"), "fig8", &args.out);
                 let pair = fig08::compute(&mut ctx, "gap");
+                emit(&fig08::run(&pair), "fig8", &args.out);
                 let (dep, indep) = fig08::phase_summary(&pair);
                 let fmt = |ps: &[twodprof_core::Phase]| {
                     ps.iter()

@@ -8,6 +8,8 @@ use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 /// The two selected example branches and their time series.
 #[derive(Clone, Debug)]
 pub struct SeriesPair {
+    /// The workload whose train trace was profiled.
+    pub workload: &'static str,
     /// Site picked as the input-dependent example.
     pub dependent_site: SiteId,
     /// Name of that site.
@@ -66,6 +68,7 @@ pub fn compute(ctx: &mut Context, workload: &str) -> SeriesPair {
         .map(|s| s.site)
         .unwrap_or(SiteId(0));
     SeriesPair {
+        workload: w.name(),
         dependent_site: dependent,
         dependent_name: w.sites()[dependent.index()].name,
         dependent_series: report.series(dependent).expect("series enabled").to_vec(),
@@ -87,12 +90,11 @@ pub fn phase_summary(pair: &SeriesPair) -> (Vec<twodprof_core::Phase>, Vec<twodp
 }
 
 /// Renders Figure 8 as a long-form table (one row per slice sample).
-pub fn run(ctx: &mut Context, workload: &str) -> Table {
-    let pair = compute(ctx, workload);
+pub fn run(pair: &SeriesPair) -> Table {
     let mut t = Table::new(
         &format!(
-            "Figure 8: slice accuracy over time, {workload} (dependent: {}, independent: {})",
-            pair.dependent_name, pair.independent_name
+            "Figure 8: slice accuracy over time, {} (dependent: {}, independent: {})",
+            pair.workload, pair.dependent_name, pair.independent_name
         ),
         &["slice", "dependent_acc", "independent_acc", "overall_acc"],
     );
@@ -168,7 +170,7 @@ mod tests {
     #[test]
     fn table_has_one_row_per_slice() {
         let mut ctx = Context::new(Scale::Tiny);
-        let t = run(&mut ctx, "twolf");
+        let t = run(&compute(&mut ctx, "twolf"));
         assert!(t.len() > 20, "expect many slices, got {}", t.len());
     }
 }

@@ -17,7 +17,7 @@ use twodprof_engine::{JobOutput, JobResult, JobSpec, JobStatus};
 
 /// What a worker gets back from [`Board::claim`].
 pub(crate) enum Claim {
-    /// A job to run: send its `CacheQuery` and track it in-flight.
+    /// A job to run: send its `SubmitJob` and track it in-flight.
     Job(usize),
     /// Nothing claimable right now, but the worker has in-flight replies to
     /// read (only returned when `may_wait` is false).

@@ -4,12 +4,13 @@
 //! [`JobSpec`](twodprof_engine::JobSpec) and executes batches through the
 //! [`JobBackend`] seam; this crate provides the backend that spans
 //! machines. A [`RemoteBackend`] fans a batch out to one or more `twodprofd
-//! --compute` nodes over the fabric wire frames (`CacheQuery` 0x0B /
-//! `SubmitJob` 0x0A and their replies), with:
+//! --compute` nodes over the fabric wire frames — one `SubmitJob` (0x0A)
+//! per job, answered by one `JobResult` (0x8A) — with:
 //!
-//! - **a shared cache tier** — every job is preceded by a `CacheQuery`, so
-//!   a daemon's on-disk store deduplicates work across its whole fleet of
-//!   clients: the first client computes, the rest hit cache;
+//! - **a shared cache tier** — a node's engine answers each `SubmitJob`
+//!   from its memo or on-disk store before it computes, so the store
+//!   deduplicates work across the node's whole fleet of clients: the first
+//!   client computes, the rest get results marked `cached`;
 //! - **work stealing** — each node runs a bounded in-flight window, and a
 //!   node that drains the pending queue steals from the node with the
 //!   deepest backlog (duplicates are safe: jobs are deterministic and the
@@ -49,9 +50,8 @@ pub struct FabricConfig {
     /// each node; an empty list makes every batch run on the local
     /// fallback engine.
     pub nodes: Vec<String>,
-    /// Per-node bound on jobs in flight (cache queries + submitted
-    /// compute). Small windows keep requeue-on-death cheap; large windows
-    /// hide latency.
+    /// Per-node bound on submitted jobs awaiting their result. Small
+    /// windows keep requeue-on-death cheap; large windows hide latency.
     pub window: usize,
     /// Verification failures tolerated per job before it is computed
     /// locally instead of requeued.

@@ -1,12 +1,12 @@
 //! One fabric node's worker: the thread that drives a single `twodprofd
 //! --compute` connection for the duration of a batch.
 //!
-//! The worker keeps a bounded in-flight window. Each claimed job is sent as
-//! a `CacheQuery` first; a hit completes the job without compute anywhere,
-//! a miss is followed by a `SubmitJob` on the same connection. Because the
-//! daemon answers cache queries inline on its shard loop but job results
-//! as pool workers finish them, replies arrive out of order — the worker dispatches
-//! every frame by `job_id` against its in-flight map, never by position.
+//! The worker keeps a bounded in-flight window. Each claimed job is sent at
+//! once as one `SubmitJob`; the node's engine answers it from its cache
+//! tier when it can (the reply is marked `cached`) and computes it
+//! otherwise. Because the daemon replies as pool workers finish, replies
+//! arrive out of order — the worker dispatches every frame by `job_id`
+//! against its in-flight map, never by position.
 //!
 //! Every payload is verified before it counts: the declared spec hash must
 //! match the submitted spec's content hash, the checksum must match the
@@ -91,10 +91,16 @@ fn drive(
         while inflight.len() < config.window {
             match board.claim(node, inflight.is_empty()) {
                 Claim::Job(idx) => {
+                    let _span = twodprof_obs::span!("fabric.submit");
+                    twodprof_obs::counter!(
+                        "fabric_jobs_submitted_total",
+                        "Jobs accepted by this process's fabric tier (daemon: received; client: sent)."
+                    )
+                    .inc();
                     let job_id = next_id;
                     next_id += 1;
                     inflight.insert(job_id, idx);
-                    ClientFrame::CacheQuery {
+                    ClientFrame::SubmitJob {
                         job_id,
                         spec: board.spec(idx).clone(),
                     }
@@ -117,33 +123,6 @@ fn drive(
         writer.flush()?;
         gauge(inflight.len());
         match ServerFrame::read_from(&mut reader)? {
-            ServerFrame::CacheReply { job_id, result } => {
-                let Some(&idx) = inflight.get(&job_id) else {
-                    return Err(protocol(format!("CacheReply for unknown job {job_id}")));
-                };
-                match result {
-                    Some(payload) => {
-                        inflight.remove(&job_id);
-                        settle(board, node, idx, &payload);
-                    }
-                    None => {
-                        // cache miss: schedule compute; the job stays
-                        // in-flight until its JobResult arrives
-                        let _span = twodprof_obs::span!("fabric.submit");
-                        twodprof_obs::counter!(
-                            "fabric_jobs_submitted_total",
-                            "Jobs accepted by this process's fabric tier (daemon: received; client: sent)."
-                        )
-                        .inc();
-                        ClientFrame::SubmitJob {
-                            job_id,
-                            spec: board.spec(idx).clone(),
-                        }
-                        .write_to(&mut writer)?;
-                        writer.flush()?;
-                    }
-                }
-            }
             ServerFrame::JobResult { job_id, outcome } => {
                 let Some(idx) = inflight.remove(&job_id) else {
                     return Err(protocol(format!("JobResult for unknown job {job_id}")));

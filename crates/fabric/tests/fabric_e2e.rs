@@ -178,29 +178,38 @@ fn fresh_client_is_served_from_the_shared_cache_tier() {
     assert!(first_results.iter().all(|r| r.status.is_success()));
     drop(first);
 
-    // second client: brand new backend, same node — every job should be a
-    // remote cache hit, with zero submissions making it to the compute pool
+    // second client: brand new backend, same node — every job is still
+    // one submission, and the node's engine answers each from its cache
+    // tier instead of computing it
     let hits_before = counter("fabric_remote_cache_hits_total");
     let second = remote_backend(vec![node.addr.to_string()], 4);
     let second_results = second.run_jobs(&specs);
     let hits = counter("fabric_remote_cache_hits_total") - hits_before;
     // the in-process daemon shares this process's registry, so each warm job
-    // counts twice: once in the node's lookup, once in the client's settle
+    // counts twice: once in the node's pool, once in the client's settle
     assert!(
         hits >= specs.len() as u64,
         "warm sweep should be all hits, saw {hits} for {} jobs",
         specs.len()
     );
+    for r in &second_results {
+        assert_eq!(
+            r.status,
+            JobStatus::Cached,
+            "{} was not served from the node's cache tier",
+            r.spec.describe()
+        );
+    }
     assert_bit_identical(
         &second_results,
         &Engine::new(EngineConfig::default()).run_jobs(&specs),
     );
 }
 
-/// A cached payload too large for the wire must read as a `CacheQuery`
-/// miss, as it reads `TooLarge` on the `SubmitJob` path: the client
-/// computes that job locally and the node stays up for the rest of the
-/// batch. A long recorded trace is such a payload.
+/// A cached payload too large for the wire must come back `TooLarge`, as
+/// a freshly computed one does: the client computes that job locally and
+/// the node stays up for the rest of the batch. A long recorded trace is
+/// such a payload.
 #[test]
 fn oversized_cached_payload_is_a_miss_not_a_lost_node() {
     let _guard = fabric_lock();
@@ -214,7 +223,7 @@ fn oversized_cached_payload_is_a_miss_not_a_lost_node() {
     let backend = remote_backend(vec![node.addr.to_string()], 1);
     // the first batch leaves the trace in the node's cache tier
     assert_bit_identical(&backend.run_jobs(&specs), &local);
-    // the second probes it first; the count after it must still be a
+    // the second finds it there; the count after it must still be a
     // remote cache hit rather than a local fallback after a lost node
     let second = backend.run_jobs(&specs);
     assert_bit_identical(&second, &local);

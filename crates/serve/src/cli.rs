@@ -182,7 +182,7 @@ static SERVE: Command = Command {
         flag("--stream-hysteresis", "N", "folds confirming a flip"),
         flag("--stream-max-lag", "N", "pending epochs before skipping"),
         flag("--max-subscriber-queue", "N", "queue per watch subscriber"),
-        switch("--compute", "serve fabric SubmitJob/CacheQuery frames"),
+        switch("--compute", "serve fabric SubmitJob frames"),
         flag("--compute-threads", "N", "compute workers (0 = CPU count)"),
         flag("--compute-cache-dir", "DIR", "persist compute results"),
     ],

@@ -436,7 +436,6 @@ fn unexpected(wanted: &str, got: &ServerFrame) -> ClientError {
         ServerFrame::VerdictSnapshot(_) => "VerdictSnapshot",
         ServerFrame::DriftEvent(_) => "DriftEvent",
         ServerFrame::JobResult { .. } => "JobResult",
-        ServerFrame::CacheReply { .. } => "CacheReply",
         ServerFrame::BlackboxReply(_) => "BlackboxReply",
     };
     ClientError::Protocol(format!("expected {wanted}, got {label}"))

@@ -3,19 +3,20 @@
 //! cache tier.
 //!
 //! Enabled with `twodprofd --compute`, this turns a daemon into a fabric
-//! node: remote clients ship `SubmitJob`/`CacheQuery` frames on sessionless
-//! connections, the pool runs them through an [`Engine`] whose disk cache
+//! node: remote clients ship one `SubmitJob` frame per job on sessionless
+//! connections, the pool runs each through an [`Engine`] whose disk cache
 //! is shared by every client of this node, and workers reply with
 //! `JobResult` frames whenever their job finishes — out of submission
-//! order, correlated by `job_id`. Because the engine memoizes and persists
+//! order, correlated by `job_id`. The engine answers from its tiers in
+//! order: memo, disk cache, then compute. Because it memoizes and persists
 //! by content hash, a fleet of clients sweeping overlapping grids
 //! deduplicates work here: the first submission computes, the rest hit the
 //! cache tier (reported as `cached`, counted in
 //! `fabric_remote_cache_hits_total`).
 //!
-//! Compute connections are ordinary shard connections: the shard answers
-//! `CacheQuery` inline and submits jobs here with a reply target — the
-//! owning [`ShardState`] and the connection id. A worker pushes its
+//! Compute connections are ordinary shard connections: the shard submits
+//! each job here with a reply target — the owning [`ShardState`] and the
+//! connection id — and never reads the cache itself. A worker pushes its
 //! finished `JobResult` onto that shard's inbox, which wakes the shard to
 //! move it into the connection's out-buffer at once. A reply whose
 //! connection is gone is dropped — the client treats the dead connection
@@ -126,24 +127,6 @@ impl ComputePool {
         self.cond.notify_one();
     }
 
-    /// Probes the node's cache tier (memo + disk) without scheduling
-    /// compute — the `CacheQuery` path. Counts a fabric cache hit when it
-    /// answers. A payload too large for the wire (a long recorded trace)
-    /// reads as a miss: the `SubmitJob` that follows answers `TooLarge`, and
-    /// the client computes the job locally.
-    pub(crate) fn lookup(&self, spec: &JobSpec) -> Option<JobPayload> {
-        let bytes = self.engine.peek(spec)?.to_payload();
-        if bytes.len() > MAX_RESULT_PAYLOAD {
-            return None;
-        }
-        twodprof_obs::counter!(
-            "fabric_remote_cache_hits_total",
-            "Jobs answered from a remote daemon's shared cache tier."
-        )
-        .inc();
-        Some(payload_of(spec, &bytes, true))
-    }
-
     /// Stops accepting work, finishes what is queued (replies to dead
     /// connections are dropped), and joins the workers.
     pub(crate) fn shutdown(&self) {
@@ -216,15 +199,11 @@ impl ComputePool {
             )
             .inc();
         }
-        JobOutcome::Done(payload_of(spec, &bytes, cached))
-    }
-}
-
-fn payload_of(spec: &JobSpec, bytes: &[u8], cached: bool) -> JobPayload {
-    JobPayload {
-        cached,
-        spec_hash: spec.content_hash(),
-        checksum: payload_checksum(bytes),
-        bytes: bytes.to_vec(),
+        JobOutcome::Done(JobPayload {
+            cached,
+            spec_hash: spec.content_hash(),
+            checksum: payload_checksum(&bytes),
+            bytes,
+        })
     }
 }

@@ -129,10 +129,10 @@ pub struct ServerConfig {
     /// Streaming-profiler geometry (epoch length, window, hysteresis)
     /// shared by every program this daemon aggregates.
     pub stream: StreamConfig,
-    /// Run the fabric compute service: accept `SubmitJob`/`CacheQuery`
-    /// frames on sessionless connections and execute them on a worker pool
-    /// backed by this daemon's engine + cache tier. `None` (the default)
-    /// rejects job frames.
+    /// Run the fabric compute service: accept `SubmitJob` frames on
+    /// sessionless connections and answer each on a worker pool from this
+    /// daemon's engine — its cache tier, else fresh compute. `None` (the
+    /// default) rejects job frames.
     pub compute: Option<ComputeConfig>,
     /// Keep a columnar recording of each session's branch stream so
     /// clients can `Resim` it under other predictors without re-streaming.

@@ -435,7 +435,6 @@ pub(crate) fn frame_name(frame: &crate::wire::ClientFrame) -> &'static str {
         ClientFrame::TraceExport { .. } => "serve.frame.trace_export",
         ClientFrame::Subscribe { .. } => "serve.frame.subscribe",
         ClientFrame::SubmitJob { .. } => "serve.frame.submit_job",
-        ClientFrame::CacheQuery { .. } => "serve.frame.cache_query",
         ClientFrame::Blackbox => "serve.frame.blackbox",
     }
 }

@@ -39,13 +39,12 @@
 //! [`SessionTrace`] so residency stays bounded regardless of session
 //! length.
 //!
-//! Fabric compute connections (`SubmitJob`/`CacheQuery`) live here too.
-//! Cache queries are answered inline; submitted jobs go to the compute
-//! pool, whose workers push each finished `JobResult` onto the owning
-//! shard's inbox. The push wakes the shard, which moves the reply into the
-//! connection's out-buffer at once.
+//! Fabric compute connections live here too. Each `SubmitJob` goes to the
+//! compute pool, whose engine answers it from its cache tier or computes
+//! it; the worker pushes the `JobResult` onto the owning shard's inbox. The
+//! push wakes the shard, which moves the reply into the connection's
+//! out-buffer at once. The shard itself never reads the disk cache.
 
-use crate::compute::ComputePool;
 use crate::config::ServerConfig;
 use crate::flight::FlightKind;
 use crate::poll::{PollSet, Waker};
@@ -769,10 +768,7 @@ fn handle_frame(
     if conn.jobs.is_some()
         && !matches!(
             frame,
-            ClientFrame::SubmitJob { .. }
-                | ClientFrame::CacheQuery { .. }
-                | ClientFrame::Stats
-                | ClientFrame::Blackbox
+            ClientFrame::SubmitJob { .. } | ClientFrame::Stats | ClientFrame::Blackbox
         )
     {
         push_error(
@@ -1113,41 +1109,27 @@ fn handle_frame(
             }
         }
         ClientFrame::SubmitJob { job_id, spec } => {
-            if let Some(pool) = compute_pool(shared, id, conn) {
+            // refused on a session connection or a daemon without
+            // `--compute`; otherwise the connection becomes a compute channel
+            let refusal = if conn.session.is_some() {
+                "job frames are not allowed on a session connection"
+            } else if let Some(pool) = shared.compute.as_deref() {
+                if conn.jobs.is_none() {
+                    shared.log(format_args!("conn {id}: fabric compute channel opened"));
+                }
+                conn.jobs = Some(conn.jobs.unwrap_or(0) + 1);
                 // a worker replies through this shard's inbox, out of
                 // submission order
-                conn.jobs = conn.jobs.map(|n| n + 1);
                 pool.submit(job_id, spec, shard.clone(), id);
-            }
-        }
-        ClientFrame::CacheQuery { job_id, spec } => {
-            if let Some(pool) = compute_pool(shared, id, conn) {
-                let result = pool.lookup(&spec);
-                push_frame(&mut conn.out, &ServerFrame::CacheReply { job_id, result });
-            }
+                return Ok(());
+            } else {
+                "compute service is disabled on this daemon"
+            };
+            push_error(&mut conn.out, codes::BAD_STATE, refusal.into());
+            conn.closing = true;
         }
     }
     Ok(())
-}
-
-/// Admits a job frame: refused with `BAD_STATE` on a session connection
-/// or a daemon without `--compute`; otherwise the connection becomes a
-/// compute channel and the pool is returned.
-fn compute_pool<'s>(shared: &'s Shared, id: u64, conn: &mut Conn) -> Option<&'s ComputePool> {
-    let refusal = if conn.session.is_some() {
-        "job frames are not allowed on a session connection"
-    } else if let Some(pool) = shared.compute.as_deref() {
-        if conn.jobs.is_none() {
-            shared.log(format_args!("conn {id}: fabric compute channel opened"));
-            conn.jobs = Some(0);
-        }
-        return Some(pool);
-    } else {
-        "compute service is disabled on this daemon"
-    };
-    push_error(&mut conn.out, codes::BAD_STATE, refusal.into());
-    conn.closing = true;
-    None
 }
 
 /// Drains a watch subscriber's drift queue into the out-buffer; sheds the

@@ -14,8 +14,7 @@
 //!
 //! client-msg := 0x01 hello | 0x02 events | 0x03 flush | 0x04 finish
 //!             | 0x05 stats | 0x06 resim | 0x07 trace-ctx | 0x08 trace-export
-//!             | 0x09 subscribe | 0x0A submit-job | 0x0B cache-query
-//!             | 0x0C blackbox
+//!             | 0x09 subscribe | 0x0A submit-job | 0x0C blackbox
 //! hello      := varint(protocol) varint(num_sites) string(predictor-id)
 //!               varint(slice_len) varint(exec_threshold) string(program)
 //! events     := varint(count) { varint(site << 1 | taken) }*count
@@ -28,8 +27,8 @@
 //! subscribe  := string(program) varint(watch)    sessionless verdict query;
 //!                                                watch=1 keeps the connection
 //!                                                open for drift pushes
-//! submit-job := varint(job_id) jobspec           execute on the compute pool
-//! cache-query:= varint(job_id) jobspec           probe the daemon cache only
+//! submit-job := varint(job_id) jobspec           answer from the cache tier,
+//!                                                else compute on the pool
 //! jobspec    := twodprof_engine::JobSpec::encode_into
 //! blackbox   := ε                                fetch the flight recorder;
 //!                                                valid in any session state
@@ -37,7 +36,7 @@
 //! server-msg := 0x81 hello-ok | 0x82 ack | 0x83 busy | 0x84 report
 //!             | 0x85 error | 0x86 stats-reply | 0x87 trace-ack
 //!             | 0x88 trace-spans | 0x89 stream-push | 0x8A job-result
-//!             | 0x8B cache-reply | 0x8C blackbox-reply
+//!             | 0x8C blackbox-reply
 //! hello-ok   := varint(session_id) [varint(tier)]
 //!                                                tier absent => 0 (accept);
 //!                                                1 = degraded admission
@@ -58,7 +57,6 @@
 //!             | 0x01 job-payload                 served from the cache tier
 //!             | 0x02 string(msg)                 job failed deterministically
 //!             | 0x03                             result exceeds frame ceiling
-//! cache-reply:= varint(job_id) (0x00 | 0x01 job-payload)
 //! blackbox-reply := bytes                        crate::flight::encode_events
 //!                                                (checksummed event block)
 //! job-payload:= varint(spec_hash) varint(len) bytes varint(checksum)
@@ -97,8 +95,7 @@ pub const MAX_EVENTS_PER_FRAME: usize = 1 << 20;
 /// Ceiling on the static-branch table size a session may declare.
 pub const MAX_SITES: u32 = 1 << 20;
 
-/// Ceiling on the serialized job output carried by a `JobResult` /
-/// `CacheReply`, leaving headroom inside [`MAX_FRAME_LEN`] for the tag,
+/// Ceiling on the serialized job output carried by a `JobResult`, leaving headroom inside [`MAX_FRAME_LEN`] for the tag,
 /// ids, and checksum. Checked *before* allocating the receive buffer on
 /// both the client and daemon decode paths, so a hostile declared length
 /// cannot balloon memory.
@@ -133,7 +130,6 @@ const TAG_TRACE_CTX: u8 = 0x07;
 const TAG_TRACE_EXPORT: u8 = 0x08;
 const TAG_SUBSCRIBE: u8 = 0x09;
 const TAG_SUBMIT_JOB: u8 = 0x0A;
-const TAG_CACHE_QUERY: u8 = 0x0B;
 const TAG_BLACKBOX: u8 = 0x0C;
 const TAG_HELLO_OK: u8 = 0x81;
 const TAG_ACK: u8 = 0x82;
@@ -145,7 +141,6 @@ const TAG_TRACE_ACK: u8 = 0x87;
 const TAG_TRACE_SPANS: u8 = 0x88;
 const TAG_STREAM_PUSH: u8 = 0x89;
 const TAG_JOB_RESULT: u8 = 0x8A;
-const TAG_CACHE_REPLY: u8 = 0x8B;
 const TAG_BLACKBOX_REPLY: u8 = 0x8C;
 
 /// Status bytes inside a `0x8A` job-result frame.
@@ -315,23 +310,15 @@ pub enum ClientFrame {
     },
     /// Submits a job to the daemon's compute service. Sessionless: valid
     /// only on a connection with no open session, and only when the daemon
-    /// runs with `--compute` (otherwise [`codes::BAD_STATE`]). The reply is
-    /// an eventual [`ServerFrame::JobResult`] — results may arrive out of
-    /// submission order, so clients match on `job_id`.
+    /// runs with `--compute` (otherwise [`codes::BAD_STATE`]). The daemon's
+    /// engine answers from its memo or disk cache when it can and computes
+    /// otherwise. The reply is an eventual [`ServerFrame::JobResult`] —
+    /// results may arrive out of submission order, so clients match on
+    /// `job_id`.
     SubmitJob {
         /// Client-chosen correlation id, echoed in the result.
         job_id: u64,
         /// The job to execute.
-        spec: JobSpec,
-    },
-    /// Probes the daemon's cache tier without scheduling compute. Same
-    /// preconditions as [`SubmitJob`](Self::SubmitJob); answered inline
-    /// with a [`ServerFrame::CacheReply`] (a miss does *not* enqueue the
-    /// job — the client decides whether to follow up with `SubmitJob`).
-    CacheQuery {
-        /// Client-chosen correlation id, echoed in the reply.
-        job_id: u64,
-        /// The job to look up.
         spec: JobSpec,
     },
     /// Requests the daemon's flight recorder — the bounded ring of recent
@@ -417,14 +404,6 @@ pub enum ServerFrame {
         /// What happened.
         outcome: JobOutcome,
     },
-    /// Inline reply to [`ClientFrame::CacheQuery`]: `Some` with
-    /// `cached: true` on a hit, `None` on a miss.
-    CacheReply {
-        /// The querying frame's correlation id.
-        job_id: u64,
-        /// The cached payload, if present.
-        result: Option<JobPayload>,
-    },
     /// Reply to [`ClientFrame::Blackbox`]: the flight recorder's event
     /// ring serialized by `crate::flight::encode_events` — a checksummed
     /// block, opaque at this layer like [`StatsReply`](Self::StatsReply).
@@ -464,9 +443,8 @@ fn write_payload(buf: &mut Vec<u8>, p: &JobPayload) {
 }
 
 /// Reads a job payload, enforcing [`MAX_RESULT_PAYLOAD`] on the declared
-/// length *before* allocating — this helper is shared by the daemon and
-/// client decode paths, so neither side can be ballooned by a hostile
-/// length prefix.
+/// length *before* allocating, so a hostile length prefix cannot balloon
+/// the fabric client's memory.
 fn read_payload(r: &mut &[u8], cached: bool) -> io::Result<JobPayload> {
     let spec_hash = read_varint(r)?;
     let len = read_varint(r)? as usize;
@@ -592,11 +570,6 @@ impl ClientFrame {
                 write_varint(&mut buf, *job_id).expect("vec write");
                 spec.encode_into(&mut buf);
             }
-            ClientFrame::CacheQuery { job_id, spec } => {
-                buf.push(TAG_CACHE_QUERY);
-                write_varint(&mut buf, *job_id).expect("vec write");
-                spec.encode_into(&mut buf);
-            }
             ClientFrame::Blackbox => buf.push(TAG_BLACKBOX),
         }
         buf
@@ -669,11 +642,6 @@ impl ClientFrame {
                 let job_id = read_varint(&mut r)?;
                 let spec = JobSpec::decode_from(&mut r)?;
                 ClientFrame::SubmitJob { job_id, spec }
-            }
-            TAG_CACHE_QUERY => {
-                let job_id = read_varint(&mut r)?;
-                let spec = JobSpec::decode_from(&mut r)?;
-                ClientFrame::CacheQuery { job_id, spec }
             }
             TAG_BLACKBOX => ClientFrame::Blackbox,
             other => return Err(invalid(format!("unknown client frame tag {other:#04x}"))),
@@ -773,17 +741,6 @@ impl ServerFrame {
                     JobOutcome::TooLarge => buf.push(OUTCOME_TOO_LARGE),
                 }
             }
-            ServerFrame::CacheReply { job_id, result } => {
-                buf.push(TAG_CACHE_REPLY);
-                write_varint(&mut buf, *job_id).expect("vec write");
-                match result {
-                    Some(p) => {
-                        buf.push(0x01);
-                        write_payload(&mut buf, p);
-                    }
-                    None => buf.push(0x00),
-                }
-            }
             ServerFrame::BlackboxReply(bytes) => {
                 buf.push(TAG_BLACKBOX_REPLY);
                 buf.extend_from_slice(bytes);
@@ -881,17 +838,6 @@ impl ServerFrame {
                     other => return Err(invalid(format!("unknown job outcome {other:#04x}"))),
                 };
                 ServerFrame::JobResult { job_id, outcome }
-            }
-            TAG_CACHE_REPLY => {
-                let job_id = read_varint(&mut r)?;
-                let mut flag = [0u8; 1];
-                r.read_exact(&mut flag)?;
-                let result = match flag[0] {
-                    0x00 => None,
-                    0x01 => Some(read_payload(&mut r, true)?),
-                    other => return Err(invalid(format!("bad cache-reply flag {other:#04x}"))),
-                };
-                ServerFrame::CacheReply { job_id, result }
             }
             TAG_BLACKBOX_REPLY => {
                 // the remainder is the flight block, opaque at this layer
@@ -1335,8 +1281,19 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(ClientFrame::decode(&[0x7F]).is_err());
-        assert!(ServerFrame::decode(&[0x01]).is_err());
+        // 0x0B and 0x8B were the retired cache-query and cache-reply tags
+        for tag in [0x7F, 0x0B] {
+            assert!(
+                ClientFrame::decode(&[tag]).is_err(),
+                "client tag {tag:#04x}"
+            );
+        }
+        for tag in [0x01, 0x8B] {
+            assert!(
+                ServerFrame::decode(&[tag]).is_err(),
+                "server tag {tag:#04x}"
+            );
+        }
         assert!(ClientFrame::decode(&[]).is_err());
     }
 
@@ -1385,7 +1342,7 @@ mod tests {
             job_id: 7,
             spec: JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb),
         });
-        roundtrip_client(ClientFrame::CacheQuery {
+        roundtrip_client(ClientFrame::SubmitJob {
             job_id: u64::MAX,
             spec: JobSpec::trace("mcf", "train", Scale::Small),
         });
@@ -1405,14 +1362,6 @@ mod tests {
             job_id: 4,
             outcome: JobOutcome::TooLarge,
         });
-        roundtrip_server(ServerFrame::CacheReply {
-            job_id: 5,
-            result: Some(sample_payload(true)),
-        });
-        roundtrip_server(ServerFrame::CacheReply {
-            job_id: 6,
-            result: None,
-        });
     }
 
     #[test]
@@ -1428,18 +1377,6 @@ mod tests {
             write_varint(&mut payload, 0xABCD).unwrap(); // spec_hash
             write_varint(&mut payload, declared).unwrap(); // bytes length
             let err = ServerFrame::decode(&payload).unwrap_err();
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "declared {declared}"
-            );
-
-            let mut reply = vec![TAG_CACHE_REPLY];
-            write_varint(&mut reply, 9).unwrap();
-            reply.push(0x01);
-            write_varint(&mut reply, 0xABCD).unwrap();
-            write_varint(&mut reply, declared).unwrap();
-            let err = ServerFrame::decode(&reply).unwrap_err();
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidData,
@@ -1494,10 +1431,6 @@ mod tests {
         write_varint(&mut payload, 1).unwrap();
         payload.push(0x07);
         assert!(ServerFrame::decode(&payload).is_err());
-        let mut reply = vec![TAG_CACHE_REPLY];
-        write_varint(&mut reply, 1).unwrap();
-        reply.push(0x02);
-        assert!(ServerFrame::decode(&reply).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_engine::{Engine, EngineConfig, JobSpec};
 use twodprof_serve::wire::{
-    codes, AdmissionTier, ClientFrame, Hello, JobOutcome, ServerFrame, PROTOCOL_VERSION,
+    codes, AdmissionTier, ClientFrame, Hello, JobOutcome, JobPayload, ServerFrame, PROTOCOL_VERSION,
 };
 use twodprof_serve::{
     fetch_stats, replay_workload, ClientError, ComputeConfig, ConnectOptions, RemoteSession,
@@ -752,13 +752,13 @@ fn local_payload(spec: &JobSpec) -> Vec<u8> {
         .to_payload()
 }
 
-/// Unwraps a successful `JobResult` for `job_id` into its payload bytes.
-fn job_bytes(frame: ServerFrame, job_id: u64) -> Vec<u8> {
+/// Unwraps a successful `JobResult` for `job_id` into its payload.
+fn job_payload(frame: ServerFrame, job_id: u64) -> JobPayload {
     match frame {
         ServerFrame::JobResult {
             job_id: id,
             outcome: JobOutcome::Done(payload),
-        } if id == job_id => payload.bytes,
+        } if id == job_id => payload,
         other => panic!("expected JobResult {job_id}, got {other:?}"),
     }
 }
@@ -769,15 +769,11 @@ fn compute_channel_pipelines_job_frames_beside_an_ingest_session() {
     let daemon = compute_daemon(Duration::from_secs(30));
     let spec = JobSpec::two_d("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
     let mut chan = TcpStream::connect(daemon.addr).expect("connect");
-    // one write of four pipelined frames
+    // one write of three pipelined frames
     let mut pipelined = Vec::new();
     for frame in [
-        ClientFrame::CacheQuery {
-            job_id: 1,
-            spec: spec.clone(),
-        },
         ClientFrame::SubmitJob {
-            job_id: 2,
+            job_id: 1,
             spec: spec.clone(),
         },
         ClientFrame::Stats,
@@ -804,35 +800,28 @@ fn compute_channel_pipelines_job_frames_beside_an_ingest_session() {
     );
 
     // every job frame is answered; the JobResult may land anywhere
-    let (mut miss, mut job, mut stats, mut blackbox) = (None, None, false, false);
-    for _ in 0..4 {
+    let (mut job, mut stats, mut blackbox) = (None, false, false);
+    for _ in 0..3 {
         match ServerFrame::read_from(&mut chan).expect("reply") {
-            ServerFrame::CacheReply { job_id: 1, result } => miss = Some(result),
-            frame @ ServerFrame::JobResult { .. } => job = Some(job_bytes(frame, 2)),
+            frame @ ServerFrame::JobResult { .. } => job = Some(job_payload(frame, 1)),
             ServerFrame::StatsReply(_) => stats = true,
             ServerFrame::BlackboxReply(_) => blackbox = true,
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert_eq!(miss, Some(None), "a cold daemon must miss the cache query");
     assert!(stats && blackbox, "Stats and Blackbox must be answered");
+    let job = job.expect("JobResult");
+    assert!(!job.cached, "a cold daemon must compute the job");
     let expected = local_payload(&spec);
-    assert_eq!(job.expect("JobResult"), expected);
+    assert_eq!(job.bytes, expected);
 
-    // the finished job now answers from the node's cache tier
-    ClientFrame::CacheQuery { job_id: 3, spec }
+    // a second submission of the finished job answers from the cache tier
+    ClientFrame::SubmitJob { job_id: 2, spec }
         .write_to(&mut chan)
-        .expect("write cache query");
-    match ServerFrame::read_from(&mut chan).expect("cache reply") {
-        ServerFrame::CacheReply {
-            job_id: 3,
-            result: Some(payload),
-        } => {
-            assert!(payload.cached);
-            assert_eq!(payload.bytes, expected);
-        }
-        other => panic!("expected a cache hit, got {other:?}"),
-    }
+        .expect("write second submit");
+    let again = job_payload(ServerFrame::read_from(&mut chan).expect("reply"), 2);
+    assert!(again.cached, "a finished job must come back cached");
+    assert_eq!(again.bytes, expected);
     drop(chan);
     let stats = daemon.stop();
     assert_eq!(stats.sessions_finished, 1);
@@ -854,16 +843,13 @@ fn job_frames_are_refused_outside_a_compute_channel() {
     // a session frame after a job frame
     let daemon = compute_daemon(Duration::from_secs(30));
     let mut stream = TcpStream::connect(daemon.addr).expect("connect");
-    ClientFrame::CacheQuery {
+    ClientFrame::SubmitJob {
         job_id: 1,
         spec: spec.clone(),
     }
     .write_to(&mut stream)
-    .expect("write cache query");
-    assert!(matches!(
-        ServerFrame::read_from(&mut stream).expect("cache reply"),
-        ServerFrame::CacheReply { job_id: 1, .. }
-    ));
+    .expect("write submit");
+    job_payload(ServerFrame::read_from(&mut stream).expect("reply"), 1);
     ClientFrame::Hello(Hello {
         protocol: PROTOCOL_VERSION,
         num_sites: 4,
@@ -928,7 +914,7 @@ fn compute_channel_outlives_idle_timeout_while_a_job_runs() {
         took >= idle * 10,
         "the job must outlast the idle timeout tenfold to test anything ({took:?})"
     );
-    assert_eq!(job_bytes(frame, 7), expected);
+    assert_eq!(job_payload(frame, 7).bytes, expected);
 
     // with nothing outstanding the idle sweep reaps the connection again
     let err = ServerFrame::read_from(&mut chan).expect_err("reaped connection");

@@ -121,7 +121,7 @@ proptest! {
         prop_assert!(ServerFrame::decode(&bytes).is_err());
     }
 
-    // --- fabric frames (SubmitJob 0x0A / CacheQuery 0x0B and replies) ---
+    // --- fabric frames (SubmitJob 0x0A and its JobResult 0x8A) ---
 
     #[test]
     fn fabric_client_frames_roundtrip(
@@ -131,14 +131,9 @@ proptest! {
         scale_seed in any::<u8>(),
         kind_seed in any::<u8>(),
         pred_seed in any::<u8>(),
-        submit in any::<bool>(),
     ) {
         let spec = spec_from(&workload, &input, scale_seed, kind_seed, pred_seed);
-        let frame = if submit {
-            ClientFrame::SubmitJob { job_id, spec }
-        } else {
-            ClientFrame::CacheQuery { job_id, spec }
-        };
+        let frame = ClientFrame::SubmitJob { job_id, spec };
         let bytes = frame.encode();
         prop_assert_eq!(ClientFrame::decode(&bytes).unwrap(), frame);
     }
@@ -152,20 +147,16 @@ proptest! {
         cached in any::<bool>(),
         msg in "[ a-z0-9]{0,40}",
     ) {
-        let payload = |cached| JobPayload {
+        let payload = JobPayload {
             cached,
             spec_hash,
-            bytes: body.clone(),
+            bytes: body,
             checksum,
         };
         for frame in [
-            ServerFrame::JobResult { job_id, outcome: JobOutcome::Done(payload(cached)) },
+            ServerFrame::JobResult { job_id, outcome: JobOutcome::Done(payload) },
             ServerFrame::JobResult { job_id, outcome: JobOutcome::TooLarge },
             ServerFrame::JobResult { job_id, outcome: JobOutcome::Failed(msg) },
-            ServerFrame::CacheReply { job_id, result: None },
-            // the wire carries no cached flag for cache replies — a hit is
-            // cached by definition, so the decoder always sets it
-            ServerFrame::CacheReply { job_id, result: Some(payload(true)) },
         ] {
             let bytes = frame.encode();
             prop_assert_eq!(ServerFrame::decode(&bytes).unwrap(), frame);
@@ -204,12 +195,9 @@ proptest! {
         extra in prop::collection::vec(any::<u8>(), 1..16),
     ) {
         let spec = JobSpec::trace("gzip", "train", Scale::Tiny);
-        let mut bytes = ClientFrame::CacheQuery { job_id, spec }.encode();
+        let mut bytes = ClientFrame::SubmitJob { job_id, spec }.encode();
         bytes.extend_from_slice(&extra);
         prop_assert!(ClientFrame::decode(&bytes).is_err());
-        let mut bytes = ServerFrame::CacheReply { job_id, result: None }.encode();
-        bytes.extend_from_slice(&extra);
-        prop_assert!(ServerFrame::decode(&bytes).is_err());
         let mut bytes = ServerFrame::JobResult { job_id, outcome: JobOutcome::TooLarge }.encode();
         bytes.extend_from_slice(&extra);
         prop_assert!(ServerFrame::decode(&bytes).is_err());
