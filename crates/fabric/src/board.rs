@@ -1,14 +1,14 @@
 //! The sweep board: shared scheduling state for one `run_jobs` batch.
 //!
-//! One [`Board`] exists per batch. Every job starts on the pending queue;
-//! node workers claim jobs, and when the queue runs dry they *steal* a
-//! claimed-but-unfinished job from the node with the deepest in-flight
-//! backlog (slowest-node rebalance — jobs are deterministic, so duplicate
-//! execution is wasteful but never wrong, and the first verified result
-//! wins). Jobs owned by a node that dies are requeued to the survivors;
-//! jobs whose payloads repeatedly fail verification, and jobs the daemon
-//! reports as too large for the wire, are flagged for local computation by
-//! the caller after the workers drain.
+//! One [`Board`] exists per batch. Every job starts on the pending queue,
+//! and node workers claim jobs from it; a claimed job has exactly one
+//! owner. A worker that finds the queue empty waits rather than duplicate
+//! another node's in-flight job: a batch ends only once every node's
+//! in-flight replies are in, so a duplicate could never end it sooner.
+//! Jobs owned by a node that dies are requeued to the survivors; jobs
+//! whose payloads repeatedly fail verification, and jobs the daemon
+//! reports as too large for the wire, are flagged for local computation
+//! by the caller after the workers drain.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -36,9 +36,9 @@ struct Slot {
     /// Verification failures so far (checksum/hash mismatch, undecodable
     /// payload). Node deaths do not count — they are not the job's fault.
     attempts: u32,
-    /// Nodes currently holding this job in-flight. More than one after a
-    /// steal; empty while the job sits on the pending queue.
-    owners: Vec<usize>,
+    /// The node holding this job in flight; `None` while the job sits on
+    /// the pending queue.
+    owner: Option<usize>,
     started: Option<Instant>,
     result: Option<JobResult>,
 }
@@ -82,98 +82,67 @@ impl Board {
                 if s.slots[idx].done || s.slots[idx].local {
                     continue;
                 }
-                s.slots[idx].owners.push(node);
+                s.slots[idx].owner = Some(node);
                 s.slots[idx].started.get_or_insert_with(Instant::now);
                 return Claim::Job(idx);
             }
-            if let Some(idx) = steal_candidate(&s, node) {
-                s.slots[idx].owners.push(node);
-                twodprof_obs::counter!(
-                    "fabric_jobs_stolen_total",
-                    "Jobs stolen from a slower node's in-flight window."
-                )
-                .inc();
-                let _span = twodprof_obs::span!("fabric.steal");
-                return Claim::Job(idx);
-            }
-            // nothing to claim or steal: if unfinished remote work remains,
-            // a completion/requeue may still free something up
+            // nothing to claim: if unfinished remote work remains, a
+            // requeue may still free something up
             if !s.slots.iter().any(|sl| !sl.done && !sl.local) {
                 return Claim::Exit;
             }
             if !may_wait {
                 return Claim::Wait;
             }
-            let (guard, _) = self
-                .cond
-                .wait_timeout(s, Duration::from_millis(50))
-                .expect("board state");
-            s = guard;
+            // every other board mutation notifies
+            s = self.cond.wait(s).expect("board state");
         }
     }
 
-    /// Records a verified result for `idx`. Returns `false` (and changes
-    /// nothing) if another node already finished it — the duplicate-steal
-    /// case.
-    pub(crate) fn complete(&self, idx: usize, output: JobOutput, cached: bool) -> bool {
-        let mut s = self.state.lock().expect("board state");
-        if s.slots[idx].done {
-            return false;
-        }
-        let duration = s.slots[idx].started.map_or(Duration::ZERO, |t| t.elapsed());
-        s.slots[idx].done = true;
-        s.slots[idx].result = Some(JobResult {
-            spec: self.specs[idx].clone(),
-            status: if cached {
-                JobStatus::Cached
-            } else {
-                JobStatus::Computed
-            },
-            output: Some(output),
-            duration,
-        });
-        drop(s);
+    /// Records a verified result for `idx`.
+    pub(crate) fn complete(&self, idx: usize, output: JobOutput, cached: bool) {
+        let status = if cached {
+            JobStatus::Cached
+        } else {
+            JobStatus::Computed
+        };
+        self.settle(idx, status, Some(output));
         twodprof_obs::counter!(
             "fabric_jobs_completed_total",
             "Jobs this process's fabric tier finished (daemon: replied; client: resolved)."
         )
         .inc();
-        self.cond.notify_all();
-        true
     }
 
     /// Records a deterministic failure reported by a daemon. Retrying on
     /// another node would fail identically, so the job completes as failed.
     pub(crate) fn complete_failed(&self, idx: usize, msg: String) {
+        self.settle(idx, JobStatus::Failed(msg), None);
+    }
+
+    fn settle(&self, idx: usize, status: JobStatus, output: Option<JobOutput>) {
         let mut s = self.state.lock().expect("board state");
-        if s.slots[idx].done {
-            return;
-        }
-        let duration = s.slots[idx].started.map_or(Duration::ZERO, |t| t.elapsed());
-        s.slots[idx].done = true;
-        s.slots[idx].result = Some(JobResult {
+        let slot = &mut s.slots[idx];
+        slot.done = true;
+        slot.result = Some(JobResult {
             spec: self.specs[idx].clone(),
-            status: JobStatus::Failed(msg),
-            output: None,
-            duration,
+            status,
+            output,
+            duration: slot.started.map_or(Duration::ZERO, |t| t.elapsed()),
         });
         drop(s);
         self.cond.notify_all();
     }
 
-    /// A payload for `idx` failed verification on `node`: count an attempt,
-    /// requeue the job if no other node holds it, and flag it local once
-    /// the attempt budget is spent.
-    pub(crate) fn bad_payload(&self, idx: usize, node: usize) {
+    /// A payload for `idx` failed verification: count an attempt, then
+    /// requeue the job, or flag it local once the attempt budget is spent.
+    pub(crate) fn bad_payload(&self, idx: usize) {
         let mut s = self.state.lock().expect("board state");
-        s.slots[idx].owners.retain(|&o| o != node);
-        if s.slots[idx].done {
-            return;
-        }
+        s.slots[idx].owner = None;
         s.slots[idx].attempts += 1;
         if s.slots[idx].attempts >= self.max_attempts {
             s.slots[idx].local = true;
-        } else if s.slots[idx].owners.is_empty() {
+        } else {
             requeue(&mut s, idx);
         }
         drop(s);
@@ -182,24 +151,21 @@ impl Board {
 
     /// The daemon says this job's result cannot cross the wire: flag it for
     /// the caller's local fallback.
-    pub(crate) fn mark_local(&self, idx: usize, node: usize) {
+    pub(crate) fn mark_local(&self, idx: usize) {
         let mut s = self.state.lock().expect("board state");
-        s.slots[idx].owners.retain(|&o| o != node);
-        if !s.slots[idx].done {
-            s.slots[idx].local = true;
-        }
+        s.slots[idx].owner = None;
+        s.slots[idx].local = true;
         drop(s);
         self.cond.notify_all();
     }
 
     /// `node` left the batch — finished, disconnected or never connected:
-    /// release everything it held, requeuing jobs no survivor owns.
+    /// requeue every unfinished job it held.
     pub(crate) fn node_died(&self, node: usize) {
         let mut s = self.state.lock().expect("board state");
         for idx in 0..s.slots.len() {
-            let had = s.slots[idx].owners.contains(&node);
-            s.slots[idx].owners.retain(|&o| o != node);
-            if had && !s.slots[idx].done && !s.slots[idx].local && s.slots[idx].owners.is_empty() {
+            if s.slots[idx].owner == Some(node) && !s.slots[idx].done {
+                s.slots[idx].owner = None;
                 requeue(&mut s, idx);
             }
         }
@@ -230,22 +196,4 @@ fn requeue(s: &mut MutexGuard<'_, State>, idx: usize) {
         "Jobs requeued after node loss or a failed payload verification."
     )
     .inc();
-}
-
-/// A job worth stealing for `me`: unfinished, owned by exactly one *other*
-/// node, preferring the owner with the deepest in-flight backlog (the
-/// slowest node is the one worth relieving).
-fn steal_candidate(s: &State, me: usize) -> Option<usize> {
-    let inflight_of = |node: usize| {
-        s.slots
-            .iter()
-            .filter(|sl| !sl.done && sl.owners.contains(&node))
-            .count()
-    };
-    s.slots
-        .iter()
-        .enumerate()
-        .filter(|(_, sl)| !sl.done && !sl.local && sl.owners.len() == 1 && !sl.owners.contains(&me))
-        .max_by_key(|(_, sl)| inflight_of(sl.owners[0]))
-        .map(|(idx, _)| idx)
 }

@@ -11,10 +11,11 @@
 //!   from its memo or on-disk store before it computes, so the store
 //!   deduplicates work across the node's whole fleet of clients: the first
 //!   client computes, the rest get results marked `cached`;
-//! - **work stealing** — each node runs a bounded in-flight window, and a
-//!   node that drains the pending queue steals from the node with the
-//!   deepest backlog (duplicates are safe: jobs are deterministic and the
-//!   first verified result wins);
+//! - **one shared queue** — each node runs a bounded in-flight window fed
+//!   from one pending queue, and every job is submitted to one node at a
+//!   time; a node that drains the queue waits for the others rather than
+//!   duplicate their jobs, since the batch waits for every in-flight reply
+//!   anyway;
 //! - **fault tolerance** — jobs owned by a disconnected node are requeued
 //!   to survivors, payloads are verified (spec hash + checksum + decode)
 //!   before they count, and when every node is lost the remainder of the

@@ -128,8 +128,8 @@ fn drive(
                     return Err(protocol(format!("JobResult for unknown job {job_id}")));
                 };
                 match outcome {
-                    JobOutcome::Done(payload) => settle(board, node, idx, &payload),
-                    JobOutcome::TooLarge => board.mark_local(idx, node),
+                    JobOutcome::Done(payload) => settle(board, idx, &payload),
+                    JobOutcome::TooLarge => board.mark_local(idx),
                     JobOutcome::Failed(msg) => board.complete_failed(idx, msg),
                 }
             }
@@ -149,7 +149,7 @@ fn drive(
 /// and decodability must all check out, otherwise the board counts a failed
 /// attempt and requeues. A span covers the retry path so verification
 /// failures are visible in traces.
-fn settle(board: &Board, node: usize, idx: usize, payload: &JobPayload) {
+fn settle(board: &Board, idx: usize, payload: &JobPayload) {
     let spec = board.spec(idx);
     let verified = payload.spec_hash == spec.content_hash()
         && payload.checksum == payload_checksum(&payload.bytes);
@@ -174,7 +174,7 @@ fn settle(board: &Board, node: usize, idx: usize, payload: &JobPayload) {
                 "Remote payloads rejected by hash/checksum/decode verification."
             )
             .inc();
-            board.bad_payload(idx, node);
+            board.bad_payload(idx);
         }
     }
 }

@@ -163,6 +163,31 @@ fn two_node_sweep_is_bit_identical_to_local() {
     );
 }
 
+/// A lone job on a two-node fleet is submitted once: the idle node waits
+/// for the batch instead of duplicating the busy node's job.
+#[test]
+fn a_one_job_batch_on_two_nodes_is_submitted_once() {
+    let _guard = fabric_lock();
+    let a = Daemon::start("lone-a", 1);
+    let b = Daemon::start("lone-b", 1);
+    let specs = [JobSpec::two_d(
+        "gzip",
+        "train",
+        Scale::Tiny,
+        PredictorKind::Gshare4Kb,
+    )];
+    let submitted_before = counter("fabric_jobs_submitted_total");
+    let backend = remote_backend(vec![a.addr.to_string(), b.addr.to_string()], 4);
+    let results = backend.run_jobs(&specs);
+    // the in-process daemons share this process's registry, so the one
+    // submission counts twice: once sent by the client, once received
+    assert_eq!(counter("fabric_jobs_submitted_total") - submitted_before, 2);
+    assert_bit_identical(
+        &results,
+        &Engine::new(EngineConfig::default()).run_jobs(&specs),
+    );
+}
+
 /// A second, fresh client sweeping the same grid against the same node
 /// must be answered from the node's shared cache tier — the cross-fleet
 /// dedup the fabric exists for.
@@ -187,9 +212,10 @@ fn fresh_client_is_served_from_the_shared_cache_tier() {
     let hits = counter("fabric_remote_cache_hits_total") - hits_before;
     // the in-process daemon shares this process's registry, so each warm job
     // counts twice: once in the node's pool, once in the client's settle
-    assert!(
-        hits >= specs.len() as u64,
-        "warm sweep should be all hits, saw {hits} for {} jobs",
+    assert_eq!(
+        hits,
+        2 * specs.len() as u64,
+        "warm sweep should be one hit per job on each side, saw {hits} for {} jobs",
         specs.len()
     );
     for r in &second_results {

@@ -181,7 +181,7 @@ static SERVE: Command = Command {
         flag("--stream-window", "N", "streaming window, in slices"),
         flag("--stream-hysteresis", "N", "folds confirming a flip"),
         flag("--stream-max-lag", "N", "pending epochs before skipping"),
-        flag("--max-subscriber-queue", "N", "queue per watch subscriber"),
+        flag("--max-subscriber-queue", "N", "unread drift frames/watcher"),
         switch("--compute", "serve fabric SubmitJob frames"),
         flag("--compute-threads", "N", "compute workers (0 = CPU count)"),
         flag("--compute-cache-dir", "DIR", "persist compute results"),

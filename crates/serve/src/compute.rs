@@ -154,13 +154,14 @@ impl ComputePool {
                 }
             };
             let outcome = self.execute(&task.spec);
-            task.shard.push_reply(
-                task.conn,
-                &ServerFrame::JobResult {
-                    job_id: task.job_id,
-                    outcome,
-                },
-            );
+            let mut reply = Vec::new();
+            ServerFrame::JobResult {
+                job_id: task.job_id,
+                outcome,
+            }
+            .write_to(&mut reply)
+            .expect("vec write");
+            task.shard.push_reply(task.conn, reply);
             twodprof_obs::counter!(
                 "fabric_jobs_completed_total",
                 "Jobs this process's fabric tier finished (daemon: replied; client: resolved)."

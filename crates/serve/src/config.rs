@@ -32,8 +32,9 @@ pub struct LimitsConfig {
     /// On shutdown, how long to wait for in-flight sessions to `Finish`
     /// before force-closing their connections.
     pub drain_timeout: Duration,
-    /// Drift events buffered per `watch` subscriber before the daemon sheds
-    /// it (slow-consumer protection).
+    /// Unread drift frames a `watch` subscriber may fall behind by before
+    /// the daemon sheds it (slow-consumer protection). Enforced on the
+    /// watcher's unsent bytes, as this many of the widest drift frame.
     pub max_subscriber_queue: usize,
     /// Retry-after hint attached to shed (`Busy`) replies, so well-behaved
     /// clients back off for a bounded, server-chosen interval instead of

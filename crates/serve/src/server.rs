@@ -48,12 +48,13 @@ use crate::config::ServerConfig;
 use crate::flight::FlightRecorder;
 use crate::poll::{PollSet, Waker};
 use crate::shard::{current_tier, shard_loop, ShardState};
-use std::collections::{HashMap, VecDeque};
+use crate::wire::ServerFrame;
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 use twodprof_obs::{Snapshot, Timeline};
@@ -80,36 +81,16 @@ pub struct ServerStats {
 pub(crate) struct ProgramStream {
     /// `None` until the program's first session declares its site table.
     pub(crate) profiler: Mutex<Option<StreamingProfiler>>,
-    pub(crate) subscribers: Mutex<Vec<Arc<Subscriber>>>,
+    /// The watch connections' own handles; a watcher torn down leaves a
+    /// dead entry, pruned at the next publish.
+    pub(crate) subscribers: Mutex<Vec<Weak<Subscriber>>>,
 }
 
-/// A `watch` connection's bounded drift-event queue, filled by publishing
-/// shard threads and drained by the owning shard's watch pump.
+/// Where a `watch` connection lives: the shard owning it and its
+/// connection id, whom a publisher hands drift frames to.
 pub(crate) struct Subscriber {
-    pub(crate) queue: Mutex<SubQueue>,
-    /// The shard owning the watch connection, and that connection's id:
-    /// whom a publisher notifies.
-    shard: Arc<ShardState>,
-    conn: u64,
-}
-
-impl Subscriber {
-    pub(crate) fn new(shard: Arc<ShardState>, conn: u64) -> Self {
-        Self {
-            queue: Mutex::new(SubQueue::default()),
-            shard,
-            conn,
-        }
-    }
-}
-
-#[derive(Default)]
-pub(crate) struct SubQueue {
-    pub(crate) events: VecDeque<DriftEvent>,
-    /// The queue overflowed; the watch pump tells the client and hangs up.
-    pub(crate) shed: bool,
-    /// The watcher is gone; publishers drop the subscriber on next fan-out.
-    pub(crate) closed: bool,
+    pub(crate) shard: Arc<ShardState>,
+    pub(crate) conn: u64,
 }
 
 /// A live session's attachment to its program's streaming profiler.
@@ -363,52 +344,33 @@ impl Shared {
     }
 }
 
-/// Fans freshly folded drift events out to the program's watchers under a
-/// `serve.push` span, shedding any subscriber whose bounded queue would
-/// overflow, and publishes the deepest queue as the subscriber-lag gauge.
-pub(crate) fn publish_drift(shared: &Shared, stream: &ProgramStream, events: &[DriftEvent]) {
-    let _span = twodprof_obs::span!("serve.push");
-    let mut max_depth = 0usize;
+/// Fans freshly folded drift events out to the program's live watchers
+/// under a `serve.push` span: the frames are encoded once and handed to
+/// each watcher's shard as a reply, under the subscriber-list lock so
+/// every watcher sees publishes in one order. A program nobody watches
+/// encodes and pushes nothing.
+pub(crate) fn publish_drift(stream: &ProgramStream, events: &[DriftEvent]) {
     let mut subs = stream.subscribers.lock().expect("subscriber list");
-    subs.retain(|sub| {
-        let mut q = sub.queue.lock().expect("subscriber queue");
-        if q.closed || q.shed {
-            return false;
-        }
-        let keep = q.events.len() + events.len() <= shared.config.limits.max_subscriber_queue;
-        // notify on the empty → non-empty edge (a non-empty queue already
-        // has a notice on its way) and on shedding, which the pump must
-        // report to the watcher
-        let notify = !keep || q.events.is_empty();
-        if keep {
-            q.events.extend(events.iter().copied());
-            max_depth = max_depth.max(q.events.len());
-        } else {
-            q.shed = true;
-            twodprof_obs::counter!(
-                "serve_subscriber_drops_total",
-                "Watch subscribers shed because their drift queue overflowed."
-            )
-            .inc();
-        }
-        drop(q);
-        if notify {
-            sub.shard.push_watch(sub.conn);
-        }
-        keep
-    });
-    drop(subs);
-    twodprof_obs::gauge!(
-        "serve_subscriber_lag",
-        "Deepest watch-subscriber drift queue at last fan-out."
-    )
-    .set(max_depth as i64);
+    subs.retain(|sub| sub.strong_count() > 0);
+    if subs.is_empty() {
+        return;
+    }
+    let _span = twodprof_obs::span!("serve.push");
+    let mut frames = Vec::new();
+    for event in events {
+        ServerFrame::DriftEvent(event.to_bytes())
+            .write_to(&mut frames)
+            .expect("vec write");
+    }
+    for sub in subs.iter().filter_map(Weak::upgrade) {
+        sub.shard.push_reply(sub.conn, frames.clone());
+    }
 }
 
 /// Detaches a session from its program's streaming profiler — on `Finish`
 /// or on any abort path, so a dead session never stalls the fold watermark
 /// — and fans out whatever drift events the final folds produced.
-pub(crate) fn detach_program(shared: &Shared, ps: ProgramSession) {
+pub(crate) fn detach_program(ps: ProgramSession) {
     let mut out = Vec::new();
     {
         let mut profiler = ps.stream.profiler.lock().expect("stream profiler");
@@ -417,7 +379,7 @@ pub(crate) fn detach_program(shared: &Shared, ps: ProgramSession) {
         }
     }
     if !out.is_empty() {
-        publish_drift(shared, &ps.stream, &out);
+        publish_drift(&ps.stream, &out);
     }
 }
 

@@ -5,20 +5,20 @@
 //!
 //! The loop is event-driven: it blocks in `poll(2)` on its connections
 //! plus its own [`Waker`], and runs one iteration per wakeup. Other threads
-//! hand it work through its inbox — newly accepted sockets, finished
-//! compute replies and watch notifications — and wake it when the inbox
-//! goes from empty to non-empty; shutdown, accept-stop and force-close wake
-//! every shard. The only timeout is the next idle-sweep deadline, floored
-//! at [`MIN_POLL_TIMEOUT`], so an idle shard sleeps until something
-//! happens.
+//! hand it work through its inbox — newly accepted sockets, and encoded
+//! replies for its connections: finished compute jobs and published drift
+//! frames — and wake it when the inbox goes from empty to non-empty;
+//! shutdown, accept-stop and force-close wake every shard. The only
+//! timeout is the next idle-sweep deadline, floored at
+//! [`MIN_POLL_TIMEOUT`], so an idle shard sleeps until something happens.
 //!
 //! An iteration: take the inbox, then service only the connections that
 //! poll reported ready or that the inbox touched — read whatever the
 //! kernel has, feed it through the incremental [`FrameDecoder`], handle
 //! complete frames (queueing replies into a per-connection out-buffer),
-//! pump any watch subscriber's drift queue, and flush the out-buffer until
-//! `WouldBlock`. The poll table persists across iterations and changes
-//! only on insert, teardown and interest changes. When the sweep deadline
+//! and flush the out-buffer until `WouldBlock`; a watcher whose unsent
+//! drift outgrows its bound is shed. The poll table persists across
+//! iterations and changes only on insert, teardown and interest changes. When the sweep deadline
 //! passes, idle connections are reaped (replacing the old GC thread).
 //! Finally the shard records its self-health: service-pass and loop-lag
 //! histograms plus the last-pass levels in [`ShardState`].
@@ -64,7 +64,6 @@ use std::time::{Duration, Instant};
 use twodprof_core::SliceConfig;
 use twodprof_obs::trace::{self, Span, TraceContext};
 use twodprof_obs::{Family, Histogram};
-use twodprof_stream::DriftEvent;
 
 /// Floor on a shard's poll timeout. The timeout is the next idle-sweep
 /// deadline, and a sweep due sooner than this waits this long, so a shard
@@ -90,13 +89,18 @@ const MAX_SPARE_EVENTS: usize = 1 << 16;
 /// starving its other connections.
 const SLOW_TICK_LAG: Duration = Duration::from_millis(250);
 
+/// The longest encoded `DriftEvent` frame: length prefix, tag, sub-tag and
+/// the widest site and epoch varints. `limits.max_subscriber_queue` of
+/// these bound a watcher's unsent drift bytes.
+const MAX_DRIFT_FRAME_LEN: usize = 20;
+
 /// State shared between a shard's event loop, the accept loop that feeds
 /// it, and admission decisions made on other threads.
 pub(crate) struct ShardState {
     pub(crate) index: usize,
-    /// Newly accepted sockets from the accept loop, finished job replies
-    /// from compute workers and watch notifications from publishing
-    /// shards, taken by the shard's loop each iteration under one lock.
+    /// Newly accepted sockets from the accept loop, and encoded replies
+    /// from compute workers and drift publishers, taken by the shard's
+    /// loop each iteration under one lock.
     inbox: Mutex<Vec<Inbox>>,
     /// Ends the shard's poll wait: written when the inbox goes from empty
     /// to non-empty, and on shutdown, accept-stop and force-close.
@@ -123,11 +127,9 @@ pub(crate) struct ShardState {
 enum Inbox {
     /// A newly accepted socket and its connection id.
     Socket(u64, TcpStream),
-    /// An encoded `JobResult` frame for the connection with this id.
+    /// Encoded frames for the connection with this id: one `JobResult`,
+    /// or one publish's `DriftEvent`s.
     Reply(u64, Vec<u8>),
-    /// The watch connection with this id has drift events (or a shed
-    /// notice) queued in its subscriber.
-    Watch(u64),
 }
 
 impl ShardState {
@@ -156,17 +158,10 @@ impl ShardState {
         self.push(Inbox::Socket(id, stream));
     }
 
-    /// Queues a compute reply for connection `conn`; the shard delivers it
-    /// at once, or drops it if the connection is gone.
-    pub(crate) fn push_reply(&self, conn: u64, frame: &ServerFrame) {
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, frame);
+    /// Queues encoded frames for connection `conn`; the shard delivers
+    /// them at once, or drops them if the connection is gone or closing.
+    pub(crate) fn push_reply(&self, conn: u64, bytes: Vec<u8>) {
         self.push(Inbox::Reply(conn, bytes));
-    }
-
-    /// Tells the shard that watch connection `conn` has queued drift.
-    pub(crate) fn push_watch(&self, conn: u64) {
-        self.push(Inbox::Watch(conn));
     }
 
     /// Appends to the inbox, waking the shard on the empty → non-empty
@@ -265,9 +260,9 @@ struct Conn {
     last_seen: Instant,
     conn_ctx: TraceContext,
     session: Option<Box<LiveSession>>,
-    /// Set when the connection became a watch subscription: the shard
-    /// pumps the queue into `out` and stops decoding client frames.
-    watch: Option<Arc<Subscriber>>,
+    /// Set when the connection became a watch subscription: drift frames
+    /// arrive as replies and the shard stops decoding client frames.
+    watch: Option<Watch>,
     /// `Some(n)` once a job frame made this a compute channel, with `n`
     /// submitted jobs still owed a `JobResult`. The idle sweep spares the
     /// connection while any are outstanding.
@@ -308,11 +303,21 @@ impl Conn {
         !self.eof && !self.closing
     }
 
-    /// Spared by the idle sweep: a compute channel still owed replies, or
-    /// a watcher, which is idle on purpose between drift events.
+    /// Spared by the idle sweep unless closing: a compute channel still
+    /// owed replies, or a watcher, which is idle on purpose between drift
+    /// events. A shed watcher that never reads is reaped.
     fn idle_exempt(&self) -> bool {
-        self.jobs.unwrap_or(0) > 0 || self.watch.is_some()
+        !self.closing && (self.jobs.unwrap_or(0) > 0 || self.watch.is_some())
     }
+}
+
+/// A watch connection's subscription.
+struct Watch {
+    /// Keeps the connection's entry in the program's subscriber list live.
+    _sub: Arc<Subscriber>,
+    /// Unsent bytes queued before the first drift frame (the verdict
+    /// snapshot), which do not count against the drift bound.
+    lead: usize,
 }
 
 fn push_frame(out: &mut Vec<u8>, frame: &ServerFrame) {
@@ -408,7 +413,7 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
             // re-check the inbox under its lock: the accept loop stopped,
             // but a socket may have landed after our last intake — its push
             // woke us, so the wait below returns at once (orphan replies
-            // and watch notices don't hold the shard up)
+            // don't hold the shard up)
             let inbox = shard.inbox.lock().expect("shard inbox");
             if !inbox.iter().any(|e| matches!(e, Inbox::Socket(..))) {
                 break;
@@ -431,8 +436,12 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
             shard.waker.drain();
         }
 
-        // intake: newly accepted sockets, finished compute replies, and
-        // watch notifications
+        // read before taking the inbox: a session publishes its last drift
+        // before it releases its slot, so when none was live every drift
+        // frame still to come is in the intake below
+        let drained = draining && shared.live_sessions.load(Ordering::SeqCst) == 0;
+
+        // intake: newly accepted sockets, compute replies and drift frames
         touched.clear();
         std::mem::swap(&mut intake, &mut *shard.inbox.lock().expect("shard inbox"));
         for entry in intake.drain(..) {
@@ -446,17 +455,19 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                     table.insert(id, stream);
                     next_sweep = earliest(next_sweep, service_start + idle_timeout);
                 }
-                // a reply whose connection is gone goes into the void
+                // a reply whose connection is gone or closing goes into the
+                // void
                 Inbox::Reply(id, bytes) => {
                     if let Some(conn) = table.conns.get_mut(&id) {
-                        conn.out.extend_from_slice(&bytes);
                         conn.jobs = conn.jobs.map(|n| n.saturating_sub(1));
-                        conn.last_seen = service_start;
-                        next_sweep = earliest(next_sweep, service_start + idle_timeout);
-                        touched.push(id);
+                        if !conn.closing {
+                            conn.out.extend_from_slice(&bytes);
+                            conn.last_seen = service_start;
+                            next_sweep = earliest(next_sweep, service_start + idle_timeout);
+                            touched.push(id);
+                        }
                     }
                 }
-                Inbox::Watch(id) => touched.push(id),
             }
         }
         // the ready set; a forced close or a drain-time wake widens it to
@@ -497,7 +508,7 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                 // backlogged output waits for the kernel to report
                 // writability
                 writable: !table.set.wants_write(conn.slot) || ready.write,
-                draining,
+                drained,
                 force,
             };
             match service_conn(shared, shard, id, conn, tick) {
@@ -610,13 +621,15 @@ fn sweep_idle(
 struct Tick {
     readable: bool,
     writable: bool,
-    draining: bool,
+    /// Draining, and no session was live before the inbox was taken: no
+    /// more drift can be published.
+    drained: bool,
     force: bool,
 }
 
 /// Services one connection for one iteration: read + decode + handle
-/// frames, pump the watch queue, flush the out-buffer, then decide its
-/// fate. Idle reaping is the sweep's job, not this one's.
+/// frames, flush the out-buffer, check a watcher's drift backlog, then
+/// decide its fate. Idle reaping is the sweep's job, not this one's.
 fn service_conn(
     shared: &Arc<Shared>,
     shard: &Arc<ShardState>,
@@ -643,16 +656,17 @@ fn service_conn(
         }
     }
 
-    if let Some(sub) = conn.watch.clone() {
-        pump_watch(shared, conn, &sub, tick.draining);
-    }
-
+    let mut sent = 0;
     if conn.out_pending() && tick.writable {
-        if let Err(e) = flush_out(conn) {
-            shared.log(format_args!("conn {id}: write failed: {e}"));
-            io_dead = true;
+        match flush_out(conn) {
+            Ok(n) => sent = n,
+            Err(e) => {
+                shared.log(format_args!("conn {id}: write failed: {e}"));
+                io_dead = true;
+            }
         }
     }
+    check_watch(shared, conn, sent, tick.drained);
 
     if tick.force || io_dead {
         return Fate::Close;
@@ -944,7 +958,7 @@ fn handle_frame(
                         }
                     }
                     if !drift.is_empty() {
-                        publish_drift(shared, &ps.stream, &drift);
+                        publish_drift(&ps.stream, &drift);
                     }
                 }
             }
@@ -973,7 +987,7 @@ fn handle_frame(
                 return Ok(());
             };
             if let Some(ps) = live.program.take() {
-                detach_program(shared, ps);
+                detach_program(ps);
             }
             release_session_accounting(shared, shard, &mut live);
             shared.sessions_finished.fetch_add(1, Ordering::Relaxed);
@@ -1098,14 +1112,20 @@ fn handle_frame(
                 &ServerFrame::VerdictSnapshot(snapshot.to_bytes()),
             );
             if watch {
-                let sub = Arc::new(Subscriber::new(shard.clone(), id));
+                let sub = Arc::new(Subscriber {
+                    shard: shard.clone(),
+                    conn: id,
+                });
                 stream
                     .subscribers
                     .lock()
                     .expect("subscriber list")
-                    .push(sub.clone());
+                    .push(Arc::downgrade(&sub));
                 shared.log(format_args!("conn {id}: watching program {program:?}"));
-                conn.watch = Some(sub);
+                conn.watch = Some(Watch {
+                    _sub: sub,
+                    lead: conn.out.len() - conn.out_pos,
+                });
             }
         }
         ClientFrame::SubmitJob { job_id, spec } => {
@@ -1132,43 +1152,48 @@ fn handle_frame(
     Ok(())
 }
 
-/// Drains a watch subscriber's drift queue into the out-buffer; sheds the
-/// watcher with `Busy` on overflow and closes it cleanly once the daemon
-/// is draining (after the queue is empty and no session can publish more).
-fn pump_watch(shared: &Arc<Shared>, conn: &mut Conn, sub: &Subscriber, draining: bool) {
-    let events: Vec<DriftEvent> = {
-        let mut q = sub.queue.lock().expect("subscriber queue");
-        if q.shed && !conn.closing {
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::Busy {
-                    msg: "subscriber lagging; drift events dropped".into(),
-                    tier: AdmissionTier::Shed,
-                    retry_after_ms: 0,
-                },
-            );
-            q.closed = true;
-            conn.closing = true;
-            return;
-        }
-        q.events.drain(..).collect()
+/// After a watcher's flush, which wrote `sent` bytes, sheds it with `Busy`
+/// once its unsent drift outgrows `limits.max_subscriber_queue` frames, and
+/// closes it cleanly once no session can publish more drift (the watcher
+/// sees EOF after the frames already queued).
+fn check_watch(shared: &Arc<Shared>, conn: &mut Conn, sent: usize, drained: bool) {
+    let Some(watch) = conn.watch.as_mut() else {
+        return;
     };
-    for event in &events {
-        push_frame(&mut conn.out, &ServerFrame::DriftEvent(event.to_bytes()));
+    watch.lead = watch.lead.saturating_sub(sent);
+    if conn.closing {
+        return;
     }
-    if draining && !conn.closing && shared.live_sessions.load(Ordering::SeqCst) == 0 {
-        // every publisher is gone (Finish publishes before releasing its
-        // session slot, so live == 0 means no more drift is coming):
-        // close the subscription cleanly — the watcher sees EOF. A release
-        // to zero during drain wakes every shard, so this is re-checked
-        // when another shard's last session ends.
-        sub.queue.lock().expect("subscriber queue").closed = true;
+    let drift = (conn.out.len() - conn.out_pos).saturating_sub(watch.lead);
+    let bound = shared
+        .config
+        .limits
+        .max_subscriber_queue
+        .saturating_mul(MAX_DRIFT_FRAME_LEN);
+    if drift > bound {
+        twodprof_obs::counter!(
+            "serve_subscriber_drops_total",
+            "Watch subscribers shed because their unsent drift outgrew the bound."
+        )
+        .inc();
+        push_frame(
+            &mut conn.out,
+            &ServerFrame::Busy {
+                msg: format!("subscriber lagging: {drift} unsent drift byte(s)"),
+                tier: AdmissionTier::Shed,
+                retry_after_ms: 0,
+            },
+        );
+        conn.closing = true;
+    } else if drained {
         conn.closing = true;
     }
 }
 
-/// Writes the out-buffer until done or `WouldBlock`.
-fn flush_out(conn: &mut Conn) -> io::Result<()> {
+/// Writes the out-buffer until done or `WouldBlock`, and returns how many
+/// bytes the kernel took.
+fn flush_out(conn: &mut Conn) -> io::Result<usize> {
+    let start = conn.out_pos;
     while conn.out_pos < conn.out.len() {
         match conn.stream.write(&conn.out[conn.out_pos..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -1178,6 +1203,7 @@ fn flush_out(conn: &mut Conn) -> io::Result<()> {
             Err(e) => return Err(e),
         }
     }
+    let sent = conn.out_pos - start;
     if conn.out_pos == conn.out.len() {
         conn.out.clear();
         conn.out_pos = 0;
@@ -1185,18 +1211,18 @@ fn flush_out(conn: &mut Conn) -> io::Result<()> {
         conn.out.drain(..conn.out_pos);
         conn.out_pos = 0;
     }
-    Ok(())
+    Ok(sent)
 }
 
 /// Removes a connection: aborts any open session (with the same
-/// accounting as the old per-connection teardown), marks any subscriber
-/// closed, and shuts the socket.
+/// accounting as the old per-connection teardown) and shuts the socket;
+/// dropping a watcher's subscription retires its subscriber-list entry.
 fn teardown(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, mut conn: Conn) {
     if let Some(mut live) = conn.session.take() {
         // the connection ended with a session still open: disconnect,
         // idle reap, or a protocol error — drop the profiler, account
         if let Some(ps) = live.program.take() {
-            detach_program(shared, ps);
+            detach_program(ps);
         }
         release_session_accounting(shared, shard, &mut live);
         shared.sessions_aborted.fetch_add(1, Ordering::SeqCst);
@@ -1210,9 +1236,6 @@ fn teardown(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, mut conn: Co
             "conn {id}: session dropped after {} event(s)",
             live.events
         ));
-    }
-    if let Some(sub) = conn.watch.take() {
-        sub.queue.lock().expect("subscriber queue").closed = true;
     }
     let _ = conn.stream.shutdown(Shutdown::Both);
     shared.conn_gone();
@@ -1360,4 +1383,24 @@ fn admit(
         child_ctx,
         _span: span,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use twodprof_core::Classification;
+    use twodprof_stream::DriftEvent;
+
+    #[test]
+    fn the_widest_drift_event_fills_max_drift_frame_len() {
+        let mut frame = Vec::new();
+        let widest = DriftEvent {
+            site: u32::MAX,
+            epoch: u64::MAX,
+            from: Classification::Insufficient,
+            to: Classification::Insufficient,
+        };
+        push_frame(&mut frame, &ServerFrame::DriftEvent(widest.to_bytes()));
+        assert_eq!(frame.len(), MAX_DRIFT_FRAME_LEN);
+    }
 }

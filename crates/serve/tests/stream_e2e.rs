@@ -5,16 +5,18 @@
 
 use bpred::PredictorKind;
 use btrace::SiteId;
-use std::net::SocketAddr;
-use std::sync::{Arc, Barrier};
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::thread;
-use twodprof_core::{SliceConfig, Thresholds};
-use twodprof_serve::wire::codes;
+use std::time::{Duration, Instant};
+use twodprof_core::{Classification, SliceConfig, Thresholds};
+use twodprof_serve::wire::{codes, ClientFrame, ServerFrame};
 use twodprof_serve::{
     fetch_stats, fetch_verdicts, ClientError, ConnectOptions, Server, ServerConfig, ServerHandle,
     ServerStats, WatchClient,
 };
-use twodprof_stream::StreamConfig;
+use twodprof_stream::{DriftEvent, StreamConfig};
 
 struct Daemon {
     addr: SocketAddr,
@@ -233,4 +235,194 @@ fn program_registry_survives_session_end() {
     let snap = fetch_verdicts(daemon.addr, "once").expect("snapshot after end");
     assert!(snap.epoch > 0);
     assert!(snap.sites.iter().any(|s| s.slices > 0));
+}
+
+/// A program of 512 sites whose first 256 flip between always-taken and
+/// pseudo-random phases every two slices, watched by a raw `watch`
+/// connection that never reads.
+const FLOOD_SITES: u32 = 512;
+const FLOOD_SLICE: u64 = 1024;
+
+/// Serializes the flood tests: each waits for the process-global
+/// `serve_subscriber_drops_total` to move, so no two may run at once.
+fn flood_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Starts a one-shard daemon configured by `builder`, subscribes a raw
+/// watcher that never reads, and streams the flood until the watcher is
+/// shed (`serve_subscriber_drops_total` moves). Returns the daemon, the
+/// still-open session, the watcher's socket and the events sent.
+fn flood_until_shed(
+    builder: twodprof_serve::ServerConfigBuilder,
+) -> (Daemon, twodprof_serve::RemoteSession, TcpStream, u64) {
+    const FLIPPING: u32 = 256;
+    const PHASE: u64 = 2 * FLOOD_SLICE;
+    const MAX_EVENTS: u64 = 8_000_000;
+    let config = builder
+        .quiet(true)
+        .shards(1)
+        .stream(StreamConfig {
+            slice: SliceConfig::new(FLOOD_SLICE, 1),
+            window: 2,
+            hysteresis: 1,
+            thresholds: Thresholds::paper(),
+            max_lag: 1000,
+        })
+        .build()
+        .expect("config");
+    let daemon = Daemon::start(config);
+    let mut session = ConnectOptions::new(
+        FLOOD_SITES as usize,
+        PredictorKind::Gshare4Kb,
+        SliceConfig::new(8192, 16),
+    )
+    .program("flood")
+    .connect(daemon.addr)
+    .expect("connect with program");
+    let mut watcher = TcpStream::connect(daemon.addr).expect("watch connect");
+    ClientFrame::Subscribe {
+        program: "flood".into(),
+        watch: true,
+    }
+    .write_to(&mut watcher)
+    .expect("subscribe");
+    watcher.flush().expect("subscribe flush");
+
+    // the in-process daemon counts into this process's registry
+    let drops = || {
+        twodprof_obs::global()
+            .snapshot()
+            .counter("serve_subscriber_drops_total")
+            .unwrap_or(0)
+    };
+    let drops_before = drops();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut batch = Vec::with_capacity(FLOOD_SLICE as usize);
+    let mut sent = 0u64;
+    // one Events frame per slice, each acknowledged, so every publish
+    // reaches the shard's inbox in a separate iteration
+    while drops() == drops_before {
+        assert!(
+            sent < MAX_EVENTS,
+            "the watcher was not shed after {sent} events"
+        );
+        for i in sent..sent + FLOOD_SLICE {
+            let site = (i % FLOOD_SITES as u64) as u32;
+            let taken = if site < FLIPPING && (i / PHASE) % 2 == 1 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng & 1 == 1
+            } else {
+                true
+            };
+            batch.push((SiteId(site), taken));
+        }
+        session.send_events(&batch).expect("send events");
+        session.flush().expect("flush");
+        batch.clear();
+        sent += FLOOD_SLICE;
+    }
+    assert_eq!(drops(), drops_before + 1, "one watcher, one drop");
+    (daemon, session, watcher, sent)
+}
+
+/// A `watch` connection that never reads must be shed once its unsent
+/// drift outgrows `max_subscriber_queue` frames, not buffered without
+/// bound. The shard's reply backlog stays under the bound plus one
+/// publish, and the watcher, once it reads, gets its drift in publish
+/// order, then `Busy`, then EOF.
+#[test]
+fn a_watcher_that_never_reads_is_shed_on_its_unsent_drift() {
+    let _guard = flood_lock();
+    let start = Instant::now();
+    let queue = ServerConfig::builder()
+        .build()
+        .expect("default config")
+        .limits
+        .max_subscriber_queue;
+    let (daemon, session, watcher, sent) = flood_until_shed(ServerConfig::builder());
+    let elapsed = start.elapsed();
+
+    // the widest drift frame, and the bound the daemon sheds past
+    let mut widest = Vec::new();
+    ServerFrame::DriftEvent(
+        DriftEvent {
+            site: u32::MAX,
+            epoch: u64::MAX,
+            from: Classification::Insufficient,
+            to: Classification::Insufficient,
+        }
+        .to_bytes(),
+    )
+    .write_to(&mut widest)
+    .expect("vec write");
+    let bound = queue * widest.len();
+    let one_publish = FLOOD_SITES as usize * widest.len();
+    let high_water = fetch_stats(daemon.addr)
+        .expect("stats")
+        .gauge("serve_shard0_out_buffer_high_water_bytes")
+        .expect("shard 0 high water") as usize;
+    assert!(
+        high_water <= bound + one_publish,
+        "backlog reached {high_water} bytes; bound {bound} plus one publish {one_publish}"
+    );
+
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(watcher);
+    match ServerFrame::read_from(&mut reader).expect("snapshot frame") {
+        ServerFrame::VerdictSnapshot(_) => {}
+        other => panic!("expected the verdict snapshot, got {other:?}"),
+    }
+    let mut drift = Vec::new();
+    loop {
+        match ServerFrame::read_from(&mut reader).expect("drift or busy frame") {
+            ServerFrame::DriftEvent(bytes) => {
+                drift.push(DriftEvent::from_bytes(&bytes).expect("drift event"));
+            }
+            ServerFrame::Busy { .. } => break,
+            other => panic!("expected drift or Busy, got {other:?}"),
+        }
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("EOF after Busy");
+    assert!(rest.is_empty(), "{} byte(s) after Busy", rest.len());
+    assert!(
+        drift.len() > queue,
+        "only {} drift frame(s) before Busy",
+        drift.len()
+    );
+    assert!(
+        drift.windows(2).all(|w| w[0].epoch <= w[1].epoch),
+        "drift frames out of publish order"
+    );
+    eprintln!(
+        "shed after {sent} events in {elapsed:.2?}: {} drift frame(s) read, \
+         high water {high_water} byte(s), bound {bound}",
+        drift.len()
+    );
+    session.finish().expect("finish");
+}
+
+/// A shed watcher is no longer spared by the idle sweep: one that never
+/// reads is reaped after `idle_timeout` instead of holding its backlog
+/// for the daemon's lifetime.
+#[test]
+fn a_shed_watcher_that_never_reads_is_reaped() {
+    let _guard = flood_lock();
+    let idle = Duration::from_millis(300);
+    let (daemon, session, watcher, _) =
+        flood_until_shed(ServerConfig::builder().idle_timeout(idle));
+    drop(session);
+    // the watcher never reads: only the idle sweep can close it
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.handle.active_connections() > 0 {
+        assert!(Instant::now() < deadline, "the shed watcher was not reaped");
+        thread::sleep(Duration::from_millis(10));
+    }
+    drop(watcher);
 }

@@ -9,7 +9,11 @@
 #   2. the nodes actually computed — their stats endpoints report
 #      fabric jobs submitted and completed;
 #   3. the shared cache tier works — a second, fresh client running the
-#      same sweep reports >0 remote cache hits and still matches local.
+#      same sweep reports >0 remote cache hits and still matches local;
+#      and no job was answered twice: the client counts no more remote
+#      cache hits than jobs it completed. (A warm job that lands on the
+#      other node than in the cold run is computed there, not a hit, so
+#      hits may fall short of the job count.)
 #
 # Logs land in target/fabric-smoke/ (daemon logs, warm-run stderr) so CI
 # can upload them as artifacts.
@@ -102,7 +106,11 @@ diff -ru "$OUT_DIR/local" "$OUT_DIR/remote-warm" || {
     echo "warm remote sweep results differ from local backend"; exit 1;
 }
 hits="$(awk '$1 == "fabric_remote_cache_hits_total" {print $2}' "$OUT_DIR/remote-warm.err")"
-echo "gate 3 OK: warm client saw $hits remote cache hit(s), results identical"
+jobs="$(awk '$1 == "fabric_jobs_completed_total" {print $2}' "$OUT_DIR/remote-warm.err")"
+[[ "$hits" -le "${jobs:-0}" ]] || {
+    echo "warm client saw $hits remote cache hit(s) for ${jobs:-0} completed job(s): some job was answered twice"; exit 1;
+}
+echo "gate 3 OK: warm client saw $hits remote cache hit(s) for $jobs job(s), results identical"
 
 # --- gate 4: one `top` frame renders both nodes ---
 "$BIN_DIR/twodprof-client" top --node "$ADDR_A" --node "$ADDR_B" \
