@@ -8,6 +8,8 @@ use crate::{
     Bimodal, BranchPredictor, GAg, Gshare, GshareWithLoop, LocalTwoLevel, Perceptron,
     StaticNotTaken, StaticTaken, Tage, Tournament,
 };
+use btrace::serial::{invalid, read_string, write_string};
+use std::io::{self, Read, Write};
 
 /// The predictor configurations used by the paper's evaluation, plus the
 /// extension targets of the predictor-comparison experiment and the
@@ -59,6 +61,9 @@ impl PredictorKind {
         PredictorKind::Perceptron16Kb,
         PredictorKind::Tage8Kb,
     ];
+
+    /// Longest predictor id a decoder accepts.
+    pub const MAX_ID_LEN: usize = 256;
 
     /// Every named configuration — [`EXTENDED`](Self::EXTENDED) plus the
     /// table-predictor survey tier. This is the namespace of
@@ -160,6 +165,28 @@ impl PredictorKind {
     /// kind is named, so the search spans [`SURVEY`](Self::SURVEY).
     pub fn from_id(id: &str) -> Option<Self> {
         Self::SURVEY.into_iter().find(|k| k.id() == id)
+    }
+
+    /// Writes the kind's wire form: its [`id`](Self::id) as a
+    /// length-prefixed string — how every format names a predictor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error from `w`.
+    pub fn write_id<W: Write>(self, w: &mut W) -> io::Result<()> {
+        write_string(w, self.id())
+    }
+
+    /// Reads a kind written by [`write_id`](Self::write_id), rejecting an
+    /// id longer than [`MAX_ID_LEN`](Self::MAX_ID_LEN) before allocating.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on an over-long or unknown id; `UnexpectedEof` on
+    /// truncation.
+    pub fn read_id<R: Read>(r: &mut R) -> io::Result<Self> {
+        let id = read_string(r, Self::MAX_ID_LEN)?;
+        Self::from_id(&id).ok_or_else(|| invalid(format!("unknown predictor id {id:?}")))
     }
 
     /// All valid [`id`](Self::id) strings, for CLI/protocol error messages.

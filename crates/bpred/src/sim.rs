@@ -7,7 +7,10 @@
 //! result.
 
 use crate::{site_pc, BranchPredictor};
-use btrace::{read_varint, write_varint, SiteId, Tracer};
+use btrace::serial::{
+    invalid, read_len, read_string, read_varint, with_declared_capacity, write_string, write_varint,
+};
+use btrace::{SiteId, Tracer};
 use std::io::{self, Read, Write};
 
 /// Per-static-branch prediction-accuracy results of one profiling run.
@@ -115,9 +118,7 @@ impl AccuracyProfile {
     ///
     /// Propagates any I/O error from `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let name = self.predictor_name.as_bytes();
-        write_varint(w, name.len() as u64)?;
-        w.write_all(name)?;
+        write_string(w, &self.predictor_name)?;
         write_varint(w, self.exec.len() as u64)?;
         for i in 0..self.exec.len() {
             write_varint(w, self.exec[i])?;
@@ -133,24 +134,10 @@ impl AccuracyProfile {
     /// Returns `InvalidData` on malformed input (non-UTF-8 predictor name,
     /// correct count exceeding executions) and propagates I/O errors.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        let name_len = read_varint(r)? as usize;
-        if name_len > 1 << 16 {
-            return Err(invalid("unreasonable predictor-name length"));
-        }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
-        let predictor_name =
-            String::from_utf8(name).map_err(|_| invalid("predictor name is not UTF-8"))?;
-        let num_sites = read_varint(r)? as usize;
-        if num_sites > 1 << 28 {
-            return Err(invalid("unreasonable site count"));
-        }
-        // clamp the up-front reservation: the declared count is untrusted
-        // until that many entries have actually arrived, so a short hostile
-        // prefix must not reserve gigabytes
-        let mut exec = Vec::with_capacity(num_sites.min(1 << 16));
-        let mut correct = Vec::with_capacity(num_sites.min(1 << 16));
+        let predictor_name = read_string(r, 1 << 16)?;
+        let num_sites = read_len(r, 1 << 28, "site count")?;
+        let mut exec = with_declared_capacity(num_sites);
+        let mut correct = with_declared_capacity(num_sites);
         for _ in 0..num_sites {
             let e = read_varint(r)?;
             let c = read_varint(r)?;
@@ -227,10 +214,6 @@ impl<P: BranchPredictor> Tracer for PredictorSim<P> {
         let i = site.index();
         self.profile.exec[i] += 1;
         self.profile.correct[i] += (pred == taken) as u64;
-    }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.profile.total_executions())
     }
 }
 

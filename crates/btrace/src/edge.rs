@@ -105,10 +105,6 @@ impl Tracer for EdgeProfiler {
         }
         self.events += 1;
     }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.events)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +126,6 @@ mod tests {
         assert!((e0.bias().unwrap() - 0.7).abs() < 1e-12);
         assert_eq!(e0.majority_direction(), Some(true));
         assert_eq!(p.edge(SiteId(1)).majority_direction(), Some(false));
-        assert_eq!(p.dynamic_count(), Some(11));
         assert!((p.overall_taken_rate().unwrap() - 7.0 / 11.0).abs() < 1e-12);
     }
 

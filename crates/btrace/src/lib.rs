@@ -33,7 +33,7 @@
 
 mod edge;
 mod recorded;
-mod serial;
+pub mod serial;
 mod site;
 mod tee;
 
@@ -54,12 +54,6 @@ pub trait Tracer {
     /// Record one dynamic execution of the static branch `site` that resolved
     /// in direction `taken`.
     fn branch(&mut self, site: SiteId, taken: bool);
-
-    /// Returns the total number of dynamic branch events observed so far, if
-    /// the tracer counts them. The default implementation returns `None`.
-    fn dynamic_count(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// A tracer that ignores every event.
@@ -101,10 +95,6 @@ impl Tracer for CountingTracer {
     fn branch(&mut self, _site: SiteId, _taken: bool) {
         self.count += 1;
     }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.count)
-    }
 }
 
 impl<T: Tracer + ?Sized> Tracer for &mut T {
@@ -112,20 +102,12 @@ impl<T: Tracer + ?Sized> Tracer for &mut T {
     fn branch(&mut self, site: SiteId, taken: bool) {
         (**self).branch(site, taken);
     }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        (**self).dynamic_count()
-    }
 }
 
 impl<T: Tracer + ?Sized> Tracer for Box<T> {
     #[inline]
     fn branch(&mut self, site: SiteId, taken: bool) {
         (**self).branch(site, taken);
-    }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        (**self).dynamic_count()
     }
 }
 
@@ -152,21 +134,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_tracer_ignores_events() {
-        let mut t = NullTracer;
-        t.branch(SiteId(0), true);
-        t.branch(SiteId(1), false);
-        assert_eq!(t.dynamic_count(), None);
-    }
-
-    #[test]
     fn counting_tracer_counts() {
         let mut t = CountingTracer::new();
         for i in 0..100 {
             t.branch(SiteId(i % 3), i % 2 == 0);
         }
         assert_eq!(t.count(), 100);
-        assert_eq!(t.dynamic_count(), Some(100));
     }
 
     #[test]
@@ -183,15 +156,14 @@ mod tests {
         {
             let r: &mut dyn Tracer = &mut t;
             r.branch(SiteId(5), true);
-            assert_eq!(r.dynamic_count(), Some(1));
         }
         assert_eq!(t.count(), 1);
     }
 
     #[test]
     fn boxed_impl_forwards() {
-        let mut t: Box<dyn Tracer> = Box::new(CountingTracer::new());
-        t.branch(SiteId(0), false);
-        assert_eq!(t.dynamic_count(), Some(1));
+        let mut t = Box::new(CountingTracer::new());
+        Tracer::branch(&mut t, SiteId(0), false);
+        assert_eq!(t.count(), 1);
     }
 }

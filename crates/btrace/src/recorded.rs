@@ -34,7 +34,8 @@
 //! consumption — so a trace that decodes successfully can always be
 //! replayed without panicking.
 
-use crate::{read_varint, write_varint, Fnv1a, SiteId, Tracer};
+use crate::serial::{invalid, read_array, read_u8, read_varint, write_varint};
+use crate::{Fnv1a, SiteId, Tracer};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"2DPR";
@@ -223,25 +224,17 @@ impl RecordedTrace {
     /// mismatch, out-of-range site, truncated or oversized columns);
     /// `UnexpectedEof` on truncation inside a fixed-width field.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
+        if &read_array(r)? != MAGIC {
             return Err(invalid("not a 2DPR recorded trace"));
         }
-        let mut version = [0u8; 1];
-        r.read_exact(&mut version)?;
-        if version[0] != VERSION {
+        if read_u8(r)? != VERSION {
             return Err(invalid("unsupported recorded-trace version"));
         }
-        let mut sites = [0u8; 4];
-        r.read_exact(&mut sites)?;
+        let sites: [u8; 4] = read_array(r)?;
         let num_sites = u32::from_le_bytes(sites);
-        let mut events = [0u8; 8];
-        r.read_exact(&mut events)?;
+        let events: [u8; 8] = read_array(r)?;
         let num_events = u64::from_le_bytes(events);
-        let mut checksum = [0u8; 8];
-        r.read_exact(&mut checksum)?;
+        let checksum = read_array(r)?;
         let mut body = Vec::new();
         r.read_to_end(&mut body)?;
         let mut h = Fnv1a::default();
@@ -313,22 +306,6 @@ impl RecordedTrace {
         let trace = Self::read_from(&mut r)?;
         // read_from consumes to EOF, so nothing can trail it
         Ok(trace)
-    }
-
-    /// Iterates over the packed direction words as `(word, valid_bits)`.
-    ///
-    /// Bit `i` of each word is the direction of event `word_index * 64 + i`;
-    /// only the low `valid_bits` bits of a word carry events (every word is
-    /// full except possibly the last). Padding bits above `valid_bits` are
-    /// always zero — the canonical form `from_bytes` enforces and `push`
-    /// maintains.
-    pub fn direction_words(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let mut remaining = self.num_events;
-        self.taken.iter().map(move |&word| {
-            let valid = remaining.min(64) as u32;
-            remaining -= valid as u64;
-            (word, valid)
-        })
     }
 
     /// Iterates over the stream as same-site runs of up to 64 events each.
@@ -421,10 +398,6 @@ impl Tracer for RecordedTrace {
     #[inline]
     fn branch(&mut self, site: SiteId, taken: bool) {
         self.push(site, taken);
-    }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.num_events)
     }
 }
 
@@ -534,14 +507,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dynamic_count_tracks_events() {
-        let mut t = RecordedTrace::new(1);
-        assert_eq!(t.dynamic_count(), Some(0));
-        t.branch(SiteId(0), true);
-        assert_eq!(t.dynamic_count(), Some(1));
     }
 
     /// Expands a trace's runs back into a flat event list.
@@ -658,27 +623,5 @@ mod tests {
             event += streak;
         }
         assert_eq!(flatten_runs(&t), recorded_events(&t));
-    }
-
-    #[test]
-    fn direction_words_expose_the_bitset() {
-        let mut t = RecordedTrace::new(1);
-        for i in 0..130u32 {
-            t.push(SiteId(0), i % 3 == 0);
-        }
-        let words: Vec<_> = t.direction_words().collect();
-        assert_eq!(words.len(), 3);
-        assert_eq!(words[0].1, 64);
-        assert_eq!(words[1].1, 64);
-        assert_eq!(words[2].1, 2, "final word is partially filled");
-        // padding above valid_bits is zero; bits agree with replay
-        assert_eq!(words[2].0 >> words[2].1, 0);
-        let flat: Vec<bool> = recorded_events(&t).iter().map(|&(_, b)| b).collect();
-        for (w, (word, valid)) in words.iter().enumerate() {
-            for b in 0..*valid {
-                assert_eq!(word >> b & 1 == 1, flat[w * 64 + b as usize]);
-            }
-        }
-        assert!(RecordedTrace::new(1).direction_words().next().is_none());
     }
 }

@@ -1,10 +1,30 @@
-//! Byte-level primitives shared by every format in the workspace: LEB128
-//! varints, length-prefixed frames, and the FNV-1a checksum.
+//! The encoding rules every binary format in the workspace shares: LEB128
+//! varints, length-prefixed frames, the FNV-1a checksum, and the field
+//! rules built on them — length-capped UTF-8 strings, optional `f64`s,
+//! little-endian fixed-width fields, declared counts, and exact
+//! consumption.
 //!
-//! The 2DPR recorded-trace format, the sweep engine's result cache and the
-//! `twodprof-serve` wire protocol are all built from these.
+//! The 2DPR recorded trace, profile reports and accuracy profiles, job
+//! specs and cache entries, the `twodprofd` wire frames, metric snapshots,
+//! span blocks, flight dumps and the streaming drift events and verdict
+//! snapshots are all written and read through these. A decoder reports
+//! malformed input as `InvalidData` ([`invalid`]) and truncation as
+//! `UnexpectedEof`, and a count or length it reads from the input reserves
+//! at most [`MAX_RESERVE`] bytes before the items it declares arrive.
 
 use std::io::{self, Read, Write};
+
+/// Most bytes a decoder reserves for a declared count or length before
+/// the items arrive. The declared value is untrusted until the input
+/// actually holds that much, so past this bound memory grows only as
+/// items are read: a short hostile header cannot make a decoder reserve
+/// more than this.
+pub const MAX_RESERVE: usize = 1 << 16;
+
+/// The `InvalidData` error every decoder returns for malformed input.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
 
 /// Writes `v` as a LEB128 varint.
 ///
@@ -40,12 +60,190 @@ pub fn read_varint<R: Read>(r: &mut R) -> io::Result<u64> {
         }
         shift += 7;
         if shift >= 64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "varint too long",
-            ));
+            return Err(invalid("varint too long"));
         }
     }
+}
+
+/// Reads a varint count or length, rejecting a value above `max` (naming
+/// it `what`) before anything is allocated for it.
+///
+/// # Errors
+///
+/// `InvalidData` past `max`, plus [`read_varint`]'s errors.
+pub fn read_len<R: Read>(r: &mut R, max: usize, what: &str) -> io::Result<usize> {
+    let n = read_varint(r)?;
+    if n > max as u64 {
+        return Err(invalid(format!("{what} {n} exceeds {max}")));
+    }
+    Ok(n as usize)
+}
+
+/// An empty vector for `declared` items of an untrusted count, with room
+/// reserved for as many of them as fit in [`MAX_RESERVE`] bytes.
+pub fn with_declared_capacity<T>(declared: usize) -> Vec<T> {
+    Vec::with_capacity(declared.min(MAX_RESERVE / std::mem::size_of::<T>().max(1)))
+}
+
+/// Reads exactly `len` bytes, reserving within [`MAX_RESERVE`] up front.
+///
+/// # Errors
+///
+/// `UnexpectedEof` when the input ends first; propagates I/O errors.
+pub fn read_bytes<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
+    let mut bytes = with_declared_capacity(len);
+    r.take(len as u64).read_to_end(&mut bytes)?;
+    if bytes.len() < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
+}
+
+/// Writes `s` as `varint(len)` followed by its UTF-8 bytes.
+///
+/// # Errors
+///
+/// Propagates any I/O error from `w`.
+pub fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
+    write_varint(w, s.len() as u64)?;
+    w.write_all(s.as_bytes())
+}
+
+/// Reads a string written by [`write_string`], rejecting a declared length
+/// above `max_len` before allocating.
+///
+/// # Errors
+///
+/// `InvalidData` on an over-long length or non-UTF-8 bytes;
+/// `UnexpectedEof` on truncation.
+pub fn read_string<R: Read>(r: &mut R, max_len: usize) -> io::Result<String> {
+    let len = read_len(r, max_len, "string length")?;
+    String::from_utf8(read_bytes(r, len)?).map_err(|_| invalid("string is not UTF-8"))
+}
+
+/// Reads a fixed-width field of `N` bytes.
+///
+/// # Errors
+///
+/// `UnexpectedEof` on truncation; propagates I/O errors.
+pub fn read_array<const N: usize, R: Read>(r: &mut R) -> io::Result<[u8; N]> {
+    let mut bytes = [0u8; N];
+    r.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Reads one byte (a tag, version or kind code).
+///
+/// # Errors
+///
+/// As [`read_array`].
+pub fn read_u8<R: Read>(r: &mut R) -> io::Result<u8> {
+    Ok(read_array::<1, R>(r)?[0])
+}
+
+/// Reads a little-endian `u128` (a 16-byte trace id).
+///
+/// # Errors
+///
+/// As [`read_array`].
+pub fn read_u128<R: Read>(r: &mut R) -> io::Result<u128> {
+    read_array(r).map(u128::from_le_bytes)
+}
+
+/// Writes `v` as its IEEE-754 bits, little-endian.
+///
+/// # Errors
+///
+/// Propagates any I/O error from `w`.
+pub fn write_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
+    w.write_all(&v.to_bits().to_le_bytes())
+}
+
+/// Reads an `f64` written by [`write_f64`].
+///
+/// # Errors
+///
+/// As [`read_array`].
+pub fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
+    read_array(r).map(|b| f64::from_bits(u64::from_le_bytes(b)))
+}
+
+/// Writes an optional `f64`: tag byte 0 for `None`, or 1 followed by the
+/// value as [`write_f64`].
+///
+/// # Errors
+///
+/// Propagates any I/O error from `w`.
+pub fn write_opt_f64<W: Write>(w: &mut W, v: Option<f64>) -> io::Result<()> {
+    match v {
+        None => w.write_all(&[0]),
+        Some(v) => {
+            w.write_all(&[1])?;
+            write_f64(w, v)
+        }
+    }
+}
+
+/// Reads an optional `f64` written by [`write_opt_f64`].
+///
+/// # Errors
+///
+/// `InvalidData` on a tag other than 0 or 1; `UnexpectedEof` on
+/// truncation.
+pub fn read_opt_f64<R: Read>(r: &mut R) -> io::Result<Option<f64>> {
+    match read_u8(r)? {
+        0 => Ok(None),
+        1 => read_f64(r).map(Some),
+        _ => Err(invalid("bad optional-float tag")),
+    }
+}
+
+/// Splits `bytes` into its body and an 8-byte little-endian FNV-1a
+/// trailer, verifying the trailer against the body: how a checksummed
+/// block is checked before anything in it is decoded.
+///
+/// # Errors
+///
+/// `InvalidData` when the block is shorter than its trailer or the
+/// checksum does not match.
+pub fn strip_checksum(bytes: &[u8]) -> io::Result<&[u8]> {
+    let split = bytes
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| invalid("block too short for its checksum"))?;
+    let (body, trailer) = bytes.split_at(split);
+    if Fnv1a::hash(body).to_le_bytes() != trailer {
+        return Err(invalid("checksum mismatch"));
+    }
+    Ok(body)
+}
+
+/// Rejects input a decoder left unread.
+///
+/// # Errors
+///
+/// `InvalidData` when `rest` is not empty.
+pub fn ensure_consumed(rest: &[u8]) -> io::Result<()> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(invalid(format!("{} trailing bytes", rest.len())))
+    }
+}
+
+/// Decodes all of `bytes` with `read`, rejecting any bytes it leaves.
+///
+/// # Errors
+///
+/// `read`'s errors, plus [`ensure_consumed`]'s.
+pub fn read_whole<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut &[u8]) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut r = bytes;
+    let value = read(&mut r)?;
+    ensure_consumed(r)?;
+    Ok(value)
 }
 
 /// Default ceiling on the payload length of a single wire frame (4 MiB).
@@ -74,16 +272,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// Returns `InvalidData` on an oversized length declaration and propagates
 /// I/O errors (including `UnexpectedEof` when the stream ends mid-frame).
 pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> io::Result<Vec<u8>> {
-    let len = read_varint(r)?;
-    if len > max_len as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds limit {max_len}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+    let len = read_len(r, max_len, "frame length")?;
+    read_bytes(r, len)
 }
 
 /// Streaming 64-bit FNV-1a: the non-cryptographic checksum of 2DPR traces,

@@ -55,19 +55,9 @@ impl<A: Tracer, B: Tracer> Tee<A, B> {
         &self.first
     }
 
-    /// Mutable access to the first child tracer.
-    pub fn first_mut(&mut self) -> &mut A {
-        &mut self.first
-    }
-
     /// The second child tracer.
     pub fn second(&self) -> &B {
         &self.second
-    }
-
-    /// Mutable access to the second child tracer.
-    pub fn second_mut(&mut self) -> &mut B {
-        &mut self.second
     }
 
     /// Splits the tee back into its children.
@@ -82,16 +72,12 @@ impl<A: Tracer, B: Tracer> Tracer for Tee<A, B> {
         self.first.branch(site, taken);
         self.second.branch(site, taken);
     }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        self.first.dynamic_count().or(self.second.dynamic_count())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CountingTracer, EdgeProfiler, NullTracer};
+    use crate::{CountingTracer, EdgeProfiler};
 
     #[test]
     fn both_children_see_events() {
@@ -117,20 +103,5 @@ mod tests {
         assert_eq!(tee.first().count(), 5);
         assert_eq!(tee.second().first().count(), 5);
         assert_eq!(tee.second().second().count(), 5);
-    }
-
-    #[test]
-    fn dynamic_count_prefers_first_counting_child() {
-        let mut tee = Tee::new(NullTracer, CountingTracer::new());
-        tee.branch(SiteId(0), true);
-        assert_eq!(tee.dynamic_count(), Some(1));
-    }
-
-    #[test]
-    fn mut_accessors() {
-        let mut tee = Tee::new(CountingTracer::new(), NullTracer);
-        tee.first_mut().branch(SiteId(0), true);
-        assert_eq!(tee.first().count(), 1);
-        tee.second_mut().branch(SiteId(0), true);
     }
 }

@@ -85,4 +85,18 @@ proptest! {
             "flipping bit {} of byte {} went undetected", bit, pos
         );
     }
+
+    #[test]
+    fn random_bytes_are_rejected(
+        noise in prop::collection::vec(any::<u8>(), 0..96),
+        header in 0usize..30,
+    ) {
+        prop_assert!(RecordedTrace::from_bytes(&noise).is_err());
+        // the same noise behind a valid header's first bytes reaches the
+        // checksum and column checks
+        let mut bytes = record(3, &[(0, true), (1, false)]).to_bytes();
+        bytes.truncate(header.min(bytes.len()));
+        bytes.extend_from_slice(&noise);
+        prop_assert!(RecordedTrace::from_bytes(&bytes).is_err());
+    }
 }

@@ -14,73 +14,8 @@
 //! for edges but "weak bias" does.
 
 use crate::report::{Measured, SeriesData};
-use crate::{ProfileReport, SliceConfig, Thresholds};
+use crate::{BranchState, ProfileReport, SliceConfig, Thresholds};
 use btrace::{SiteId, Tracer};
-
-#[derive(Clone, Copy, Debug, Default)]
-struct BiasState {
-    n: u64,
-    sr: f64,   // sum of filtered taken rates
-    ssr: f64,  // sum of squares of the same
-    sb: f64,   // sum of per-slice bias values
-    npam: u64, // slices with filtered rate above running mean rate
-    lpr: Option<f64>,
-    taken_ctr: u64,
-    exec_ctr: u64,
-    total_exec: u64,
-    total_taken: u64,
-}
-
-impl BiasState {
-    #[inline]
-    fn record(&mut self, taken: bool) {
-        self.exec_ctr += 1;
-        self.taken_ctr += taken as u64;
-        self.total_exec += 1;
-        self.total_taken += taken as u64;
-    }
-
-    fn end_slice(&mut self, exec_threshold: u64) -> Option<f64> {
-        let mut sample = None;
-        if self.exec_ctr > exec_threshold {
-            self.n += 1;
-            let rate = self.taken_ctr as f64 / self.exec_ctr as f64;
-            let filtered = match self.lpr {
-                Some(last) => (rate + last) / 2.0,
-                None => rate,
-            };
-            self.sr += filtered;
-            self.ssr += filtered * filtered;
-            self.sb += filtered.max(1.0 - filtered);
-            // epsilon guards constant series against float-rounding jitter
-            if filtered > self.sr / self.n as f64 + 1e-9 {
-                self.npam += 1;
-            }
-            self.lpr = Some(filtered);
-            sample = Some(filtered);
-        }
-        self.exec_ctr = 0;
-        self.taken_ctr = 0;
-        sample
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sr / self.n as f64)
-    }
-
-    fn std_rate(&self) -> Option<f64> {
-        self.mean_rate()
-            .map(|m| (self.ssr / self.n as f64 - m * m).max(0.0).sqrt())
-    }
-
-    fn mean_bias(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sb / self.n as f64)
-    }
-
-    fn pam(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.npam as f64 / self.n as f64)
-    }
-}
 
 /// Predictor-free 2D profiler over branch bias.
 ///
@@ -88,9 +23,15 @@ impl BiasState {
 /// resulting [`ProfileReport`], `mean` holds the branch's mean per-slice
 /// *bias*, `std_dev`/`pam_fraction` describe its per-slice *taken-rate*
 /// series, and `aggregate_accuracy` holds the whole-run bias.
+///
+/// Each site's state is the paper's [`BranchState`] recording "taken" where
+/// the accuracy profiler records "predicted correctly", so its statistics
+/// describe the taken rate; the only extra per-site value is the sum of
+/// per-slice bias values behind the MEAN-test.
 #[derive(Clone, Debug)]
 pub struct Bias2DProfiler {
-    states: Vec<BiasState>,
+    states: Vec<BranchState>,
+    bias_sums: Vec<f64>,
     config: SliceConfig,
     in_slice: u64,
     slice_index: u64,
@@ -102,7 +43,8 @@ impl Bias2DProfiler {
     /// Creates a bias 2D-profiler for `num_sites` static branches.
     pub fn new(num_sites: usize, config: SliceConfig) -> Self {
         Self {
-            states: vec![BiasState::default(); num_sites],
+            states: vec![BranchState::new(); num_sites],
+            bias_sums: vec![0.0; num_sites],
             config,
             in_slice: 0,
             slice_index: 0,
@@ -124,8 +66,11 @@ impl Bias2DProfiler {
     fn end_slice_all(&mut self) {
         let thr = self.config.exec_threshold();
         for (i, st) in self.states.iter_mut().enumerate() {
-            let sample = st.end_slice(thr);
-            if let (Some(series), Some(rate)) = (self.series.as_mut(), sample) {
+            let Some(rate) = st.end_slice_sampled(thr) else {
+                continue;
+            };
+            self.bias_sums[i] += rate.max(1.0 - rate);
+            if let Some(series) = self.series.as_mut() {
                 series.per_site[i].push((self.slice_index, rate));
             }
         }
@@ -143,25 +88,24 @@ impl Bias2DProfiler {
             self.end_slice_all();
         }
         // Execution-weighted average per-branch bias over the whole run.
+        let bias = |st: &BranchState| st.aggregate_accuracy().map(|r| r.max(1.0 - r));
         let (wsum, wtot) = self.states.iter().fold((0.0f64, 0u64), |(s, t), st| {
-            if st.total_exec == 0 {
-                return (s, t);
-            }
-            let r = st.total_taken as f64 / st.total_exec as f64;
-            (s + r.max(1.0 - r) * st.total_exec as f64, t + st.total_exec)
+            let exec = st.total_executions();
+            bias(st).map_or((s, t), |b| (s + b * exec as f64, t + exec))
         });
         let program_bias = (wtot > 0).then(|| wsum / wtot as f64);
-        let measured = self.states.iter().map(|st| Measured {
-            slices: st.n,
-            mean: st.mean_bias(),
-            std_dev: st.std_rate(),
-            pam_fraction: st.pam(),
-            executions: st.total_exec,
-            aggregate_accuracy: (st.total_exec > 0).then(|| {
-                let r = st.total_taken as f64 / st.total_exec as f64;
-                r.max(1.0 - r)
-            }),
-        });
+        let measured = self
+            .states
+            .iter()
+            .zip(&self.bias_sums)
+            .map(|(st, &sb)| Measured {
+                slices: st.slices(),
+                mean: (st.slices() > 0).then(|| sb / st.slices() as f64),
+                std_dev: st.std_dev(),
+                pam_fraction: st.points_above_mean(),
+                executions: st.total_executions(),
+                aggregate_accuracy: bias(st),
+            });
         ProfileReport::new(
             measured,
             thresholds,
@@ -183,10 +127,6 @@ impl Tracer for Bias2DProfiler {
         if self.in_slice == self.config.slice_len() {
             self.end_slice_all();
         }
-    }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.total_events)
     }
 }
 

@@ -187,48 +187,6 @@ impl GroundTruth {
     }
 }
 
-/// Incremental builder that unions ground truth over many
-/// `(train, other)` pairs — the paper's `base-ext1-k` methodology.
-#[derive(Clone, Debug, Default)]
-pub struct GroundTruthBuilder {
-    acc: Option<GroundTruth>,
-    delta: f64,
-    min_exec: u64,
-}
-
-impl GroundTruthBuilder {
-    /// Creates a builder using `delta` and `min_exec` for every pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta` is not in `(0, 1)` or `min_exec` is zero.
-    pub fn new(delta: f64, min_exec: u64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        assert!(min_exec > 0, "min_exec must be positive");
-        Self {
-            acc: None,
-            delta,
-            min_exec,
-        }
-    }
-
-    /// Adds one `(train, other)` comparison and unions it into the
-    /// accumulated ground truth.
-    pub fn add_pair(&mut self, train: &AccuracyProfile, other: &AccuracyProfile) -> &mut Self {
-        let gt = GroundTruth::from_pair(train, other, self.delta, self.min_exec);
-        self.acc = Some(match self.acc.take() {
-            Some(prev) => prev.union(&gt),
-            None => gt,
-        });
-        self
-    }
-
-    /// The accumulated ground truth, or `None` if no pair was added.
-    pub fn build(&self) -> Option<GroundTruth> {
-        self.acc.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,20 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_manual_union() {
-        let train = profile(&[(1000, 90), (1000, 50)]);
-        let e1 = profile(&[(1000, 70), (1000, 52)]);
-        let e2 = profile(&[(1000, 89), (1000, 30)]);
-        let mut b = GroundTruthBuilder::new(0.05, 100);
-        b.add_pair(&train, &e1).add_pair(&train, &e2);
-        let built = b.build().unwrap();
-        let manual = GroundTruth::from_pair_paper(&train, &e1, 100)
-            .union(&GroundTruth::from_pair_paper(&train, &e2, 100));
-        assert_eq!(built, manual);
-        assert_eq!(built.dependent_count(), 2);
-    }
-
-    #[test]
     fn dynamic_fraction_weights_by_executions() {
         let train = profile(&[(100, 90), (100, 90)]);
         let other = profile(&[(900, 50), (100, 90)]); // site 0 dependent
@@ -320,11 +264,6 @@ mod tests {
         assert!((gt.dynamic_fraction(&other).unwrap() - 0.9).abs() < 1e-12);
         // weighted by train: 100 of 200
         assert!((gt.dynamic_fraction(&train).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_builder_returns_none() {
-        assert!(GroundTruthBuilder::new(0.05, 10).build().is_none());
     }
 
     #[test]

@@ -65,7 +65,7 @@ mod wish;
 
 pub use accum::SliceAccum;
 pub use bias2d::Bias2DProfiler;
-pub use ground_truth::{GroundTruth, GroundTruthBuilder, InputDependence};
+pub use ground_truth::{GroundTruth, InputDependence};
 pub use ifconv::{CostModel, PredicationDecision};
 pub use metrics::{Confusion, Metrics};
 pub use phases::{detect_phases, detect_phases_in_series, Phase, PhaseConfig};

@@ -85,10 +85,6 @@ impl<P: BranchPredictor> Tracer for TwoDProfiler<P> {
     fn branch(&mut self, site: SiteId, taken: bool) {
         self.branch_outcome(site, taken);
     }
-
-    fn dynamic_count(&self) -> Option<u64> {
-        Some(self.accum.total_events())
-    }
 }
 
 #[cfg(test)]
@@ -237,16 +233,6 @@ mod tests {
         let mut prof = TwoDProfiler::new(1, StaticTaken, SliceConfig::new(100, 4));
         assert!(prof.branch_outcome(SiteId(0), true));
         assert!(!prof.branch_outcome(SiteId(0), false));
-        assert_eq!(prof.dynamic_count(), Some(2));
         assert_eq!(prof.state(SiteId(0)).total_executions(), 2);
-    }
-
-    #[test]
-    fn dynamic_count_tracks_events() {
-        let mut prof = TwoDProfiler::new(1, StaticTaken, SliceConfig::new(100, 4));
-        for _ in 0..42 {
-            prof.branch(SiteId(0), true);
-        }
-        assert_eq!(prof.dynamic_count(), Some(42));
     }
 }

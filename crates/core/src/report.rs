@@ -1,7 +1,11 @@
 //! End-of-run profiling reports.
 
 use crate::{MeanThreshold, TestOutcomes, Thresholds};
-use btrace::{read_varint, write_varint, SiteId};
+use btrace::serial::{
+    invalid, read_f64, read_len, read_opt_f64, read_string, read_u8, read_varint, read_whole,
+    with_declared_capacity, write_f64, write_opt_f64, write_string, write_varint,
+};
+use btrace::SiteId;
 use std::io::{self, Read, Write};
 
 /// 2D-profiling verdict for one static branch.
@@ -22,6 +26,36 @@ impl Classification {
     /// Whether the branch is predicted input-dependent.
     pub fn is_dependent(self) -> bool {
         matches!(self, Classification::Dependent)
+    }
+
+    /// Writes the verdict's code — 0 dependent, 1 independent, 2
+    /// insufficient — as a varint: the one encoding of a verdict in every
+    /// format that carries one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any I/O error from `w`.
+    pub fn write_to<W: Write>(self, w: &mut W) -> io::Result<()> {
+        let code = match self {
+            Classification::Dependent => 0,
+            Classification::Independent => 1,
+            Classification::Insufficient => 2,
+        };
+        write_varint(w, code)
+    }
+
+    /// Reads a verdict written by [`write_to`](Self::write_to).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on an unknown code; propagates I/O errors.
+    pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
+        match read_varint(r)? {
+            0 => Ok(Classification::Dependent),
+            1 => Ok(Classification::Independent),
+            2 => Ok(Classification::Insufficient),
+            _ => Err(invalid("unknown classification tag")),
+        }
     }
 }
 
@@ -266,9 +300,7 @@ impl ProfileReport {
         write_opt_f64(w, self.resolved_mean_threshold)?;
         write_varint(w, self.total_slices)?;
         write_varint(w, self.total_branches)?;
-        let name = self.predictor_name.as_bytes();
-        write_varint(w, name.len() as u64)?;
-        w.write_all(name)?;
+        write_string(w, &self.predictor_name)?;
         write_varint(w, self.stats.len() as u64)?;
         for s in &self.stats {
             write_varint(w, s.slices)?;
@@ -282,12 +314,7 @@ impl ProfileReport {
                 Some(o) => 0b1000 | (o.mean as u64) | ((o.std as u64) << 1) | ((o.pam as u64) << 2),
             };
             write_varint(w, outcome_bits)?;
-            let class = match s.classification {
-                Classification::Dependent => 0u64,
-                Classification::Independent => 1,
-                Classification::Insufficient => 2,
-            };
-            write_varint(w, class)?;
+            s.classification.write_to(w)?;
         }
         match &self.series {
             None => write_varint(w, 0)?,
@@ -323,12 +350,7 @@ impl ProfileReport {
     ///
     /// Returns `InvalidData` on malformed input or leftover bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let mut r = bytes;
-        let report = Self::read_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(invalid("trailing bytes after report"));
-        }
-        Ok(report)
+        read_whole(bytes, |r| Self::read_from(r))
     }
 
     /// Reads a report written by [`write_to`](Self::write_to).
@@ -342,22 +364,9 @@ impl ProfileReport {
         let resolved_mean_threshold = read_opt_f64(r)?;
         let total_slices = read_varint(r)?;
         let total_branches = read_varint(r)?;
-        let name_len = read_varint(r)? as usize;
-        if name_len > 1 << 16 {
-            return Err(invalid("unreasonable predictor-name length"));
-        }
-        let mut name = vec![0u8; name_len];
-        r.read_exact(&mut name)?;
-        let predictor_name =
-            String::from_utf8(name).map_err(|_| invalid("predictor name is not UTF-8"))?;
-        let num_sites = read_varint(r)? as usize;
-        if num_sites > 1 << 28 {
-            return Err(invalid("unreasonable site count"));
-        }
-        // the declared count is untrusted until the entries actually arrive:
-        // clamp the reservation so a short hostile prefix cannot make the
-        // decoder reserve gigabytes before hitting EOF
-        let mut stats = Vec::with_capacity(num_sites.min(1 << 16));
+        let predictor_name = read_string(r, 1 << 16)?;
+        let num_sites = read_len(r, 1 << 28, "site count")?;
+        let mut stats = with_declared_capacity(num_sites);
         for i in 0..num_sites {
             let slices = read_varint(r)?;
             let mean = read_opt_f64(r)?;
@@ -375,12 +384,7 @@ impl ProfileReport {
             } else {
                 None
             };
-            let classification = match read_varint(r)? {
-                0 => Classification::Dependent,
-                1 => Classification::Independent,
-                2 => Classification::Insufficient,
-                _ => return Err(invalid("unknown classification tag")),
-            };
+            let classification = Classification::read_from(r)?;
             stats.push(BranchStats {
                 site: SiteId(i as u32),
                 slices,
@@ -400,7 +404,7 @@ impl ProfileReport {
                 if n != num_sites {
                     return Err(invalid("series table size mismatch"));
                 }
-                let mut per_site = Vec::with_capacity(n.min(1 << 16));
+                let mut per_site = with_declared_capacity(n);
                 for _ in 0..n {
                     per_site.push(read_series(r)?);
                 }
@@ -422,40 +426,6 @@ impl ProfileReport {
     }
 }
 
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
-}
-
-fn write_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(f64::from_bits(u64::from_le_bytes(buf)))
-}
-
-fn write_opt_f64<W: Write>(w: &mut W, v: Option<f64>) -> io::Result<()> {
-    match v {
-        None => w.write_all(&[0]),
-        Some(v) => {
-            w.write_all(&[1])?;
-            write_f64(w, v)
-        }
-    }
-}
-
-fn read_opt_f64<R: Read>(r: &mut R) -> io::Result<Option<f64>> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        0 => Ok(None),
-        1 => Ok(Some(read_f64(r)?)),
-        _ => Err(invalid("bad optional-float tag")),
-    }
-}
-
 fn write_thresholds<W: Write>(w: &mut W, t: &Thresholds) -> io::Result<()> {
     match t.mean {
         MeanThreshold::ProgramAccuracy => w.write_all(&[0])?,
@@ -469,9 +439,7 @@ fn write_thresholds<W: Write>(w: &mut W, t: &Thresholds) -> io::Result<()> {
 }
 
 fn read_thresholds<R: Read>(r: &mut R) -> io::Result<Thresholds> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    let mean = match tag[0] {
+    let mean = match read_u8(r)? {
         0 => MeanThreshold::ProgramAccuracy,
         1 => MeanThreshold::Fixed(read_f64(r)?),
         _ => return Err(invalid("bad mean-threshold tag")),
@@ -493,11 +461,8 @@ fn write_series<W: Write>(w: &mut W, samples: &[(u64, f64)]) -> io::Result<()> {
 }
 
 fn read_series<R: Read>(r: &mut R) -> io::Result<Vec<(u64, f64)>> {
-    let n = read_varint(r)? as usize;
-    if n > 1 << 28 {
-        return Err(invalid("unreasonable series length"));
-    }
-    let mut samples = Vec::with_capacity(n.min(1 << 16));
+    let n = read_len(r, 1 << 28, "series length")?;
+    let mut samples = with_declared_capacity(n);
     for _ in 0..n {
         let slice = read_varint(r)?;
         samples.push((slice, read_f64(r)?));

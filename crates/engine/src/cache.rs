@@ -26,9 +26,12 @@
 
 use crate::{JobKind, JobSpec, CACHE_SCHEMA_VERSION};
 use bpred::AccuracyProfile;
-use btrace::{read_varint, write_varint, Fnv1a, RecordedTrace};
+use btrace::serial::{
+    invalid, read_array, read_u8, read_varint, read_whole, strip_checksum, write_varint,
+};
+use btrace::{Fnv1a, RecordedTrace};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use twodprof_core::ProfileReport;
@@ -105,20 +108,14 @@ impl JobOutput {
     /// Returns `InvalidData` on malformed payloads or trailing bytes;
     /// `UnexpectedEof` on truncation.
     pub fn from_payload(kind: JobKind, payload: &[u8]) -> io::Result<Self> {
-        let mut p = payload;
-        let output = match Self::expected_tag(kind) {
-            0 => JobOutput::Count(read_varint(&mut p)?),
-            1 => JobOutput::Accuracy(Arc::new(AccuracyProfile::read_from(&mut p)?)),
-            3 => JobOutput::Trace(Arc::new(RecordedTrace::read_from(&mut p)?)),
-            _ => JobOutput::Report(Arc::new(ProfileReport::read_from(&mut p)?)),
-        };
-        if !p.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after job payload",
-            ));
-        }
-        Ok(output)
+        read_whole(payload, |p| {
+            Ok(match Self::expected_tag(kind) {
+                0 => JobOutput::Count(read_varint(p)?),
+                1 => JobOutput::Accuracy(Arc::new(AccuracyProfile::read_from(p)?)),
+                3 => JobOutput::Trace(Arc::new(RecordedTrace::read_from(p)?)),
+                _ => JobOutput::Report(Arc::new(ProfileReport::read_from(p)?)),
+            })
+        })
     }
 }
 
@@ -231,38 +228,22 @@ fn write_entry<W: Write>(w: &mut W, spec: &JobSpec, output: &JobOutput) -> io::R
 }
 
 fn read_entry(bytes: &[u8], spec: &JobSpec) -> io::Result<JobOutput> {
-    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
     let mut r = bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    if &read_array(&mut r)? != MAGIC {
         return Err(invalid("not a 2DPC cache entry"));
     }
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version)?;
-    if version[0] != VERSION {
+    if read_u8(&mut r)? != VERSION {
         return Err(invalid("unsupported cache-entry version"));
     }
-    let mut hash = [0u8; 8];
-    r.read_exact(&mut hash)?;
-    if u64::from_le_bytes(hash) != spec.content_hash() {
+    if u64::from_le_bytes(read_array(&mut r)?) != spec.content_hash() {
         return Err(invalid("cache entry is for a different spec"));
     }
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    if tag[0] != JobOutput::expected_tag(spec.kind) {
+    if read_u8(&mut r)? != JobOutput::expected_tag(spec.kind) {
         return Err(invalid("cache entry holds a different result kind"));
     }
     // everything left is payload + trailing checksum; verify before decoding
     // so payload bit flips are caught even where decoding would succeed
-    if r.len() < 8 {
-        return Err(invalid("cache entry truncated before checksum"));
-    }
-    let (payload, checksum) = r.split_at(r.len() - 8);
-    if payload_checksum(payload) != u64::from_le_bytes(checksum.try_into().expect("8 bytes")) {
-        return Err(invalid("cache-entry payload checksum mismatch"));
-    }
-    JobOutput::from_payload(spec.kind, payload)
+    JobOutput::from_payload(spec.kind, strip_checksum(r)?)
 }
 
 #[cfg(test)]

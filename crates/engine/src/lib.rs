@@ -128,9 +128,6 @@ pub struct EngineCounters {
     pub memo: u64,
     /// Jobs that panicked.
     pub failed: u64,
-    /// Corrupt cache entries recovered by recomputation (each such job is
-    /// also counted in `computed`).
-    pub corrupt: u64,
     /// Dynamic branch events across computed jobs.
     pub events: u64,
     /// Branch streams recorded from a live workload run (each one feeds
@@ -271,7 +268,6 @@ impl Engine {
                 });
             }
             CacheLookup::Corrupt => {
-                self.bump(|c| c.corrupt += 1);
                 twodprof_obs::counter!(
                     "engine_cache_corrupt_total",
                     "Corrupt cache entries recovered by recomputation."

@@ -8,8 +8,9 @@
 //! at once without touching old files.
 
 use bpred::PredictorKind;
-use btrace::{read_varint, write_varint, Fnv1a};
-use std::io::{self, Read};
+use btrace::serial::{invalid, read_string, read_u8, write_string};
+use btrace::Fnv1a;
+use std::io;
 use workloads::Scale;
 
 /// Version of the cache key scheme *and* payload format. Bump whenever
@@ -169,11 +170,17 @@ impl JobSpec {
     ///         [string(predictor-id)]          (accuracy / 2D kinds only)
     /// ```
     ///
-    /// All strings are `varint(len)` + UTF-8 bytes, lengths capped at
-    /// [`MAX_SPEC_NAME_LEN`] on the read side.
+    /// All strings are `varint(len)` + UTF-8 bytes, names capped at
+    /// [`MAX_SPEC_NAME_LEN`] and predictor ids at
+    /// [`PredictorKind::MAX_ID_LEN`] on the read side.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        write_name(buf, &self.workload);
-        write_name(buf, &self.input);
+        for name in [&self.workload, &self.input] {
+            debug_assert!(
+                name.len() <= MAX_SPEC_NAME_LEN,
+                "name {name:?} too long to wire"
+            );
+            write_string(buf, name).expect("vec write");
+        }
         buf.push(match self.scale {
             Scale::Tiny => 0,
             Scale::Small => 1,
@@ -183,11 +190,11 @@ impl JobSpec {
             JobKind::BranchCount => buf.push(0),
             JobKind::Accuracy(k) => {
                 buf.push(1);
-                write_name(buf, k.id());
+                k.write_id(buf).expect("vec write");
             }
             JobKind::TwoD(k) => {
                 buf.push(2);
-                write_name(buf, k.id());
+                k.write_id(buf).expect("vec write");
             }
             JobKind::Trace => buf.push(3),
         }
@@ -202,21 +209,18 @@ impl JobSpec {
     /// allocation), unknown scale/kind bytes, or unknown predictor ids;
     /// `UnexpectedEof` on truncation.
     pub fn decode_from(r: &mut &[u8]) -> io::Result<Self> {
-        let workload = read_name(r)?;
-        let input = read_name(r)?;
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let scale = match byte[0] {
+        let workload = read_string(r, MAX_SPEC_NAME_LEN)?;
+        let input = read_string(r, MAX_SPEC_NAME_LEN)?;
+        let scale = match read_u8(r)? {
             0 => Scale::Tiny,
             1 => Scale::Small,
             2 => Scale::Full,
             other => return Err(invalid(format!("unknown scale byte {other:#04x}"))),
         };
-        r.read_exact(&mut byte)?;
-        let kind = match byte[0] {
+        let kind = match read_u8(r)? {
             0 => JobKind::BranchCount,
-            1 => JobKind::Accuracy(read_predictor(r)?),
-            2 => JobKind::TwoD(read_predictor(r)?),
+            1 => JobKind::Accuracy(PredictorKind::read_id(r)?),
+            2 => JobKind::TwoD(PredictorKind::read_id(r)?),
             3 => JobKind::Trace,
             other => return Err(invalid(format!("unknown job-kind byte {other:#04x}"))),
         };
@@ -227,33 +231,6 @@ impl JobSpec {
             kind,
         })
     }
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn write_name(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= MAX_SPEC_NAME_LEN, "name {s:?} too long to wire");
-    write_varint(buf, s.len() as u64).expect("vec write");
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_name(r: &mut &[u8]) -> io::Result<String> {
-    let len = read_varint(r)? as usize;
-    if len > MAX_SPEC_NAME_LEN {
-        return Err(invalid(format!(
-            "name length {len} exceeds {MAX_SPEC_NAME_LEN}"
-        )));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| invalid("name is not UTF-8"))
-}
-
-fn read_predictor(r: &mut &[u8]) -> io::Result<PredictorKind> {
-    let id = read_name(r)?;
-    PredictorKind::from_id(&id).ok_or_else(|| invalid(format!("unknown predictor id {id:?}")))
 }
 
 #[cfg(test)]

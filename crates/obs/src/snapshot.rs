@@ -1,12 +1,21 @@
 //! Point-in-time snapshots: text exposition and wire serialization.
 
 use crate::metric::NUM_BUCKETS;
-use btrace::{read_varint, write_varint};
+use btrace::serial::{
+    invalid, read_len, read_string, read_u8, read_varint, read_whole, with_declared_capacity,
+    write_string, write_varint,
+};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 /// Serialization format revision of [`Snapshot::to_bytes`].
 const SNAPSHOT_VERSION: u8 = 1;
+
+/// Most entries of one metric type a decoded snapshot may declare.
+const MAX_ENTRIES: usize = 1 << 20;
+
+/// Longest metric name or help string a decoded snapshot may carry.
+const MAX_STRING: usize = 1 << 12;
 
 /// Frozen state of one histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -200,12 +209,7 @@ impl Snapshot {
     ///
     /// Returns `InvalidData` on malformed input or leftover bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let mut r = bytes;
-        let snap = Self::read_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(invalid("trailing bytes after snapshot"));
-        }
-        Ok(snap)
+        read_whole(bytes, |r| Self::read_from(r))
     }
 
     /// Reads a snapshot written by [`write_to`](Self::write_to).
@@ -214,33 +218,28 @@ impl Snapshot {
     ///
     /// Returns `InvalidData` on malformed input and propagates I/O errors.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut version = [0u8; 1];
-        r.read_exact(&mut version)?;
-        if version[0] != SNAPSHOT_VERSION {
+        if read_u8(r)? != SNAPSHOT_VERSION {
             return Err(invalid("unsupported snapshot version"));
         }
         let mut snap = Snapshot::default();
-        let n = checked_len(read_varint(r)?)?;
+        let n = read_len(r, MAX_ENTRIES, "counter count")?;
         for _ in 0..n {
-            let name = read_string(r)?;
-            let help = read_string(r)?;
+            let name = read_string(r, MAX_STRING)?;
+            let help = read_string(r, MAX_STRING)?;
             snap.counters.push((name, help, read_varint(r)?));
         }
-        let n = checked_len(read_varint(r)?)?;
+        let n = read_len(r, MAX_ENTRIES, "gauge count")?;
         for _ in 0..n {
-            let name = read_string(r)?;
-            let help = read_string(r)?;
+            let name = read_string(r, MAX_STRING)?;
+            let help = read_string(r, MAX_STRING)?;
             snap.gauges.push((name, help, unzigzag(read_varint(r)?)));
         }
-        let n = checked_len(read_varint(r)?)?;
+        let n = read_len(r, MAX_ENTRIES, "histogram count")?;
         for _ in 0..n {
-            let name = read_string(r)?;
-            let help = read_string(r)?;
-            let nb = read_varint(r)? as usize;
-            if nb > NUM_BUCKETS * 4 {
-                return Err(invalid("unreasonable histogram bucket count"));
-            }
-            let mut buckets = Vec::with_capacity(nb);
+            let name = read_string(r, MAX_STRING)?;
+            let help = read_string(r, MAX_STRING)?;
+            let nb = read_len(r, NUM_BUCKETS * 4, "histogram bucket count")?;
+            let mut buckets = with_declared_capacity(nb);
             for _ in 0..nb {
                 buckets.push(read_varint(r)?);
             }
@@ -260,17 +259,6 @@ fn put<V>(list: &mut Vec<(String, String, V)>, entry: (String, String, V)) {
     }
 }
 
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
-}
-
-fn checked_len(n: u64) -> io::Result<usize> {
-    if n > 1 << 20 {
-        return Err(invalid("unreasonable snapshot entry count"));
-    }
-    Ok(n as usize)
-}
-
 /// Zigzag-encodes a signed value so small magnitudes stay small varints.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -278,21 +266,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    write_varint(w, s.len() as u64)?;
-    w.write_all(s.as_bytes())
-}
-
-fn read_string<R: Read>(r: &mut R) -> io::Result<String> {
-    let len = read_varint(r)? as usize;
-    if len > 1 << 12 {
-        return Err(invalid("unreasonable metric-name length"));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| invalid("metric string is not UTF-8"))
 }
 
 #[cfg(test)]

@@ -43,13 +43,16 @@
 
 use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::collections::VecDeque;
-use std::io::{self, Read};
+use std::io;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use btrace::{read_varint, write_varint};
+use btrace::serial::{
+    invalid, read_len, read_string, read_u128, read_u8, read_varint, read_whole,
+    with_declared_capacity, write_varint,
+};
 
 /// Slots per thread-local span ring. Power of two; at the coarse (per-job,
 /// per-frame) granularity the workspace traces at, a ring this size absorbs
@@ -71,7 +74,7 @@ pub const STORE_CAPACITY: usize = 1 << 16;
 pub const MAX_WIRE_SPANS: usize = 16_384;
 
 const SPAN_BLOCK_VERSION: u8 = 1;
-const MAX_WIRE_NAME_LEN: u64 = 256;
+const MAX_WIRE_NAME_LEN: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Clock and identifiers
@@ -622,7 +625,7 @@ pub fn encode_spans(trace: u128, spans: &[ExportSpan]) -> Vec<u8> {
         write_varint(&mut buf, span.id).expect("vec write");
         write_varint(&mut buf, span.parent).expect("vec write");
         let name = span.name.as_bytes();
-        let name = &name[..name.len().min(MAX_WIRE_NAME_LEN as usize)];
+        let name = &name[..name.len().min(MAX_WIRE_NAME_LEN)];
         write_varint(&mut buf, name.len() as u64).expect("vec write");
         buf.extend_from_slice(name);
         write_varint(&mut buf, span.start_us).expect("vec write");
@@ -632,57 +635,31 @@ pub fn encode_spans(trace: u128, spans: &[ExportSpan]) -> Vec<u8> {
     buf
 }
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("span block: {msg}"))
-}
-
 /// Inverse of [`encode_spans`]. Rejects unknown versions, oversized
 /// counts/names, truncation, and trailing garbage. Decoded spans carry
 /// `pid = 0`; the caller assigns process lanes.
 pub fn decode_spans(bytes: &[u8]) -> io::Result<(u128, Vec<ExportSpan>)> {
-    let mut r = bytes;
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version).map_err(|_| bad("empty"))?;
-    if version[0] != SPAN_BLOCK_VERSION {
-        return Err(bad("unsupported version"));
-    }
-    let mut trace_bytes = [0u8; 16];
-    r.read_exact(&mut trace_bytes)
-        .map_err(|_| bad("truncated trace id"))?;
-    let trace = u128::from_le_bytes(trace_bytes);
-    let count = read_varint(&mut r)?;
-    if count > MAX_WIRE_SPANS as u64 {
-        return Err(bad("span count exceeds cap"));
-    }
-    let mut spans = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = read_varint(&mut r)?;
-        let parent = read_varint(&mut r)?;
-        let name_len = read_varint(&mut r)?;
-        if name_len > MAX_WIRE_NAME_LEN {
-            return Err(bad("name too long"));
+    read_whole(bytes, |r| {
+        if read_u8(r)? != SPAN_BLOCK_VERSION {
+            return Err(invalid("unsupported span-block version"));
         }
-        let mut name = vec![0u8; name_len as usize];
-        r.read_exact(&mut name).map_err(|_| bad("truncated name"))?;
-        let name = String::from_utf8(name).map_err(|_| bad("name not UTF-8"))?;
-        let start_us = read_varint(&mut r)?;
-        let dur_us = read_varint(&mut r)?;
-        let tid = read_varint(&mut r)?;
-        spans.push(ExportSpan {
-            trace,
-            id,
-            parent,
-            name,
-            start_us,
-            dur_us,
-            tid,
-            pid: 0,
-        });
-    }
-    if !r.is_empty() {
-        return Err(bad("trailing bytes"));
-    }
-    Ok((trace, spans))
+        let trace = read_u128(r)?;
+        let count = read_len(r, MAX_WIRE_SPANS, "span count")?;
+        let mut spans = with_declared_capacity(count);
+        for _ in 0..count {
+            spans.push(ExportSpan {
+                trace,
+                id: read_varint(r)?,
+                parent: read_varint(r)?,
+                name: read_string(r, MAX_WIRE_NAME_LEN)?,
+                start_us: read_varint(r)?,
+                dur_us: read_varint(r)?,
+                tid: read_varint(r)?,
+                pid: 0,
+            });
+        }
+        Ok((trace, spans))
+    })
 }
 
 #[cfg(test)]

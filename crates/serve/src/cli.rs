@@ -160,9 +160,7 @@ static SERVE: Command = Command {
         flag("--addr-file", "PATH", "write the bound address to PATH"),
         flag("--http-addr", "HOST:PORT", "HTTP /metrics, /healthz, /vars"),
         flag("--http-addr-file", "PATH", "write the bound HTTP address"),
-        flag("--timeline-capacity", "N", "timeline intervals kept"),
         flag("--timeline-interval", "SECS", "timeline interval length"),
-        flag("--blackbox-capacity", "N", "flight-recorder ring size"),
         flag("--blackbox-file", "PATH", "flight-recorder dump file"),
         flag("--max-sessions", "N", "concurrent session limit"),
         flag("--max-events", "N", "event limit per session"),
@@ -222,9 +220,7 @@ pub fn serve_main(args: &[String]) -> Result<(), String> {
         .stream(stream)
         .set_if(compute, B::compute)
         .set_if(m.value("--http-addr"), B::http_addr)
-        .set_if(m.numeric("--timeline-capacity")?, B::timeline_capacity)
         .set_if(m.seconds("--timeline-interval")?, B::timeline_interval)
-        .set_if(m.numeric("--blackbox-capacity")?, B::blackbox_capacity)
         .set_if(m.value("--blackbox-file"), B::blackbox_path)
         .set_if(m.numeric("--max-sessions")?, B::max_sessions)
         .set_if(m.numeric("--max-events")?, B::max_events_per_session)
@@ -827,9 +823,7 @@ mod tests {
                 ("--addr-file", Some("a.txt")),
                 ("--http-addr", Some("127.0.0.1:0")),
                 ("--http-addr-file", Some("h.txt")),
-                ("--timeline-capacity", Some("8")),
                 ("--timeline-interval", Some("0.5")),
-                ("--blackbox-capacity", Some("8")),
                 ("--blackbox-file", Some("b.bin")),
                 ("--max-sessions", Some("8")),
                 ("--max-events", Some("8")),

@@ -97,12 +97,8 @@ pub struct ObsConfig {
     /// Bind address for the std-only HTTP/1.0 exposition listener
     /// (`/metrics`, `/healthz`, `/vars`); `None` (the default) disables it.
     pub http_addr: Option<String>,
-    /// Retention of the metrics timeline, in recorded intervals.
-    pub timeline_capacity: usize,
     /// Cadence of timeline snapshots while the HTTP listener is enabled.
     pub timeline_interval: Duration,
-    /// Retention of the flight recorder, in events.
-    pub blackbox_capacity: usize,
     /// Where a blackbox dump lands on panic or `SIGUSR1`; `None` uses
     /// `twodprofd-blackbox-<pid>.bin` in the system temp dir.
     pub blackbox_path: Option<PathBuf>,
@@ -112,9 +108,7 @@ impl Default for ObsConfig {
     fn default() -> Self {
         Self {
             http_addr: None,
-            timeline_capacity: 256,
             timeline_interval: Duration::from_secs(1),
-            blackbox_capacity: 256,
             blackbox_path: None,
         }
     }
@@ -291,21 +285,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// See [`ObsConfig::timeline_capacity`].
-    pub fn timeline_capacity(mut self, n: usize) -> Self {
-        self.config.obs.timeline_capacity = n;
-        self
-    }
-
     /// See [`ObsConfig::timeline_interval`].
     pub fn timeline_interval(mut self, d: Duration) -> Self {
         self.config.obs.timeline_interval = d;
-        self
-    }
-
-    /// See [`ObsConfig::blackbox_capacity`].
-    pub fn blackbox_capacity(mut self, n: usize) -> Self {
-        self.config.obs.blackbox_capacity = n;
         self
     }
 
@@ -352,16 +334,10 @@ impl ServerConfigBuilder {
         if c.shards.spill_threshold == 0 {
             return Err(ConfigError("shards.spill_threshold must be > 0".into()));
         }
-        if c.obs.timeline_capacity == 0 {
-            return Err(ConfigError("obs.timeline_capacity must be > 0".into()));
-        }
         if c.obs.timeline_interval.is_zero() {
             return Err(ConfigError(
                 "obs.timeline_interval must be > 0 (the recorder would spin)".into(),
             ));
-        }
-        if c.obs.blackbox_capacity == 0 {
-            return Err(ConfigError("obs.blackbox_capacity must be > 0".into()));
         }
         if c.shards.spill_threshold > c.shards.memory_budget {
             return Err(ConfigError(format!(
@@ -400,9 +376,7 @@ mod tests {
             .quiet(true)
             .stats_interval(Some(Duration::from_secs(1)))
             .http_addr("127.0.0.1:9090")
-            .timeline_capacity(32)
             .timeline_interval(Duration::from_millis(500))
-            .blackbox_capacity(64)
             .blackbox_path("/tmp/blackbox.bin")
             .build()
             .unwrap();
@@ -419,9 +393,7 @@ mod tests {
         assert!(!config.record_sessions);
         assert!(config.quiet);
         assert_eq!(config.obs.http_addr.as_deref(), Some("127.0.0.1:9090"));
-        assert_eq!(config.obs.timeline_capacity, 32);
         assert_eq!(config.obs.timeline_interval, Duration::from_millis(500));
-        assert_eq!(config.obs.blackbox_capacity, 64);
         assert_eq!(
             config.obs.blackbox_path.as_deref(),
             Some(std::path::Path::new("/tmp/blackbox.bin"))
@@ -450,15 +422,7 @@ mod tests {
             .is_err());
         assert!(ServerConfig::builder().spill_threshold(0).build().is_err());
         assert!(ServerConfig::builder()
-            .timeline_capacity(0)
-            .build()
-            .is_err());
-        assert!(ServerConfig::builder()
             .timeline_interval(Duration::ZERO)
-            .build()
-            .is_err());
-        assert!(ServerConfig::builder()
-            .blackbox_capacity(0)
             .build()
             .is_err());
     }

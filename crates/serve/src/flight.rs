@@ -17,6 +17,10 @@
 //! [`payload_checksum`] the cache tier uses) — so [`decode`] can tell a
 //! torn write from an empty ring.
 
+use btrace::serial::{
+    invalid, read_len, read_string, read_u8, read_varint, read_whole, strip_checksum,
+    with_declared_capacity, write_string, write_varint,
+};
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -194,22 +198,22 @@ impl FlightRecorder {
 /// Serializes a slice of events in the [`FlightRecorder::encode`] format.
 pub fn encode_events(events: &[FlightEvent]) -> Vec<u8> {
     let mut out = vec![FLIGHT_VERSION];
-    // writes into a Vec never fail
-    let varint = |out: &mut Vec<u8>, v: u64| {
-        btrace::write_varint(out, v).expect("vec write");
-    };
-    varint(&mut out, events.len() as u64);
-    for e in events {
-        varint(&mut out, e.at_millis);
-        out.push(e.kind.as_u8());
-        varint(&mut out, e.shard as u64);
-        varint(&mut out, e.conn);
-        varint(&mut out, e.detail.len() as u64);
-        out.extend_from_slice(e.detail.as_bytes());
-    }
+    write_events(&mut out, events).expect("vec write");
     let checksum = payload_checksum(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
+}
+
+fn write_events(out: &mut Vec<u8>, events: &[FlightEvent]) -> io::Result<()> {
+    write_varint(out, events.len() as u64)?;
+    for e in events {
+        write_varint(out, e.at_millis)?;
+        out.push(e.kind.as_u8());
+        write_varint(out, e.shard as u64)?;
+        write_varint(out, e.conn)?;
+        write_string(out, &e.detail)?;
+    }
+    Ok(())
 }
 
 /// Decodes a [`FlightRecorder::encode`] block, verifying the checksum
@@ -218,67 +222,34 @@ pub fn encode_events(events: &[FlightEvent]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` naming what failed (checksum mismatch, truncation,
-/// unknown kind, overlong detail).
+/// Returns `InvalidData` naming what failed (checksum mismatch, unknown
+/// kind, overlong detail), and `UnexpectedEof` on a block whose checksum
+/// holds but whose fields end early.
 pub fn decode(bytes: &[u8]) -> io::Result<Vec<FlightEvent>> {
-    let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-    if bytes.len() < 8 {
-        return Err(invalid("flight block too short for its checksum"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let declared = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    if payload_checksum(body) != declared {
-        return Err(invalid("flight block checksum mismatch (torn dump?)"));
-    }
-    let mut r = body;
-    let (&version, rest) = r
-        .split_first()
-        .ok_or_else(|| invalid("empty flight block"))?;
-    r = rest;
-    if version != FLIGHT_VERSION {
-        return Err(invalid("unsupported flight-block version"));
-    }
-    let count = btrace::read_varint(&mut r)? as usize;
-    if count > MAX_EVENTS {
-        return Err(invalid("flight event count too large"));
-    }
-    let mut events = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let at_millis = btrace::read_varint(&mut r)?;
-        let (&kind, rest) = r
-            .split_first()
-            .ok_or_else(|| invalid("truncated flight event"))?;
-        r = rest;
-        let kind = FlightKind::from_u8(kind).ok_or_else(|| invalid("unknown flight-event kind"))?;
-        let shard = btrace::read_varint(&mut r)?;
-        if shard > u32::MAX as u64 {
-            return Err(invalid("flight-event shard index out of range"));
+    read_whole(strip_checksum(bytes)?, |r| {
+        if read_u8(r)? != FLIGHT_VERSION {
+            return Err(invalid("unsupported flight-block version"));
         }
-        let conn = btrace::read_varint(&mut r)?;
-        let len = btrace::read_varint(&mut r)? as usize;
-        if len > MAX_DETAIL {
-            return Err(invalid("flight-event detail too long"));
+        let count = read_len(r, MAX_EVENTS, "flight event count")?;
+        let mut events = with_declared_capacity(count);
+        for _ in 0..count {
+            let at_millis = read_varint(r)?;
+            let kind = FlightKind::from_u8(read_u8(r)?)
+                .ok_or_else(|| invalid("unknown flight-event kind"))?;
+            let shard = read_varint(r)?;
+            if shard > u32::MAX as u64 {
+                return Err(invalid("flight-event shard index out of range"));
+            }
+            events.push(FlightEvent {
+                at_millis,
+                kind,
+                shard: shard as u32,
+                conn: read_varint(r)?,
+                detail: read_string(r, MAX_DETAIL)?,
+            });
         }
-        if len > r.len() {
-            return Err(invalid("flight-event detail overruns block"));
-        }
-        let (detail, rest) = r.split_at(len);
-        r = rest;
-        let detail = std::str::from_utf8(detail)
-            .map_err(|_| invalid("flight-event detail is not UTF-8"))?
-            .to_owned();
-        events.push(FlightEvent {
-            at_millis,
-            kind,
-            shard: shard as u32,
-            conn,
-            detail,
-        });
-    }
-    if !r.is_empty() {
-        return Err(invalid("trailing bytes in flight block"));
-    }
-    Ok(events)
+        Ok(events)
+    })
 }
 
 /// `SIGUSR1` handshake: the signal handler may only touch an atomic and

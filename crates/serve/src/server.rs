@@ -442,11 +442,6 @@ impl ServerHandle {
         self.shared.accept_waker.wake();
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Number of sessions currently between `Hello` and `Finish`.
     pub fn live_sessions(&self) -> usize {
         self.shared.live_sessions.load(Ordering::SeqCst)
@@ -479,6 +474,12 @@ impl ServerHandle {
 /// Distinguishes the spill directories of daemons sharing a process and a
 /// temp dir (tests run many).
 static DAEMON_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
+/// Timeline intervals a daemon keeps for `/vars`.
+const TIMELINE_CAPACITY: usize = 256;
+
+/// Notable events the flight recorder keeps.
+const BLACKBOX_CAPACITY: usize = 256;
 
 /// A bound, not-yet-running daemon. Call [`run`](Self::run) (usually on a
 /// dedicated thread) to serve connections.
@@ -513,8 +514,8 @@ impl Server {
                 DAEMON_INSTANCE.fetch_add(1, Ordering::Relaxed)
             ))
         });
-        let flight = FlightRecorder::new(config.obs.blackbox_capacity);
-        let timeline = Arc::new(Timeline::new(config.obs.timeline_capacity));
+        let flight = FlightRecorder::new(BLACKBOX_CAPACITY);
+        let timeline = Arc::new(Timeline::new(TIMELINE_CAPACITY));
         Ok(Self {
             listener,
             http_listener,
@@ -584,6 +585,9 @@ impl Server {
     /// isolated to their shard.
     pub fn run(mut self) -> io::Result<ServerStats> {
         self.listener.set_nonblocking(true)?;
+        // only `/vars` reads the timeline, and only the stats summary
+        // otherwise needs the sampler, so without either it never starts
+        let record_timeline = self.http_listener.is_some();
         let http_thread = self.http_listener.take().map(|listener| {
             let shared = self.shared.clone();
             thread::Builder::new()
@@ -591,13 +595,14 @@ impl Server {
                 .spawn(move || crate::http::http_loop(&shared, listener))
                 .expect("spawn http thread")
         });
-        let sampler_thread = {
+        let sample = record_timeline || self.shared.config.stats_interval.is_some();
+        let sampler_thread = sample.then(|| {
             let shared = self.shared.clone();
             thread::Builder::new()
                 .name("twodprofd-sampler".into())
-                .spawn(move || sample_loop(&shared))
+                .spawn(move || sample_loop(&shared, record_timeline))
                 .expect("spawn sampler thread")
-        };
+        });
         let shard_threads: Vec<_> = self
             .shared
             .shards
@@ -660,7 +665,9 @@ impl Server {
         }
         self.shared.stopped.store(true, Ordering::SeqCst);
         self.shared.stop_waker.wake();
-        sampler_thread.join().expect("sampler thread never panics");
+        if let Some(t) = sampler_thread {
+            t.join().expect("sampler thread never panics");
+        }
         if let Some(t) = http_thread {
             t.join().expect("http thread never panics");
         }
@@ -732,29 +739,29 @@ impl Server {
     }
 }
 
-/// Samples [`Shared::snapshot`] until the daemon stops. Every timeline
-/// interval feeds the daemon's [`Timeline`] (timestamps are milliseconds
-/// since daemon start); the first record seeds the baseline immediately,
-/// so the first retained interval covers startup, not the process's whole
-/// life.
+/// Samples [`Shared::snapshot`] until the daemon stops. With
+/// `record_timeline` (the HTTP listener is up), every timeline interval
+/// feeds the daemon's [`Timeline`] (timestamps are milliseconds since
+/// daemon start); the first record seeds the baseline immediately, so the
+/// first retained interval covers startup, not the process's whole life.
 /// Every `stats_interval`, if set, prints the [`crate::summary`] of the
 /// snapshot against the previous print to stderr: always, even with
 /// `quiet` connection logs (enabling the interval is itself the opt-in),
 /// and with a single `eprint!` so concurrent connection logs never
 /// interleave mid-summary.
-fn sample_loop(shared: &Shared) {
+fn sample_loop(shared: &Shared, record_timeline: bool) {
     let floor = Duration::from_millis(10);
-    let timeline_every = shared.config.obs.timeline_interval.max(floor);
+    let timeline_every = record_timeline.then(|| shared.config.obs.timeline_interval.max(floor));
     let stats_every = shared.config.stats_interval.map(|i| i.max(floor));
     let mut next_record = Instant::now();
     let mut last_stats = (Instant::now(), shared.snapshot());
     let mut out = String::new();
     while !shared.is_stopped() {
         let now = Instant::now();
-        if now >= next_record {
+        if let Some(every) = timeline_every.filter(|_| now >= next_record) {
             let millis = shared.start.elapsed().as_millis() as u64;
             shared.timeline.record(millis, shared.snapshot());
-            next_record += timeline_every;
+            next_record += every;
         }
         if stats_every.is_some_and(|every| now >= last_stats.0 + every) {
             let snap = shared.snapshot();
@@ -772,7 +779,14 @@ fn sample_loop(shared: &Shared) {
         }
         // sleep until the next record or print is due; the stop wake cuts
         // the wait short, so a long interval never delays shutdown
-        let next = stats_every.map_or(next_record, |every| next_record.min(last_stats.0 + every));
+        let next = [
+            timeline_every.map(|_| next_record),
+            stats_every.map(|every| last_stats.0 + every),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .expect("the sampler runs only with something to sample");
         shared
             .stop_waker
             .wait(Some(next.saturating_duration_since(Instant::now())));

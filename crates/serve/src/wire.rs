@@ -3,8 +3,9 @@
 //!
 //! Every message is one frame (`varint(len)` + payload, see
 //! [`btrace::write_frame`]); the payload starts with a one-byte tag followed
-//! by LEB128-varint fields. Client tags have the high bit clear, server tags
-//! have it set.
+//! by LEB128-varint fields, all read and written through the workspace's
+//! shared encoding rules ([`btrace::serial`]). Client tags have the high
+//! bit clear, server tags have it set.
 //!
 //! # Frame grammar
 //!
@@ -71,7 +72,11 @@
 //! low-numbered site costs one byte per dynamic branch.
 
 use bpred::PredictorKind;
-use btrace::{read_frame, read_varint, write_frame, write_varint};
+use btrace::serial::{
+    ensure_consumed, invalid, read_bytes, read_len, read_string, read_u128, read_u8, read_varint,
+    read_whole, write_string,
+};
+use btrace::{read_frame, write_frame, write_varint};
 use std::io::{self, Read, Write};
 use twodprof_engine::JobSpec;
 
@@ -410,31 +415,6 @@ pub enum ServerFrame {
     BlackboxReply(Vec<u8>),
 }
 
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_varint(buf, s.len() as u64).expect("vec write");
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn read_string<R: Read>(r: &mut R, max_len: usize) -> io::Result<String> {
-    let len = read_varint(r)? as usize;
-    if len > max_len {
-        return Err(invalid(format!("string length {len} exceeds {max_len}")));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    String::from_utf8(bytes).map_err(|_| invalid("string is not UTF-8"))
-}
-
-fn read_u128<R: Read>(r: &mut R) -> io::Result<u128> {
-    let mut bytes = [0u8; 16];
-    r.read_exact(&mut bytes)?;
-    Ok(u128::from_le_bytes(bytes))
-}
-
 fn write_payload(buf: &mut Vec<u8>, p: &JobPayload) {
     write_varint(buf, p.spec_hash).expect("vec write");
     write_varint(buf, p.bytes.len() as u64).expect("vec write");
@@ -447,20 +427,12 @@ fn write_payload(buf: &mut Vec<u8>, p: &JobPayload) {
 /// the fabric client's memory.
 fn read_payload(r: &mut &[u8], cached: bool) -> io::Result<JobPayload> {
     let spec_hash = read_varint(r)?;
-    let len = read_varint(r)? as usize;
-    if len > MAX_RESULT_PAYLOAD {
-        return Err(invalid(format!(
-            "job payload declares {len} bytes (limit {MAX_RESULT_PAYLOAD})"
-        )));
-    }
-    let mut bytes = vec![0u8; len];
-    r.read_exact(&mut bytes)?;
-    let checksum = read_varint(r)?;
+    let len = read_len(r, MAX_RESULT_PAYLOAD, "job payload length")?;
     Ok(JobPayload {
         cached,
         spec_hash,
-        bytes,
-        checksum,
+        bytes: read_bytes(r, len)?,
+        checksum: read_varint(r)?,
     })
 }
 
@@ -473,12 +445,7 @@ fn read_payload(r: &mut &[u8], cached: bool) -> io::Result<JobPayload> {
 /// bytes left: a frame that declares more events than it carries reserves
 /// no more than its own length, then fails on the missing bytes.
 fn decode_events(r: &mut &[u8], out: &mut Vec<(u32, bool)>) -> io::Result<()> {
-    let count = read_varint(r)? as usize;
-    if count > MAX_EVENTS_PER_FRAME {
-        return Err(invalid(format!(
-            "events frame declares {count} events (limit {MAX_EVENTS_PER_FRAME})"
-        )));
-    }
+    let count = read_len(r, MAX_EVENTS_PER_FRAME, "events frame count")?;
     out.clear();
     out.reserve_exact(count.min(r.len()));
     let mut left = count;
@@ -512,17 +479,6 @@ fn decode_events(r: &mut &[u8], out: &mut Vec<(u32, bool)>) -> io::Result<()> {
     Ok(())
 }
 
-fn ensure_consumed(r: &[u8]) -> io::Result<()> {
-    if r.is_empty() {
-        Ok(())
-    } else {
-        Err(invalid(format!(
-            "{} trailing bytes after frame body",
-            r.len()
-        )))
-    }
-}
-
 impl ClientFrame {
     /// Encodes the frame payload (tag + body, no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -532,10 +488,10 @@ impl ClientFrame {
                 buf.push(TAG_HELLO);
                 write_varint(&mut buf, h.protocol).expect("vec write");
                 write_varint(&mut buf, h.num_sites as u64).expect("vec write");
-                write_string(&mut buf, h.predictor.id());
+                h.predictor.write_id(&mut buf).expect("vec write");
                 write_varint(&mut buf, h.slice_len).expect("vec write");
                 write_varint(&mut buf, h.exec_threshold).expect("vec write");
-                write_string(&mut buf, &h.program);
+                write_string(&mut buf, &h.program).expect("vec write");
             }
             ClientFrame::Events(events) => {
                 buf.push(TAG_EVENTS);
@@ -549,7 +505,7 @@ impl ClientFrame {
             ClientFrame::Stats => buf.push(TAG_STATS),
             ClientFrame::Resim(kind) => {
                 buf.push(TAG_RESIM);
-                write_string(&mut buf, kind.id());
+                kind.write_id(&mut buf).expect("vec write");
             }
             ClientFrame::TraceCtx { trace, parent } => {
                 buf.push(TAG_TRACE_CTX);
@@ -562,7 +518,7 @@ impl ClientFrame {
             }
             ClientFrame::Subscribe { program, watch } => {
                 buf.push(TAG_SUBSCRIBE);
-                write_string(&mut buf, program);
+                write_string(&mut buf, program).expect("vec write");
                 write_varint(&mut buf, *watch as u64).expect("vec write");
             }
             ClientFrame::SubmitJob { job_id, spec } => {
@@ -582,72 +538,56 @@ impl ClientFrame {
     /// Returns `InvalidData` on unknown tags, out-of-range counts, unknown
     /// predictor ids, or trailing bytes; `UnexpectedEof` on truncation.
     pub fn decode(payload: &[u8]) -> io::Result<Self> {
-        let mut r = payload;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let frame = match tag[0] {
-            TAG_HELLO => {
-                let protocol = read_varint(&mut r)?;
-                let num_sites = read_varint(&mut r)?;
-                if num_sites > u32::MAX as u64 {
-                    return Err(invalid("num_sites overflows u32"));
+        read_whole(payload, |r| {
+            Ok(match read_u8(r)? {
+                TAG_HELLO => {
+                    let protocol = read_varint(r)?;
+                    let num_sites = read_varint(r)?;
+                    if num_sites > u32::MAX as u64 {
+                        return Err(invalid("num_sites overflows u32"));
+                    }
+                    ClientFrame::Hello(Hello {
+                        protocol,
+                        num_sites: num_sites as u32,
+                        predictor: PredictorKind::read_id(r)?,
+                        slice_len: read_varint(r)?,
+                        exec_threshold: read_varint(r)?,
+                        program: read_string(r, MAX_PROGRAM_LEN)?,
+                    })
                 }
-                let id = read_string(&mut r, 256)?;
-                let predictor = PredictorKind::from_id(&id)
-                    .ok_or_else(|| invalid(format!("unknown predictor id {id:?}")))?;
-                let slice_len = read_varint(&mut r)?;
-                let exec_threshold = read_varint(&mut r)?;
-                let program = read_string(&mut r, MAX_PROGRAM_LEN)?;
-                ClientFrame::Hello(Hello {
-                    protocol,
-                    num_sites: num_sites as u32,
-                    predictor,
-                    slice_len,
-                    exec_threshold,
-                    program,
-                })
-            }
-            TAG_EVENTS => {
-                let mut events = Vec::new();
-                decode_events(&mut r, &mut events)?;
-                ClientFrame::Events(events)
-            }
-            TAG_FLUSH => ClientFrame::Flush,
-            TAG_FINISH => ClientFrame::Finish,
-            TAG_STATS => ClientFrame::Stats,
-            TAG_RESIM => {
-                let id = read_string(&mut r, 256)?;
-                let predictor = PredictorKind::from_id(&id)
-                    .ok_or_else(|| invalid(format!("unknown predictor id {id:?}")))?;
-                ClientFrame::Resim(predictor)
-            }
-            TAG_TRACE_CTX => {
-                let trace = read_u128(&mut r)?;
-                let parent = read_varint(&mut r)?;
-                ClientFrame::TraceCtx { trace, parent }
-            }
-            TAG_TRACE_EXPORT => ClientFrame::TraceExport {
-                trace: read_u128(&mut r)?,
-            },
-            TAG_SUBSCRIBE => {
-                let program = read_string(&mut r, MAX_PROGRAM_LEN)?;
-                let watch = match read_varint(&mut r)? {
-                    0 => false,
-                    1 => true,
-                    other => return Err(invalid(format!("bad watch flag {other}"))),
-                };
-                ClientFrame::Subscribe { program, watch }
-            }
-            TAG_SUBMIT_JOB => {
-                let job_id = read_varint(&mut r)?;
-                let spec = JobSpec::decode_from(&mut r)?;
-                ClientFrame::SubmitJob { job_id, spec }
-            }
-            TAG_BLACKBOX => ClientFrame::Blackbox,
-            other => return Err(invalid(format!("unknown client frame tag {other:#04x}"))),
-        };
-        ensure_consumed(r)?;
-        Ok(frame)
+                TAG_EVENTS => {
+                    let mut events = Vec::new();
+                    decode_events(r, &mut events)?;
+                    ClientFrame::Events(events)
+                }
+                TAG_FLUSH => ClientFrame::Flush,
+                TAG_FINISH => ClientFrame::Finish,
+                TAG_STATS => ClientFrame::Stats,
+                TAG_RESIM => ClientFrame::Resim(PredictorKind::read_id(r)?),
+                TAG_TRACE_CTX => ClientFrame::TraceCtx {
+                    trace: read_u128(r)?,
+                    parent: read_varint(r)?,
+                },
+                TAG_TRACE_EXPORT => ClientFrame::TraceExport {
+                    trace: read_u128(r)?,
+                },
+                TAG_SUBSCRIBE => {
+                    let program = read_string(r, MAX_PROGRAM_LEN)?;
+                    let watch = match read_varint(r)? {
+                        0 => false,
+                        1 => true,
+                        other => return Err(invalid(format!("bad watch flag {other}"))),
+                    };
+                    ClientFrame::Subscribe { program, watch }
+                }
+                TAG_SUBMIT_JOB => ClientFrame::SubmitJob {
+                    job_id: read_varint(r)?,
+                    spec: JobSpec::decode_from(r)?,
+                },
+                TAG_BLACKBOX => ClientFrame::Blackbox,
+                other => return Err(invalid(format!("unknown client frame tag {other:#04x}"))),
+            })
+        })
     }
 
     /// Writes the frame, length-prefixed, to `w`.
@@ -684,7 +624,7 @@ impl ServerFrame {
                 retry_after_ms,
             } => {
                 buf.push(TAG_BUSY);
-                write_string(&mut buf, msg);
+                write_string(&mut buf, msg).expect("vec write");
                 // optional tail, omitted when it carries no information
                 if *tier != AdmissionTier::Shed || *retry_after_ms != 0 {
                     write_varint(&mut buf, tier.as_u64()).expect("vec write");
@@ -698,7 +638,7 @@ impl ServerFrame {
             ServerFrame::Error { code, msg } => {
                 buf.push(TAG_ERROR);
                 write_varint(&mut buf, *code).expect("vec write");
-                write_string(&mut buf, msg);
+                write_string(&mut buf, msg).expect("vec write");
             }
             ServerFrame::StatsReply(bytes) => {
                 buf.push(TAG_STATS_REPLY);
@@ -736,7 +676,7 @@ impl ServerFrame {
                     }
                     JobOutcome::Failed(msg) => {
                         buf.push(OUTCOME_FAILED);
-                        write_string(&mut buf, msg);
+                        write_string(&mut buf, msg).expect("vec write");
                     }
                     JobOutcome::TooLarge => buf.push(OUTCOME_TOO_LARGE),
                 }
@@ -755,100 +695,65 @@ impl ServerFrame {
     ///
     /// As [`ClientFrame::decode`].
     pub fn decode(payload: &[u8]) -> io::Result<Self> {
-        let mut r = payload;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let frame = match tag[0] {
-            TAG_HELLO_OK => {
-                let session_id = read_varint(&mut r)?;
-                let tier = if r.is_empty() {
-                    AdmissionTier::Accept
-                } else {
-                    AdmissionTier::from_u64(read_varint(&mut r)?)?
-                };
-                ServerFrame::HelloOk { session_id, tier }
-            }
-            TAG_ACK => ServerFrame::Ack {
-                events_total: read_varint(&mut r)?,
-            },
-            TAG_BUSY => {
-                let msg = read_string(&mut r, 1 << 16)?;
-                let (tier, retry_after_ms) = if r.is_empty() {
-                    (AdmissionTier::Shed, 0)
-                } else {
-                    (
-                        AdmissionTier::from_u64(read_varint(&mut r)?)?,
-                        read_varint(&mut r)?,
-                    )
-                };
-                ServerFrame::Busy {
-                    msg,
-                    tier,
-                    retry_after_ms,
+        // a body the layer above decodes is the rest of the payload
+        let rest = |r: &mut &[u8]| std::mem::take(r).to_vec();
+        read_whole(payload, |r| {
+            Ok(match read_u8(r)? {
+                TAG_HELLO_OK => ServerFrame::HelloOk {
+                    session_id: read_varint(r)?,
+                    tier: if r.is_empty() {
+                        AdmissionTier::Accept
+                    } else {
+                        AdmissionTier::from_u64(read_varint(r)?)?
+                    },
+                },
+                TAG_ACK => ServerFrame::Ack {
+                    events_total: read_varint(r)?,
+                },
+                TAG_BUSY => {
+                    let msg = read_string(r, 1 << 16)?;
+                    let (tier, retry_after_ms) = if r.is_empty() {
+                        (AdmissionTier::Shed, 0)
+                    } else {
+                        (AdmissionTier::from_u64(read_varint(r)?)?, read_varint(r)?)
+                    };
+                    ServerFrame::Busy {
+                        msg,
+                        tier,
+                        retry_after_ms,
+                    }
                 }
-            }
-            TAG_REPORT => {
-                // the remainder is the report payload, opaque at this layer
-                let bytes = r.to_vec();
-                r = &[];
-                ServerFrame::Report(bytes)
-            }
-            TAG_ERROR => ServerFrame::Error {
-                code: read_varint(&mut r)?,
-                msg: read_string(&mut r, 1 << 16)?,
-            },
-            TAG_STATS_REPLY => {
-                // the remainder is the snapshot payload, opaque at this layer
-                let bytes = r.to_vec();
-                r = &[];
-                ServerFrame::StatsReply(bytes)
-            }
-            TAG_TRACE_ACK => ServerFrame::TraceAck {
-                anchor_us: read_varint(&mut r)?,
-            },
-            TAG_TRACE_SPANS => {
-                // the remainder is the span block, opaque at this layer
-                let bytes = r.to_vec();
-                r = &[];
-                ServerFrame::TraceSpans(bytes)
-            }
-            TAG_STREAM_PUSH => {
-                let mut sub = [0u8; 1];
-                r.read_exact(&mut sub)?;
-                // the remainder is the stream payload, opaque at this layer
-                let bytes = r.to_vec();
-                r = &[];
-                match sub[0] {
-                    PUSH_SNAPSHOT => ServerFrame::VerdictSnapshot(bytes),
-                    PUSH_DRIFT => ServerFrame::DriftEvent(bytes),
+                TAG_REPORT => ServerFrame::Report(rest(r)),
+                TAG_ERROR => ServerFrame::Error {
+                    code: read_varint(r)?,
+                    msg: read_string(r, 1 << 16)?,
+                },
+                TAG_STATS_REPLY => ServerFrame::StatsReply(rest(r)),
+                TAG_TRACE_ACK => ServerFrame::TraceAck {
+                    anchor_us: read_varint(r)?,
+                },
+                TAG_TRACE_SPANS => ServerFrame::TraceSpans(rest(r)),
+                TAG_STREAM_PUSH => match read_u8(r)? {
+                    PUSH_SNAPSHOT => ServerFrame::VerdictSnapshot(rest(r)),
+                    PUSH_DRIFT => ServerFrame::DriftEvent(rest(r)),
                     other => {
                         return Err(invalid(format!("unknown stream-push sub-tag {other:#04x}")))
                     }
-                }
-            }
-            TAG_JOB_RESULT => {
-                let job_id = read_varint(&mut r)?;
-                let mut status = [0u8; 1];
-                r.read_exact(&mut status)?;
-                let outcome = match status[0] {
-                    OUTCOME_COMPUTED => JobOutcome::Done(read_payload(&mut r, false)?),
-                    OUTCOME_CACHED => JobOutcome::Done(read_payload(&mut r, true)?),
-                    OUTCOME_FAILED => JobOutcome::Failed(read_string(&mut r, 1 << 16)?),
-                    OUTCOME_TOO_LARGE => JobOutcome::TooLarge,
-                    other => return Err(invalid(format!("unknown job outcome {other:#04x}"))),
-                };
-                ServerFrame::JobResult { job_id, outcome }
-            }
-            TAG_BLACKBOX_REPLY => {
-                // the remainder is the flight block, opaque at this layer
-                let bytes = r.to_vec();
-                r = &[];
-                ServerFrame::BlackboxReply(bytes)
-            }
-            other => return Err(invalid(format!("unknown server frame tag {other:#04x}"))),
-        };
-        ensure_consumed(r)?;
-        Ok(frame)
+                },
+                TAG_JOB_RESULT => ServerFrame::JobResult {
+                    job_id: read_varint(r)?,
+                    outcome: match read_u8(r)? {
+                        OUTCOME_COMPUTED => JobOutcome::Done(read_payload(r, false)?),
+                        OUTCOME_CACHED => JobOutcome::Done(read_payload(r, true)?),
+                        OUTCOME_FAILED => JobOutcome::Failed(read_string(r, 1 << 16)?),
+                        OUTCOME_TOO_LARGE => JobOutcome::TooLarge,
+                        other => return Err(invalid(format!("unknown job outcome {other:#04x}"))),
+                    },
+                },
+                TAG_BLACKBOX_REPLY => ServerFrame::BlackboxReply(rest(r)),
+                other => return Err(invalid(format!("unknown server frame tag {other:#04x}"))),
+            })
+        })
     }
 
     /// Writes the frame, length-prefixed, to `w`.
@@ -931,34 +836,17 @@ impl FrameDecoder {
     /// lies in `buf`, or `None` when more bytes are needed.
     fn next_payload(&mut self) -> io::Result<Option<std::ops::Range<usize>>> {
         let pending = &self.buf[self.pos..];
-        let mut len = 0u64;
-        let mut shift = 0u32;
-        let mut used = 0usize;
-        loop {
-            let Some(&byte) = pending.get(used) else {
-                return Ok(None); // length prefix still incomplete
-            };
-            used += 1;
-            len |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift >= 64 {
-                return Err(invalid("varint too long"));
-            }
-        }
-        if len > self.max_len as u64 {
-            return Err(invalid(format!(
-                "frame declares {len} bytes (limit {})",
-                self.max_len
-            )));
-        }
-        let len = len as usize;
-        if pending.len() - used < len {
+        let mut body = pending;
+        let len = match read_len(&mut body, self.max_len, "frame length") {
+            Ok(len) => len,
+            // the length prefix is still incomplete
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        if body.len() < len {
             return Ok(None); // body still incomplete
         }
-        let start = self.pos + used;
+        let start = self.pos + (pending.len() - body.len());
         self.pos = start + len;
         Ok(Some(start..start + len))
     }

@@ -236,3 +236,49 @@ fn compute_replies_arrive_without_waiting_for_a_tick() {
         "20 cached SubmitJob round trips took {took:?}"
     );
 }
+
+/// This process's thread names, as the kernel keeps them (15 bytes), once
+/// every thread a daemon started has named itself. Until it does, a new
+/// thread carries its spawner's name, which is this test thread's own; the
+/// daemon's unnamed `run` thread keeps that name for good.
+#[cfg(target_os = "linux")]
+fn settled_thread_names() -> Vec<String> {
+    let read = |path: std::path::PathBuf| {
+        std::fs::read_to_string(path).map(|name| name.trim_end().to_owned())
+    };
+    let own = read("/proc/thread-self/comm".into()).expect("own name");
+    let mut names = Vec::new();
+    for _ in 0..500 {
+        names = std::fs::read_dir("/proc/self/task")
+            .expect("task list")
+            .filter_map(|task| read(task.ok()?.path().join("comm")).ok())
+            .collect();
+        if names.iter().filter(|n| **n == own).count() <= 2 {
+            return names;
+        }
+        thread::sleep(Duration::from_millis(10));
+    }
+    panic!("threads never named themselves: {names:?}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_with_nothing_to_sample_runs_no_sampler() {
+    let _serial = serial();
+    let sampled = |config: ServerConfig| {
+        let daemon = Daemon::start(config);
+        // a finished session proves `run` has started every thread it will
+        connect(daemon.addr, "").finish().expect("finish");
+        let names = settled_thread_names();
+        assert!(
+            names.iter().any(|n| n.starts_with("twodprofd-shard")),
+            "{names:?}"
+        );
+        names.iter().any(|n| n == "twodprofd-sampl")
+    };
+    assert!(!sampled(quiet().build().expect("config")));
+    let summary = quiet().stats_interval(Some(Duration::from_secs(3600)));
+    assert!(sampled(summary.build().expect("config")));
+    let exposed = quiet().http_addr("127.0.0.1:0");
+    assert!(sampled(exposed.build().expect("config")));
+}

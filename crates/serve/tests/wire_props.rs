@@ -121,6 +121,21 @@ proptest! {
         prop_assert!(ServerFrame::decode(&bytes).is_err());
     }
 
+    #[test]
+    fn random_payloads_decode_without_panicking(
+        tag in any::<u8>(),
+        body in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // a random body behind every tag, known or not: decoding returns,
+        // whatever it returns
+        let mut payload = vec![tag];
+        payload.extend_from_slice(&body);
+        let _ = ClientFrame::decode(&payload);
+        let _ = ServerFrame::decode(&payload);
+        let _ = ClientFrame::decode(&body);
+        let _ = ServerFrame::decode(&body);
+    }
+
     // --- fabric frames (SubmitJob 0x0A and its JobResult 0x8A) ---
 
     #[test]

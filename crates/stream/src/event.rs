@@ -1,59 +1,17 @@
 //! Wire-shaped streaming outputs: drift events and verdict snapshots.
 //!
-//! Both types serialize to compact varint payloads (LEB128 via `btrace`,
-//! optional floats as a tag byte + IEEE-754 LE bits, the same conventions as
-//! `ProfileReport`). The serve layer carries them as opaque bodies inside its
-//! framing, so the format is owned here next to the producer.
+//! Both types serialize to compact varint payloads through the shared
+//! rules of [`btrace::serial`], with verdicts in
+//! [`Classification`]'s own encoding, as `ProfileReport` does. The serve
+//! layer carries them as opaque bodies inside its framing, so the format is
+//! owned here next to the producer.
 
-use btrace::{read_varint, write_varint};
+use btrace::serial::{
+    invalid, read_len, read_opt_f64, read_varint, read_whole, with_declared_capacity,
+    write_opt_f64, write_varint,
+};
 use std::io::{self, Read, Write};
 use twodprof_core::Classification;
-
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
-}
-
-fn class_code(c: Classification) -> u64 {
-    // Same codes as ProfileReport's classification field.
-    match c {
-        Classification::Dependent => 0,
-        Classification::Independent => 1,
-        Classification::Insufficient => 2,
-    }
-}
-
-fn class_from_code(code: u64) -> io::Result<Classification> {
-    match code {
-        0 => Ok(Classification::Dependent),
-        1 => Ok(Classification::Independent),
-        2 => Ok(Classification::Insufficient),
-        _ => Err(invalid("unknown classification tag")),
-    }
-}
-
-fn write_opt_f64<W: Write>(w: &mut W, v: Option<f64>) -> io::Result<()> {
-    match v {
-        None => w.write_all(&[0]),
-        Some(v) => {
-            w.write_all(&[1])?;
-            w.write_all(&v.to_bits().to_le_bytes())
-        }
-    }
-}
-
-fn read_opt_f64<R: Read>(r: &mut R) -> io::Result<Option<f64>> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        0 => Ok(None),
-        1 => {
-            let mut buf = [0u8; 8];
-            r.read_exact(&mut buf)?;
-            Ok(Some(f64::from_bits(u64::from_le_bytes(buf))))
-        }
-        _ => Err(invalid("bad optional-float tag")),
-    }
-}
 
 /// A published verdict flip for one branch site: after hysteresis confirmed
 /// the new classification, the site moved from `from` to `to` at fold
@@ -79,8 +37,8 @@ impl DriftEvent {
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         write_varint(w, self.site as u64)?;
         write_varint(w, self.epoch)?;
-        write_varint(w, class_code(self.from))?;
-        write_varint(w, class_code(self.to))
+        self.from.write_to(w)?;
+        self.to.write_to(w)
     }
 
     /// Reads an event written by [`write_to`](Self::write_to).
@@ -96,8 +54,8 @@ impl DriftEvent {
         Ok(Self {
             site: site as u32,
             epoch: read_varint(r)?,
-            from: class_from_code(read_varint(r)?)?,
-            to: class_from_code(read_varint(r)?)?,
+            from: Classification::read_from(r)?,
+            to: Classification::read_from(r)?,
         })
     }
 
@@ -115,12 +73,7 @@ impl DriftEvent {
     ///
     /// Returns `InvalidData` on malformed input or leftover bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let mut r = bytes;
-        let ev = Self::read_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(invalid("trailing bytes after drift event"));
-        }
-        Ok(ev)
+        read_whole(bytes, |r| Self::read_from(r))
     }
 }
 
@@ -169,7 +122,7 @@ impl VerdictSnapshot {
         write_opt_f64(w, self.program_accuracy)?;
         write_varint(w, self.sites.len() as u64)?;
         for s in &self.sites {
-            write_varint(w, class_code(s.verdict))?;
+            s.verdict.write_to(w)?;
             write_varint(w, s.slices)?;
             write_opt_f64(w, s.mean)?;
             write_opt_f64(w, s.std_dev)?;
@@ -188,14 +141,11 @@ impl VerdictSnapshot {
         let window = read_varint(r)?;
         let slice_len = read_varint(r)?;
         let program_accuracy = read_opt_f64(r)?;
-        let num_sites = read_varint(r)? as usize;
-        if num_sites > 1 << 28 {
-            return Err(invalid("unreasonable site count"));
-        }
-        let mut sites = Vec::with_capacity(num_sites);
+        let num_sites = read_len(r, 1 << 28, "site count")?;
+        let mut sites = with_declared_capacity(num_sites);
         for _ in 0..num_sites {
             sites.push(SiteVerdict {
-                verdict: class_from_code(read_varint(r)?)?,
+                verdict: Classification::read_from(r)?,
                 slices: read_varint(r)?,
                 mean: read_opt_f64(r)?,
                 std_dev: read_opt_f64(r)?,
@@ -225,12 +175,7 @@ impl VerdictSnapshot {
     ///
     /// Returns `InvalidData` on malformed input or leftover bytes.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let mut r = bytes;
-        let snap = Self::read_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(invalid("trailing bytes after verdict snapshot"));
-        }
-        Ok(snap)
+        read_whole(bytes, |r| Self::read_from(r))
     }
 }
 
