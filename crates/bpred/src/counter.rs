@@ -2,10 +2,10 @@
 
 /// Saturating-counter transition table indexed by `state << 1 | direction`:
 /// the next state of a two-bit counter in `state` that resolves toward
-/// `direction`. The one definition of the saturating step — the scalar
-/// [`TwoBitCounter::update`] and the bit-sliced lanes of
-/// [`crate::bitslice`] both look it up — so the direction bit is data,
-/// never a branch.
+/// `direction`. The one definition of the two-bit saturating step — the
+/// scalar [`TwoBitCounter::update`], the fused survey kernel
+/// [`SurveyFused`](crate::bitslice::SurveyFused) and TAGE's usefulness
+/// counters all look it up — so the direction bit is data, never a branch.
 pub(crate) const NEXT: [u8; 8] = [0, 1, 0, 2, 1, 3, 2, 3];
 
 /// A saturating 2-bit up/down counter with the conventional four states

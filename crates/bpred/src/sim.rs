@@ -31,7 +31,7 @@ impl AccuracyProfile {
     }
 
     /// Assembles a profile from raw per-site counters — the constructor
-    /// behind the engine's bit-sliced replay lanes, which accumulate
+    /// behind the engine's run-driven lane group, which accumulates
     /// executions and correct predictions in batches rather than through a
     /// per-event [`PredictorSim`].
     ///

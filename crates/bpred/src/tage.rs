@@ -4,6 +4,7 @@
 //! stronger-than-perceptron target option for the §5.3 cross-predictor
 //! study.
 
+use crate::counter::NEXT;
 use crate::{Bimodal, BranchPredictor};
 
 const NUM_TABLES: usize = 4;
@@ -149,11 +150,8 @@ impl BranchPredictor for Tage {
                 } else {
                     e.ctr = e.ctr.saturating_sub(1);
                 }
-                if correct {
-                    e.useful = (e.useful + 1).min(3);
-                } else {
-                    e.useful = e.useful.saturating_sub(1);
-                }
+                // a two-bit counter that counts toward "correct"
+                e.useful = NEXT[(e.useful as usize) << 1 | correct as usize];
             }
             None => self.base.train(pc, taken),
         }

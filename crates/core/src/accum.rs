@@ -1,12 +1,12 @@
 //! Slice-boundary accounting shared by the per-event profiler and the
-//! engine's batched bit-sliced replay.
+//! engine's batched run-driven replay.
 //!
 //! [`SliceAccum`] owns everything in a 2D-profiling run *except* the
 //! predictor simulation: the per-branch [`BranchState`](crate::BranchState)
 //! table, the global slice clock, the program-accuracy totals, optional
 //! time-series recording, and the statistics its finish-time report
 //! classifies. [`TwoDProfiler`](crate::TwoDProfiler) drives it one event at
-//! a time; the sweep engine's bit-sliced lane group drives it in per-site
+//! a time; the sweep engine's run-driven lane group drives it in per-site
 //! batches, folding each site's `(executions, correct)` once per slice.
 //!
 //! Both drivers produce bit-identical [`ProfileReport`]s because every
@@ -78,11 +78,6 @@ impl SliceAccum {
     /// Per-branch state accumulated so far.
     pub fn state(&self, site: SiteId) -> &crate::BranchState {
         &self.states[site.index()]
-    }
-
-    /// Total dynamic branch events recorded.
-    pub fn total_events(&self) -> u64 {
-        self.total_exec
     }
 
     /// Events still needed to fill the currently open slice.
@@ -283,6 +278,5 @@ mod tests {
         assert_eq!(a.remaining_in_slice(), 0);
         a.roll_slice();
         assert_eq!(a.remaining_in_slice(), 10);
-        assert_eq!(a.total_events(), 10);
     }
 }

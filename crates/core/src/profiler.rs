@@ -17,7 +17,7 @@ use btrace::{SiteId, Tracer};
 /// branch events, the per-slice counters of *all* branches are folded and
 /// reset (the paper's "function executed at the end of each slice"). All
 /// accounting other than the predictor simulation lives in [`SliceAccum`],
-/// which the engine's bit-sliced replay drives in batches instead.
+/// which the engine's run-driven lane group drives in batches instead.
 #[derive(Clone, Debug)]
 pub struct TwoDProfiler<P> {
     predictor: P,

@@ -1,17 +1,19 @@
-//! The bit-sliced lane group of the fused replay path.
+//! The run-driven lane group of the fused replay path.
 //!
 //! Where the scalar fused path ([`FanOut`](crate::FanOut)) feeds every
 //! seated simulation one `(site, taken)` event at a time, the lane group
-//! drives [`RunLane`]s from [`RecordedTrace::site_runs`]: maximal same-site
-//! direction streaks of up to 64 events, each processed against transposed
-//! two-bit-counter bit-planes in a handful of word operations instead of 64
-//! table walks. All replay jobs whose predictor kind is
-//! [`eligible`](bpred::bitslice::eligible) share one decode pass and one
-//! simulation per kind — an accuracy job and a 2D job of the same kind
-//! split a single simulation's correct-bit counts. When the group seats
-//! every kind in [`SurveyFused::KINDS`] (any full survey sweep does), all
-//! ten simulations collapse into one fused pass sharing a single global
-//! history register and one per-event direction extraction.
+//! steps its simulations over [`RecordedTrace::site_runs`]: maximal
+//! same-site direction streaks of up to 64 events, so the per-site
+//! bookkeeping happens once per run instead of once per event. All replay
+//! jobs whose predictor kind is [`eligible`](bpred::bitslice::eligible)
+//! share one decode pass and one simulation per kind — an accuracy job and
+//! a 2D job of the same kind split a single simulation's correct-bit
+//! counts. When the group seats every kind in [`SurveyFused::KINDS`] (any
+//! full survey sweep does), all ten simulations collapse into one fused
+//! pass sharing a single global history register and one per-event
+//! direction extraction. A partial seating gives each kind one generic
+//! [`RunLane`]: the kind's scalar predictor, stepped through each run's
+//! direction bits in order.
 //!
 //! Slice accounting is exact: runs are split at the global slice boundary
 //! (every 2D job on one trace uses `SliceConfig::auto(trace.events())`, so
@@ -22,15 +24,56 @@
 //! scalar path's, which the `bitslice_equiv` differential suite enforces.
 
 use crate::{JobOutput, SimJob};
-use bpred::bitslice::{lane_for, RunLane, SurveyFused};
-use bpred::{AccuracyProfile, PredictorKind};
+use bpred::bitslice::SurveyFused;
+use bpred::{site_pc, AccuracyProfile, BranchPredictor, PredictorHost, PredictorKind};
 use btrace::{RecordedTrace, SiteId, SiteRun};
 use twodprof_core::{SliceAccum, SliceConfig, Thresholds};
 
 /// Runs buffered before the segment is pushed through every simulation.
 /// Sized so the buffer (16 bytes per run) stays L1-resident alongside the
-/// planes while amortizing the per-sim dispatch across ~1k runs.
+/// predictor tables while amortizing the per-sim dispatch across ~1k runs.
 const RUN_SEGMENT: usize = 1024;
+
+/// One predictor kind stepping over same-site runs.
+trait RunLane {
+    /// Steps the predictor over `runs` (in stream order, direction bits
+    /// above `len` zero), adding each run's correct predictions into
+    /// `correct[site]`.
+    fn run_segment(&mut self, runs: &[SiteRun], correct: &mut [u64]);
+}
+
+/// The run lane of a kind seated outside the fused pass: its scalar
+/// predictor, so the counts are by construction those of a
+/// [`bpred::PredictorSim`] fed the same stream.
+struct ScalarLane<P>(P);
+
+impl<P: BranchPredictor> RunLane for ScalarLane<P> {
+    fn run_segment(&mut self, runs: &[SiteRun], correct: &mut [u64]) {
+        for r in runs {
+            let pc = site_pc(r.site);
+            let mut bits = r.bits;
+            let mut c = 0u64;
+            for _ in 0..r.len {
+                let taken = bits & 1 == 1;
+                c += (self.0.predict_and_train(pc, taken) == taken) as u64;
+                bits >>= 1;
+            }
+            correct[r.site.index()] += c;
+        }
+    }
+}
+
+/// [`PredictorHost`] that seats a kind in a [`ScalarLane`], so the
+/// predictor's step inlines into the run loop.
+struct ScalarLaneHost;
+
+impl PredictorHost for ScalarLaneHost {
+    type Out = Box<dyn RunLane>;
+
+    fn run<P: BranchPredictor + 'static>(self, predictor: P) -> Self::Out {
+        Box::new(ScalarLane(predictor))
+    }
+}
 
 /// The consumers of one simulated kind's correct bits.
 struct Account {
@@ -87,8 +130,9 @@ fn fold_account(account: &mut Account, correct_slice: &mut [u64], exec_slice: &[
 /// Replays `trace` once through one simulation per distinct predictor kind
 /// in `jobs`, returning one output per job in order.
 ///
-/// Every `kind` must be [`eligible`](bpred::bitslice::eligible); the caller
-/// (the fused fan-out) routes ineligible kinds to scalar slots.
+/// The caller (the fused fan-out) routes only
+/// [`eligible`](bpred::bitslice::eligible) kinds here and every other kind
+/// to scalar slots.
 pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobOutput> {
     let _sp = twodprof_obs::span!("engine.bitslice");
     let num_sites = trace.num_sites();
@@ -102,9 +146,7 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
         let at = match accounts.iter().position(|(k, _)| *k == job.kind) {
             Some(at) => at,
             None => {
-                let name = lane_for(job.kind)
-                    .unwrap_or_else(|| panic!("ineligible kind routed to lane group"))
-                    .predictor_name();
+                let name = job.kind.build().name();
                 accounts.push((
                     job.kind,
                     Account {
@@ -132,7 +174,7 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
 
     // Simulation seating: when every table kind is present (any full
     // survey sweep), all ten ride one fused pass; partial groups get one
-    // lane per kind.
+    // scalar lane per kind.
     let mut sims: Vec<Sim> = Vec::new();
     let fused_accounts: Option<[usize; 10]> = {
         let mut idx = [0usize; 10];
@@ -157,7 +199,7 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
             continue;
         }
         sims.push(Sim::Lane {
-            lane: lane_for(*kind).expect("eligibility checked at account time"),
+            lane: kind.host(ScalarLaneHost),
             correct: vec![0; num_sites],
             account: at,
         });
@@ -305,4 +347,57 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
             None => acc_outputs[at].clone().expect("accuracy output built"),
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bpred::PredictorSim;
+    use btrace::Tracer;
+
+    /// Drives a [`ScalarLane`] and the scalar `PredictorSim` of `kind` over
+    /// the same pseudo-random stream — single events mixed with streaks
+    /// that cross 64 and 2048 events, fed in segments of 7 runs so state
+    /// carries across segment boundaries — and asserts identical per-site
+    /// counts.
+    fn assert_lane_matches_scalar(kind: PredictorKind, num_sites: usize, events: usize) {
+        let mut trace = RecordedTrace::new(num_sites);
+        let mut sim = PredictorSim::new(num_sites, kind.build());
+        let mut x = 0xdead_beef_cafe_f00du64 ^ events as u64;
+        let mut site = 0u32;
+        let mut streak = 0u64;
+        for _ in 0..events {
+            if streak == 0 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                site = (x % num_sites as u64) as u32;
+                streak = 1 + (x >> 32) % [1u64, 3, 70, 2100][(x >> 60) as usize % 4];
+            }
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let taken = x & 3 != 0;
+            trace.push(SiteId(site), taken);
+            sim.branch(SiteId(site), taken);
+            streak -= 1;
+        }
+        let mut lane = kind.host(ScalarLaneHost);
+        let mut correct = vec![0u64; num_sites];
+        let runs: Vec<SiteRun> = trace.site_runs().collect();
+        for seg in runs.chunks(7) {
+            lane.run_segment(seg, &mut correct);
+        }
+        let profile = sim.into_profile();
+        for (s, &c) in correct.iter().enumerate() {
+            assert_eq!(c, profile.correct(SiteId(s as u32)), "{kind} site {s}");
+        }
+    }
+
+    #[test]
+    fn every_eligible_lane_matches_its_scalar_predictor() {
+        for kind in SurveyFused::KINDS {
+            assert_lane_matches_scalar(kind, 13, 30_000);
+        }
+    }
 }

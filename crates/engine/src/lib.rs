@@ -17,12 +17,13 @@
 //! or 2D simulation of that trio takes one path, `Engine::fan_out`, which
 //! replays the trace once for all the jobs it is handed. Inside it one
 //! choice is made, from the input: a trace with at least two jobs whose
-//! predictor has a bit-sliced lane serves them from one shared lane group,
-//! and every other job rides a chunked scalar slot. Either way each
-//! predictor kind is simulated once per trace: the one simulation of a
-//! kind serves all of that kind's accuracy and 2D jobs. A batch hands
-//! `fan_out` all of a trace's jobs; [`Engine::run_one`] hands it one.
-//! Branch counts are read from the trace header. Results pass through
+//! predictor kind is [`bpred::bitslice::eligible`] serves them from one
+//! shared run-driven lane group, and every other job rides a chunked
+//! scalar slot. Either way each predictor kind is simulated once per
+//! trace: the one simulation of a kind serves all of that kind's accuracy
+//! and 2D jobs. A batch hands `fan_out` all of a trace's jobs;
+//! [`Engine::run_one`] hands it one. Branch counts are read from the trace
+//! header. Results pass through
 //! three cache tiers — an in-memory memo, the disk cache, then
 //! computation — each counted distinctly. Callers name work with the
 //! [`ProfileRequest`] builder, which resolves to a spec and a
@@ -137,7 +138,7 @@ pub struct EngineCounters {
     /// the workload. This counts jobs, not simulations: one simulation of
     /// a kind serves every job of that kind on its trace.
     pub replays: u64,
-    /// Replayed jobs served by the bit-sliced lane group (each such job is
+    /// Replayed jobs served by the run-driven lane group (each such job is
     /// also counted in `replays`).
     pub bitsliced: u64,
 }
@@ -554,8 +555,8 @@ impl Engine {
     /// The one simulation path of every accuracy and 2D job: the
     /// `pending` specs (which all share one trace) are served by one
     /// [`RecordedTrace`] decode pass per lane family. When at least two
-    /// jobs have a bit-sliced lane, those jobs share the lane group in
-    /// [`bitgroup`]; every other job is seated in the chunked scalar slot
+    /// jobs are [`bpred::bitslice::eligible`], those jobs share the lane
+    /// group in [`bitgroup`]; every other job is seated in the chunked scalar slot
     /// of its kind, one per kind, fed by a second decode pass. Outputs come
     /// back in `pending` order.
     fn fan_out(&self, specs: &[JobSpec], pending: &[usize]) -> Vec<JobOutput> {
@@ -565,7 +566,9 @@ impl Engine {
             (0..jobs.len()).partition(|&p| bpred::bitslice::eligible(jobs[p].kind));
         // A lane group exists to share one run decode across many jobs; a
         // lone eligible job gains nothing from it, so keep it on the
-        // scalar slot path alongside everything else.
+        // scalar slot path alongside everything else. Both paths produce
+        // the same bytes, so this is a cost choice only; moving it moves
+        // the `bitsliced` count.
         if sliced.len() < 2 {
             scalar.append(&mut sliced);
             scalar.sort_unstable();
@@ -581,7 +584,7 @@ impl Engine {
                 self.bump(|c| c.bitsliced += 1);
                 twodprof_obs::counter!(
                     "engine_bitslice_jobs_total",
-                    "Replayed jobs served by the bit-sliced lane group."
+                    "Replayed jobs served by the run-driven lane group."
                 )
                 .inc();
                 outputs[p] = Some(output);

@@ -1,19 +1,17 @@
 //! Absolute-oracle equivalence suite for the engine's simulation path.
 //!
 //! Every accuracy and 2D job goes through one engine path, which serves a
-//! trace's bit-sliceable jobs from a shared lane group and every other job
+//! trace's eligible jobs from a shared lane group and every other job
 //! from a chunked scalar slot, one per kind. These tests hold both halves
 //! to an oracle that involves no engine at all: the workload runs straight
 //! into one [`PredictorSim`] or [`TwoDProfiler`]. Results must be *bit-identical* —
 //! not merely "equal within floating-point tolerance" — at the
 //! serialized-payload level, where every `f64` is compared by its exact
-//! bit pattern. A property test also races a [`CounterPlane`] against 64
-//! independent scalar [`TwoBitCounter`]s.
+//! bit pattern.
 
-use bpred::bitslice::{self, CounterPlane};
-use bpred::{PredictorKind, PredictorSim, TwoBitCounter};
+use bpred::bitslice;
+use bpred::{PredictorKind, PredictorSim};
 use btrace::CountingTracer;
-use proptest::prelude::*;
 use std::sync::OnceLock;
 use twodprof_core::{SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_engine::{Engine, EngineConfig, JobKind, JobOutput, JobResult, JobSpec, JobStatus};
@@ -21,7 +19,7 @@ use workloads::Scale;
 
 /// Every tiny workload × the full SURVEY predictor sweep, as both an
 /// accuracy profile and a 2D report — wider than `full_grid` (which spans
-/// only the paper's two evaluation predictors) so that every bit-sliced
+/// only the paper's two evaluation predictors) so that every lane-group
 /// lane kind *and* every scalar kind rides through the engine, mixed on
 /// the same traces.
 fn survey_specs(workload: Option<&str>) -> Vec<JobSpec> {
@@ -142,7 +140,7 @@ fn counters_attribute_lane_group_jobs() {
             _ => false,
         })
         .count() as u64;
-    assert!(eligible > 1, "SURVEY must contain bit-sliceable kinds");
+    assert!(eligible > 1, "SURVEY must contain lane-group kinds");
 
     let grid = engine();
     grid.run_jobs(&specs);
@@ -164,6 +162,28 @@ fn counters_attribute_lane_group_jobs() {
     assert_eq!((c.bitsliced, c.replays), (0, 1));
 }
 
+/// Runs `specs` (all on gzip's tiny `train` trace) as one batch and
+/// asserts that every payload is the oracle's, byte for byte, that every
+/// job counts as one replay, and that `bitsliced` of them rode the lane
+/// group.
+fn assert_one_trace_batch_matches_the_oracle(path: &str, specs: &[JobSpec], bitsliced: u64) {
+    let engine = engine();
+    let results = engine.run_jobs(specs);
+    for (r, spec) in results.iter().zip(specs) {
+        assert_eq!(r.spec, *spec, "results must come back in spec order");
+        assert_eq!(r.status, JobStatus::Computed, "{}", spec.describe());
+        assert!(
+            r.output.as_ref().expect("computed output").to_payload() == oracle(spec),
+            "{path} diverged from the oracle for {}",
+            spec.describe()
+        );
+    }
+    let c = engine.counters();
+    assert_eq!(c.traces_recorded, 1);
+    assert_eq!(c.replays as usize, specs.len(), "one replay per job");
+    assert_eq!(c.bitsliced, bitsliced);
+}
+
 /// One batch on one tiny trace where each scalar kind carries an accuracy
 /// job, a 2D job and a duplicate of that 2D job. Each kind runs one scalar
 /// simulation serving all three of its jobs; every payload must still be
@@ -176,83 +196,36 @@ fn shared_scalar_slots_match_the_oracle() {
         specs.push(JobSpec::two_d("gzip", "train", Scale::Tiny, kind));
         specs.push(JobSpec::two_d("gzip", "train", Scale::Tiny, kind));
     }
-    let engine = engine();
-    let results = engine.run_jobs(&specs);
-    for (r, spec) in results.iter().zip(&specs) {
-        assert_eq!(r.spec, *spec, "results must come back in spec order");
-        assert_eq!(r.status, JobStatus::Computed, "{}", spec.describe());
-        assert!(
-            r.output.as_ref().expect("computed output").to_payload() == oracle(spec),
-            "shared scalar slot diverged from the oracle for {}",
-            spec.describe()
-        );
-    }
-    let c = engine.counters();
-    assert_eq!(c.traces_recorded, 1);
-    assert_eq!(c.replays as usize, specs.len(), "one replay per job");
-    assert_eq!(c.bitsliced, 0, "no kind here has a bit-sliced lane");
+    // no kind here is eligible for the lane group
+    assert_one_trace_batch_matches_the_oracle("shared scalar slot", &specs, 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // A random stream of (lane, direction) events drives one 64-entry
-    // [`CounterPlane`] word and 64 independent scalar [`TwoBitCounter`]s;
-    // after every event, every lane's state, prediction, and correctness
-    // bit must agree with its scalar twin.
-    #[test]
-    fn counter_plane_matches_scalar_counters(
-        init in 0u8..4,
-        events in prop::collection::vec((any::<u8>(), any::<bool>()), 0..2000),
-    ) {
-        let seed = match init {
-            0 => TwoBitCounter::strongly_not_taken(),
-            1 => TwoBitCounter::weakly_not_taken(),
-            2 => TwoBitCounter::weakly_taken(),
-            _ => TwoBitCounter::strongly_taken(),
-        };
-        let mut plane = CounterPlane::new(64, seed);
-        let mut scalars = [seed; 64];
-        for (lane, taken) in events {
-            let lane = (lane % 64) as usize;
-            let predicted = plane.predict(lane);
-            prop_assert_eq!(predicted, scalars[lane].predict());
-            let correct = plane.step_lane(lane, taken);
-            scalars[lane].update(taken);
-            prop_assert_eq!(correct, predicted == taken);
-            // the update must not disturb any other lane
-            for (i, s) in scalars.iter().enumerate() {
-                prop_assert_eq!(plane.state(i).state(), s.state(), "lane {}", i);
-            }
+/// Lane groups that seat only some of the eligible kinds, so each kind
+/// steps its own scalar predictor over the runs instead of riding the
+/// fused pass: the gshare accuracy, 2D and duplicate 2D jobs the paper's
+/// grid seats on every `train` trace, and a mix of five kinds' accuracy
+/// and 2D jobs.
+#[test]
+fn partial_lane_groups_match_the_oracle() {
+    let job = |kind, twod| {
+        if twod {
+            JobSpec::two_d("gzip", "train", Scale::Tiny, kind)
+        } else {
+            JobSpec::accuracy("gzip", "train", Scale::Tiny, kind)
         }
-    }
-
-    // Whole-word stepping (64 lanes at once, partial masks included) must
-    // agree with per-lane scalar updates, both in the returned correct
-    // bits and in every surviving counter state.
-    #[test]
-    fn step_word_matches_scalar_counters(
-        steps in prop::collection::vec((any::<u64>(), any::<u64>()), 0..200),
-    ) {
-        let seed = TwoBitCounter::weakly_taken();
-        let mut plane = CounterPlane::new(64, seed);
-        let mut scalars = [seed; 64];
-        for (dirs, mask) in steps {
-            let correct = plane.step_word(0, dirs, mask);
-            let mut expect = 0u64;
-            for (i, s) in scalars.iter_mut().enumerate() {
-                if mask >> i & 1 == 1 {
-                    let taken = dirs >> i & 1 == 1;
-                    if s.predict() == taken {
-                        expect |= 1 << i;
-                    }
-                    s.update(taken);
-                }
-            }
-            prop_assert_eq!(correct, expect);
-            for (i, s) in scalars.iter().enumerate() {
-                prop_assert_eq!(plane.state(i).state(), s.state(), "lane {}", i);
-            }
-        }
-    }
+    };
+    let paper = [
+        job(PredictorKind::Gshare4Kb, false),
+        job(PredictorKind::Gshare4Kb, true),
+        job(PredictorKind::Gshare4Kb, true),
+    ];
+    assert_one_trace_batch_matches_the_oracle("gshare lane group", &paper, 3);
+    let mixed = [
+        job(PredictorKind::Bimodal1Kb, false),
+        job(PredictorKind::Local4Kb, true),
+        job(PredictorKind::Tournament4Kb, false),
+        job(PredictorKind::Tournament4Kb, true),
+        job(PredictorKind::StaticTaken, false),
+    ];
+    assert_one_trace_batch_matches_the_oracle("mixed lane group", &mixed, 5);
 }

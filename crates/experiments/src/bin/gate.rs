@@ -151,7 +151,7 @@ fn overhead_passes(pct: f64, budget_pct: f64) -> bool {
     pct <= budget_pct
 }
 
-/// The tiny-scale grid with every bit-sliced survey kind per input: a
+/// The tiny-scale grid with every lane-group survey kind per input: a
 /// count, ten accuracy sims and ten 2D profiles share each input's branch
 /// stream. Perceptron and TAGE are left out: their per-event simulation
 /// cost dwarfs stream generation and decode, so a grid with them would

@@ -2,12 +2,8 @@
 //!
 //! Run `repro --help` for the flags and the experiment list; `all` (the
 //! default) runs every experiment and `detail <workload>` drills into one
-//! benchmark.
-//!
-//! `repro serve`, `repro replay` and `repro stats` are the `twodprofd`
-//! daemon and its client (see the `twodprof-serve` crate), exposed here so
-//! one binary covers the whole toolchain; `repro SUBCOMMAND --help` lists
-//! their flags.
+//! benchmark. The daemon and its client are the `twodprofd` and
+//! `twodprof-client` binaries of the `twodprof-serve` crate.
 
 use experiments::{
     ablation, bias_cmp, detail, fig02, fig03, fig04_05, fig06_07, fig08, fig10, fig11_14, fig12_13,
@@ -51,15 +47,12 @@ const FLAGS: &[Flag] = &[
 
 /// Parses the experiment runner's arguments.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let subcommands = cli::REPRO_SUBCOMMANDS.iter().map(|(name, _)| *name);
     let about = format!(
         "experiments: {} all\n\
          drill-down: detail WORKLOAD\n\
          each --node adds a compute node; with any, the sweep runs remotely and its\n\
-         results stay byte-identical to a local run\n\
-         subcommands: {} (see `repro SUBCOMMAND --help`)",
-        ALL.join(" "),
-        subcommands.collect::<Vec<_>>().join(" ")
+         results stay byte-identical to a local run",
+        ALL.join(" ")
     );
     let cmd = Command {
         name: "repro",
@@ -107,7 +100,7 @@ fn emit(table: &Table, name: &str, out: &Option<PathBuf>) {
 }
 
 fn main() -> ExitCode {
-    cli::dispatch("repro", cli::REPRO_SUBCOMMANDS, Some(run))
+    cli::dispatch("repro", &[], Some(run))
 }
 
 /// Runs the experiments the arguments name.

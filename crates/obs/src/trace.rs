@@ -624,8 +624,12 @@ pub fn encode_spans(trace: u128, spans: &[ExportSpan]) -> Vec<u8> {
     for span in keep {
         write_varint(&mut buf, span.id).expect("vec write");
         write_varint(&mut buf, span.parent).expect("vec write");
-        let name = span.name.as_bytes();
-        let name = &name[..name.len().min(MAX_WIRE_NAME_LEN)];
+        // cut an over-long name at a character boundary, so it decodes
+        let mut cut = span.name.len().min(MAX_WIRE_NAME_LEN);
+        while !span.name.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let name = &span.name.as_bytes()[..cut];
         write_varint(&mut buf, name.len() as u64).expect("vec write");
         buf.extend_from_slice(name);
         write_varint(&mut buf, span.start_us).expect("vec write");
@@ -782,6 +786,25 @@ mod tests {
         let (t, decoded) = decode_spans(&bytes).unwrap();
         assert_eq!(t, trace);
         assert_eq!(decoded, spans);
+    }
+
+    #[test]
+    fn long_names_are_cut_on_a_character_boundary() {
+        // 401 bytes; byte 256 falls inside an `é`, so the cut lands at 255
+        let name = format!("a{}", "é".repeat(200));
+        assert_eq!(name.len(), 401);
+        let span = ExportSpan {
+            trace: 9,
+            id: 1,
+            parent: 0,
+            name: name.clone(),
+            start_us: 0,
+            dur_us: 1,
+            tid: 1,
+            pid: 0,
+        };
+        let (_, decoded) = decode_spans(&encode_spans(9, &[span])).unwrap();
+        assert_eq!(decoded[0].name, name[..255]);
     }
 
     #[test]

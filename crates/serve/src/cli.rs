@@ -1,5 +1,5 @@
-//! Entry points shared by the `twodprofd` / `twodprof-client` binaries and
-//! the `repro serve` / `repro replay` / `repro stats` subcommands. Each
+//! Entry points of the `twodprofd` / `twodprof-client` binaries, and the
+//! subcommand dispatch every binary (`repro` and `gate` too) shares. Each
 //! entry declares its flags once as a [`Command`] table; [`flags::parse`]
 //! reads the arguments and renders `--help` from it. Every entry returns a
 //! usage or run-time error message for [`dispatch`] to print.
@@ -57,14 +57,6 @@ pub const CLIENT_SUBCOMMANDS: &[Subcommand] = &[
     ("soak", soak_main),
     ("top", top_main),
     ("blackbox", blackbox_main),
-];
-
-/// The daemon-side subcommands `repro` carries, so one binary covers the
-/// whole toolchain.
-pub const REPRO_SUBCOMMANDS: &[Subcommand] = &[
-    ("serve", serve_main),
-    ("replay", replay_main),
-    ("stats", stats_main),
 ];
 
 /// Runs the subcommand `args[0]` names from `table` on the arguments after
@@ -186,7 +178,7 @@ static SERVE: Command = Command {
     ],
 };
 
-/// Entry point for `twodprofd` (and `repro serve`).
+/// Entry point for `twodprofd`.
 pub fn serve_main(args: &[String]) -> Result<(), String> {
     let m = flags::parse(&SERVE, args)?;
     let addr = m.value("--addr").unwrap_or(DEFAULT_ADDR);
@@ -284,7 +276,7 @@ static REPLAY: Command = Command {
     ],
 };
 
-/// Entry point for `twodprof-client replay` (and `repro replay`). A failed
+/// Entry point for `twodprof-client replay`. A failed
 /// `--verify` comparison is an error, so scripted callers exit non-zero.
 pub fn replay_main(args: &[String]) -> Result<(), String> {
     let m = flags::parse(&REPLAY, args)?;
@@ -353,7 +345,7 @@ static STATS: Command = Command {
     flags: &[ADDR],
 };
 
-/// Entry point for `twodprof-client stats` (and `repro stats`).
+/// Entry point for `twodprof-client stats`.
 pub fn stats_main(args: &[String]) -> Result<(), String> {
     let m = flags::parse(&STATS, args)?;
     let snapshot =
