@@ -2,8 +2,9 @@
 //!
 //! On unix this is `poll(2)` through a direct `extern "C"` declaration —
 //! std already links libc, the same trick `cli.rs` uses for `signal(2)` —
-//! so no crate dependency is needed. Elsewhere it degrades to a bounded
-//! sleep that reports every descriptor ready.
+//! so no crate dependency is needed; so is `setsockopt(2)`, which caps a
+//! watcher's kernel send buffer. Elsewhere it degrades to a bounded sleep
+//! that reports every descriptor ready.
 //!
 //! Two pieces: a [`PollSet`], the persistent descriptor table a loop keeps
 //! across iterations (updated on insert, removal and interest changes
@@ -17,6 +18,7 @@
 //! spurious "ready" costs one syscall. That property is what makes the
 //! fallback correct.
 
+pub(crate) use imp::cap_send_buffer;
 use std::io;
 use std::time::Duration;
 
@@ -60,6 +62,22 @@ mod imp {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+
+    // (SOL_SOCKET, SO_SNDBUF): linux's values, else the BSD ones
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const SNDBUF: (i32, i32) = (1, 7);
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const SNDBUF: (i32, i32) = (0xffff, 0x1001);
+
+    /// Caps a socket's kernel send buffer at about `bytes` (`SO_SNDBUF`,
+    /// which linux doubles for its bookkeeping), so a peer that stops
+    /// reading pins no more than that in the kernel. Off unix: a no-op.
+    pub(crate) fn cap_send_buffer(fd: i32, bytes: usize) {
+        let value = bytes.min(i32::MAX as usize) as i32;
+        // best effort: a refusal leaves the kernel's own size
+        let _ = unsafe { setsockopt(fd, SNDBUF.0, SNDBUF.1, &value, 4) };
     }
 
     pub(super) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
@@ -120,6 +138,8 @@ mod imp {
             fd.revents = fd.events;
         }
     }
+
+    pub(crate) fn cap_send_buffer(_fd: i32, _bytes: usize) {}
 
     /// No waker descriptors: the bounded sleep above stands in for them.
     pub(super) struct Pipe;

@@ -457,6 +457,12 @@ impl ServerHandle {
         self.shared.stats()
     }
 
+    /// The snapshot a `Stats` frame returns, readable after
+    /// [`Server::run`] has returned.
+    pub fn snapshot(&self) -> Snapshot {
+        self.shared.snapshot()
+    }
+
     /// Dumps the flight recorder's ring to the configured blackbox path
     /// (or a per-process temp file) and returns where it wrote. The dump
     /// is a checksummed block decodable by

@@ -23,6 +23,28 @@
 //! Finally the shard records its self-health: service-pass and loop-lag
 //! histograms plus the last-pass levels in [`ShardState`].
 //!
+//! Each connection has exactly one [`Role`]. It starts `Fresh`, and the
+//! first `Hello`, watch `Subscribe` or `SubmitJob` makes it a `Session`,
+//! a `Watch` or a `Compute` channel for the rest of its life. Every frame
+//! is dispatched on the pair of role and frame, in one match:
+//!
+//! | frame \ role         | Fresh        | Session      | Compute     |
+//! |----------------------|--------------|--------------|-------------|
+//! | `Hello`              | admit        | refuse       | refuse      |
+//! | `Events` `Flush` `Finish` `Resim` | refuse | serve | refuse   |
+//! | `Stats` `Blackbox`   | reply        | reply        | reply       |
+//! | `TraceCtx` `TraceExport` | reply    | reply        | refuse      |
+//! | `Subscribe`          | reply; watch → `Watch` | reply; watch refused | refuse |
+//! | `SubmitJob`          | → `Compute`  | refuse       | submit      |
+//!
+//! A watcher's bytes are never decoded: whatever it sends is ignored.
+//! A refusal is a returned [`Refusal`], and [`close_with`] — the one way
+//! the shard ends a connection — queues its `Error` or `Busy` frame and
+//! closes once the out-buffer drains. Every session ends through
+//! [`end_session`], on `Finish` or when its connection closes under it:
+//! the program detach publishes the session's last drift before the slot
+//! is released, and exactly one of `finished` or `aborted` is counted.
+//!
 //! An `Events` frame is decoded in place into the connection's recycled
 //! event vector, and handled with one virtual call into the session's
 //! [`SessionSim`], which runs one monomorphic loop over the frame:
@@ -55,6 +77,7 @@ use crate::wire::{
     codes, AdmissionTier, ClientFrame, FrameDecoder, Hello, ServerFrame, MAX_SITES,
     PROTOCOL_VERSION,
 };
+use bpred::PredictorKind;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -216,7 +239,7 @@ static SHARD_LAG_HIST: Family<Histogram> = Family::histogram(
     "Shard loop lag per iteration (time outside poll), in microseconds.",
 );
 
-/// One live profiling session (between `Hello` and `Finish`).
+/// One live profiling session (between `Hello` and its end).
 struct LiveSession {
     /// The session predictor's 2D-profiling run, one virtual call per
     /// `Events` frame.
@@ -244,6 +267,21 @@ struct LiveSession {
     _span: Span,
 }
 
+/// What a connection is for. It starts `Fresh`, and its first `Hello`,
+/// watch `Subscribe` or `SubmitJob` fixes its role for life.
+enum Role {
+    /// No role yet: only sessionless queries so far.
+    Fresh,
+    /// A profiling session between `Hello` and its end.
+    Session(Box<LiveSession>),
+    /// A watch subscription: drift frames arrive as replies, and the
+    /// client's bytes are ignored.
+    Watch(Watch),
+    /// A fabric compute channel with `owed` submitted jobs still waiting
+    /// for their `JobResult`.
+    Compute { owed: usize },
+}
+
 /// One multiplexed connection owned by a shard.
 struct Conn {
     stream: TcpStream,
@@ -259,15 +297,8 @@ struct Conn {
     out_pos: usize,
     last_seen: Instant,
     conn_ctx: TraceContext,
-    session: Option<Box<LiveSession>>,
-    /// Set when the connection became a watch subscription: drift frames
-    /// arrive as replies and the shard stops decoding client frames.
-    watch: Option<Watch>,
-    /// `Some(n)` once a job frame made this a compute channel, with `n`
-    /// submitted jobs still owed a `JobResult`. The idle sweep spares the
-    /// connection while any are outstanding.
-    jobs: Option<usize>,
-    /// Server-initiated goodbye: flush `out`, then close.
+    role: Role,
+    /// Set by [`close_with`]: flush `out`, then close.
     closing: bool,
     /// Peer closed its write side.
     eof: bool,
@@ -284,9 +315,7 @@ impl Conn {
             out_pos: 0,
             last_seen: Instant::now(),
             conn_ctx: TraceContext::NONE,
-            session: None,
-            watch: None,
-            jobs: None,
+            role: Role::Fresh,
             closing: false,
             eof: false,
         }
@@ -303,11 +332,21 @@ impl Conn {
         !self.eof && !self.closing
     }
 
+    /// Whether the client's bytes are frames; a watcher's are ignored.
+    fn reads_frames(&self) -> bool {
+        !matches!(self.role, Role::Watch(_))
+    }
+
     /// Spared by the idle sweep unless closing: a compute channel still
     /// owed replies, or a watcher, which is idle on purpose between drift
     /// events. A shed watcher that never reads is reaped.
     fn idle_exempt(&self) -> bool {
-        !self.closing && (self.jobs.unwrap_or(0) > 0 || self.watch.is_some())
+        !self.closing
+            && match self.role {
+                Role::Compute { owed } => owed > 0,
+                Role::Watch(_) => true,
+                Role::Fresh | Role::Session(_) => false,
+            }
     }
 }
 
@@ -320,12 +359,49 @@ struct Watch {
     lead: usize,
 }
 
+/// A watcher's bound on unsent drift bytes: `limits.max_subscriber_queue`
+/// of the widest drift frames. It caps both the shard's out-buffer and the
+/// socket's kernel send buffer.
+fn drift_bound(config: &ServerConfig) -> usize {
+    config
+        .limits
+        .max_subscriber_queue
+        .saturating_mul(MAX_DRIFT_FRAME_LEN)
+}
+
 fn push_frame(out: &mut Vec<u8>, frame: &ServerFrame) {
     frame.write_to(out).expect("vec write");
 }
 
-fn push_error(out: &mut Vec<u8>, code: u64, msg: String) {
-    push_frame(out, &ServerFrame::Error { code, msg });
+/// A refused frame's reply, an `Error` or a `Busy`, which [`close_with`]
+/// queues just before the connection closes.
+struct Refusal(ServerFrame);
+
+fn refusal(code: u64, msg: impl Into<String>) -> Refusal {
+    let msg = msg.into();
+    Refusal(ServerFrame::Error { code, msg })
+}
+
+fn bad_state(msg: impl Into<String>) -> Refusal {
+    refusal(codes::BAD_STATE, msg)
+}
+
+fn busy(msg: String, retry_after_ms: u64) -> Refusal {
+    let tier = AdmissionTier::Shed;
+    Refusal(ServerFrame::Busy {
+        msg,
+        tier,
+        retry_after_ms,
+    })
+}
+
+/// The one way the shard ends a connection: queues `goodbye` (a refusal,
+/// or the report a `Finish` owes) and closes once the out-buffer drains.
+fn close_with(conn: &mut Conn, goodbye: Option<ServerFrame>) {
+    if let Some(frame) = goodbye {
+        push_frame(&mut conn.out, &frame);
+    }
+    conn.closing = true;
 }
 
 /// What to do with a connection after servicing it this iteration.
@@ -459,7 +535,9 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                 // void
                 Inbox::Reply(id, bytes) => {
                     if let Some(conn) = table.conns.get_mut(&id) {
-                        conn.jobs = conn.jobs.map(|n| n.saturating_sub(1));
+                        if let Role::Compute { owed } = &mut conn.role {
+                            *owed = owed.saturating_sub(1);
+                        }
                         if !conn.closing {
                             conn.out.extend_from_slice(&bytes);
                             conn.last_seen = service_start;
@@ -471,8 +549,9 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
             }
         }
         // the ready set; a forced close or a drain-time wake widens it to
-        // every connection or every watcher
-        if force {
+        // every connection: a drain-time wake may mean the last session
+        // ended, so every watcher re-checks whether it can close
+        if force || (draining && woken) {
             touched.extend(table.conns.keys().copied());
         } else {
             touched.extend(
@@ -480,17 +559,6 @@ pub(crate) fn shard_loop(shared: &Arc<Shared>, shard: &Arc<ShardState>) {
                     .filter(|&slot| table.set.is_ready(slot))
                     .map(|slot| table.slot_ids[slot]),
             );
-            if draining && woken {
-                // a drain-time wake may mean the last session ended: let
-                // every watcher re-check whether it can close
-                touched.extend(
-                    table
-                        .conns
-                        .iter()
-                        .filter(|(_, c)| c.watch.is_some())
-                        .map(|(&id, _)| id),
-                );
-            }
         }
         touched.sort_unstable();
         touched.dedup();
@@ -640,18 +708,10 @@ fn service_conn(
     let mut io_dead = false;
     if tick.readable && !conn.closing {
         match read_available(conn) {
-            Ok(()) => {}
+            Ok(()) => process_frames(shared, shard, id, conn),
             Err(e) => {
-                if conn.session.is_some() || e.kind() != io::ErrorKind::UnexpectedEof {
-                    shared.log(format_args!("conn {id}: {e}"));
-                }
-                io_dead = true;
-            }
-        }
-        if !io_dead && conn.watch.is_none() {
-            if let Err(e) = process_frames(shared, shard, id, conn) {
                 shared.log(format_args!("conn {id}: {e}"));
-                conn.closing = true;
+                io_dead = true;
             }
         }
     }
@@ -668,23 +728,18 @@ fn service_conn(
     }
     check_watch(shared, conn, sent, tick.drained);
 
-    if tick.force || io_dead {
-        return Fate::Close;
+    // close once the peer finished sending or we said goodbye, and
+    // anything we owed it has been flushed
+    if tick.force || io_dead || ((conn.eof || conn.closing) && !conn.out_pending()) {
+        Fate::Close
+    } else {
+        Fate::Keep
     }
-    if conn.eof && !conn.out_pending() {
-        // peer finished sending and anything we owed it has been flushed
-        return Fate::Close;
-    }
-    if conn.closing && !conn.out_pending() {
-        return Fate::Close;
-    }
-    Fate::Keep
 }
 
 /// Reads until `WouldBlock`, EOF, or the per-iteration fairness cap, feeding
-/// the incremental decoder. Watch connections discard the bytes instead —
-/// their frames were never read in the thread-per-connection design
-/// either, and decoding them would change that contract.
+/// the incremental decoder. A watcher's bytes are discarded instead: they
+/// are not frames.
 fn read_available(conn: &mut Conn) -> io::Result<()> {
     let mut buf = [0u8; 16 * 1024];
     let mut total = 0usize;
@@ -696,7 +751,7 @@ fn read_available(conn: &mut Conn) -> io::Result<()> {
             }
             Ok(n) => {
                 conn.last_seen = Instant::now();
-                if conn.watch.is_none() {
+                if conn.reads_frames() {
                     conn.decoder.push(&buf[..n]);
                 }
                 total += n;
@@ -711,22 +766,13 @@ fn read_available(conn: &mut Conn) -> io::Result<()> {
     }
 }
 
-/// Decodes and handles every complete frame the decoder holds. Returns the
-/// error that should close the connection (after queueing a reply where
-/// the old blocking loop did).
-fn process_frames(
-    shared: &Arc<Shared>,
-    shard: &Arc<ShardState>,
-    id: u64,
-    conn: &mut Conn,
-) -> io::Result<()> {
-    loop {
-        if conn.closing {
-            return Ok(());
-        }
+/// Decodes and handles every complete frame the decoder holds, until the
+/// connection closes or becomes a watcher, whose later bytes are ignored.
+fn process_frames(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, conn: &mut Conn) {
+    while conn.reads_frames() && !conn.closing {
         let frame = match conn.decoder.next_client_reusing(&mut conn.spare_events) {
             Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()),
+            Ok(None) => return,
             Err(e) => {
                 twodprof_obs::counter!(
                     "serve_frame_decode_errors_total",
@@ -739,31 +785,31 @@ fn process_frames(
                     id,
                     e.to_string(),
                 );
-                if e.kind() == io::ErrorKind::InvalidData {
-                    push_error(&mut conn.out, codes::BAD_FRAME, format!("bad frame: {e}"));
-                }
-                conn.closing = true;
-                return Err(e);
+                shared.log(format_args!("conn {id}: {e}"));
+                // a malformed frame is answered; a body cut short is not
+                let reply = (e.kind() == io::ErrorKind::InvalidData)
+                    .then(|| refusal(codes::BAD_FRAME, format!("bad frame: {e}")).0);
+                close_with(conn, reply);
+                return;
             }
         };
         conn.last_seen = Instant::now();
-        handle_frame(shared, shard, id, conn, frame)?;
-        if conn.watch.is_some() {
-            // subscription established: later bytes are ignored, not frames
-            return Ok(());
+        if let Err(Refusal(reply)) = handle_frame(shared, shard, id, conn, frame) {
+            close_with(conn, Some(reply));
         }
     }
 }
 
-/// Handles one decoded frame, mirroring the session state machine of the
-/// original blocking loop frame for frame.
+/// Handles one decoded frame: one match on the pair of the connection's
+/// role and the frame (the table in the module doc). A refused frame
+/// returns its reply, and the caller closes the connection.
 fn handle_frame(
     shared: &Arc<Shared>,
     shard: &Arc<ShardState>,
     id: u64,
     conn: &mut Conn,
     frame: ClientFrame,
-) -> io::Result<()> {
+) -> Result<(), Refusal> {
     // Adopt a TraceCtx before opening its own frame span, so even that
     // first span lands in the client's trace.
     if let ClientFrame::TraceCtx { trace, parent } = &frame {
@@ -772,392 +818,286 @@ fn handle_frame(
             parent: *parent,
         };
     }
-    let frame_ctx = conn
-        .session
-        .as_ref()
-        .map(|live| live.child_ctx)
-        .unwrap_or(conn.conn_ctx);
+    let frame_ctx = match &conn.role {
+        Role::Session(live) => live.child_ctx,
+        _ => conn.conn_ctx,
+    };
     let _ctx_guard = frame_ctx.is_active().then(|| trace::attach(frame_ctx));
     let _frame_span = twodprof_obs::span!(crate::server::frame_name(&frame));
-    if conn.jobs.is_some()
-        && !matches!(
-            frame,
-            ClientFrame::SubmitJob { .. } | ClientFrame::Stats | ClientFrame::Blackbox
-        )
-    {
-        push_error(
-            &mut conn.out,
-            codes::BAD_STATE,
-            format!(
-                "{} is not allowed on a compute channel",
-                crate::server::frame_name(&frame)
-            ),
-        );
-        conn.closing = true;
-        return Ok(());
-    }
-    match frame {
-        ClientFrame::Hello(hello) => {
-            if conn.session.is_some() {
-                push_error(&mut conn.out, codes::BAD_STATE, "duplicate Hello".into());
-                conn.closing = true;
-                return Ok(());
-            }
-            match admit(shared, shard, id, &hello, conn.conn_ctx) {
-                Admission::Accept(live) => {
-                    let tier = live.tier;
-                    conn.session = Some(live);
-                    shard.sessions.fetch_add(1, Ordering::Relaxed);
-                    shared.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    push_frame(
-                        &mut conn.out,
-                        &ServerFrame::HelloOk {
-                            session_id: id,
-                            tier,
-                        },
-                    );
-                }
-                Admission::Busy(msg) => {
-                    shared.log(format_args!("conn {id}: busy ({msg})"));
-                    twodprof_obs::counter!(
-                        "serve_sessions_busy_rejected_total",
-                        "Hellos refused with Busy (table full, over budget, or draining)."
-                    )
-                    .inc();
-                    twodprof_obs::counter!(
-                        "serve_admit_shed_total",
-                        "Sessions refused by tiered admission control."
-                    )
-                    .inc();
-                    push_frame(
-                        &mut conn.out,
-                        &ServerFrame::Busy {
-                            msg,
-                            tier: AdmissionTier::Shed,
-                            retry_after_ms: shared.config.limits.retry_after.as_millis() as u64,
-                        },
-                    );
-                    conn.closing = true;
-                }
-                Admission::Reject(code, msg) => {
-                    shared.log(format_args!("conn {id}: bad hello ({msg})"));
-                    push_error(&mut conn.out, code, msg);
-                    conn.closing = true;
-                }
-            }
-        }
-        ClientFrame::Events(events) => {
-            let Some(live) = conn.session.as_mut() else {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    "Events before Hello".into(),
-                );
-                conn.closing = true;
-                return Ok(());
-            };
-            let n = events.len() as u64;
-            if live.events.saturating_add(n) > shared.config.limits.max_events_per_session {
-                // explicit backpressure: refuse the batch, close the
-                // session (the abort accounting happens in teardown)
-                twodprof_obs::counter!(
-                    "serve_sessions_busy_rejected_total",
-                    "Hellos refused with Busy (table full, over budget, or draining)."
-                )
-                .inc();
-                push_frame(
-                    &mut conn.out,
-                    &ServerFrame::Busy {
-                        msg: format!(
-                            "event limit {} exceeded",
-                            shared.config.limits.max_events_per_session
-                        ),
-                        tier: AdmissionTier::Shed,
-                        retry_after_ms: 0,
-                    },
-                );
-                conn.closing = true;
-                return Ok(());
-            }
-            // one branch-free max over the frame; the search below runs
-            // only to name the offender
-            if events.iter().map(|&(site, _)| site).max() >= Some(live.num_sites) {
-                let (site, _) = events
-                    .iter()
-                    .find(|&&(site, _)| site >= live.num_sites)
-                    .expect("an event past the table");
-                push_error(
-                    &mut conn.out,
-                    codes::SITE_RANGE,
-                    format!("site {site} outside table of {}", live.num_sites),
-                );
-                conn.closing = true;
-                return Ok(());
-            }
-            live.sim.ingest(
-                &events,
-                live.program.as_mut().map(|ps| &mut ps.ingest),
-                live.recorded.as_mut(),
-            );
+    let reply = match (&mut conn.role, frame) {
+        (Role::Session(live), ClientFrame::Events(events)) => {
+            ingest(shared, shard, id, live, &events)?;
             if events.capacity() <= MAX_SPARE_EVENTS {
                 conn.spare_events = events;
             }
-            live.events += n;
-            shared.events_ingested.fetch_add(n, Ordering::Relaxed);
-            // spill the recording tail if it crossed the threshold, then
-            // fold the resident/spilled deltas into the shard accounting
-            if let Some(rec) = live.recorded.as_mut() {
-                match rec.maybe_spill() {
-                    Ok(0) => {}
-                    Ok(bytes) => {
-                        twodprof_obs::counter!(
-                            "serve_spill_segments_total",
-                            "Session recording segments spilled to disk."
-                        )
-                        .inc();
-                        twodprof_obs::counter!(
-                            "serve_spill_bytes_total",
-                            "Bytes of session recordings spilled to disk."
-                        )
-                        .add(bytes);
-                        shared.flight.record(
-                            FlightKind::Spill,
-                            shard.index as u32,
-                            id,
-                            format!("{bytes} byte(s) spilled to a segment"),
-                        );
-                    }
-                    Err(e) => {
-                        shared.log(format_args!(
-                            "conn {id}: spill failed ({e}); keeping the session resident"
-                        ));
-                        shared.flight.record(
-                            FlightKind::Spill,
-                            shard.index as u32,
-                            id,
-                            format!("spill failed: {e}; session kept resident"),
-                        );
-                    }
-                }
-                let resident = rec.resident_bytes();
-                let spilled = rec.spilled_bytes();
-                apply_delta(&shard.resident_bytes, live.resident_last, resident);
-                apply_delta(&shard.spilled_bytes, live.spilled_last, spilled);
-                live.resident_last = resident;
-                live.spilled_last = spilled;
-            }
-            // hand completed epochs to the program's shared profiler and
-            // fan out any drift its folds confirmed
-            if let Some(ps) = live.program.as_mut() {
-                if ps.ingest.pending_epochs() > 0 {
-                    let mut drift = Vec::new();
-                    {
-                        let mut profiler = ps.stream.profiler.lock().expect("stream profiler");
-                        if let Some(p) = profiler.as_mut() {
-                            p.ingest(&mut ps.ingest, &mut drift);
-                        }
-                    }
-                    if !drift.is_empty() {
-                        publish_drift(&ps.stream, &drift);
-                    }
-                }
+            return Ok(());
+        }
+        // unreachable: `reads_frames` stops decoding a watcher's bytes
+        (Role::Watch(_), _) => return Ok(()),
+        (_, ClientFrame::Stats) => ServerFrame::StatsReply(shared.snapshot().to_bytes()),
+        // ships the flight recorder's ring as one checksummed block
+        (_, ClientFrame::Blackbox) => ServerFrame::BlackboxReply(shared.flight.encode()),
+        (Role::Compute { owed }, ClientFrame::SubmitJob { job_id, spec }) => {
+            // a worker replies through this shard's inbox, out of
+            // submission order
+            compute_pool(shared)?.submit(job_id, spec, shard.clone(), id);
+            *owed += 1;
+            return Ok(());
+        }
+        (Role::Fresh, ClientFrame::SubmitJob { job_id, spec }) => {
+            compute_pool(shared)?.submit(job_id, spec, shard.clone(), id);
+            shared.log(format_args!("conn {id}: fabric compute channel opened"));
+            conn.role = Role::Compute { owed: 1 };
+            return Ok(());
+        }
+        (Role::Compute { .. }, frame) => {
+            return Err(bad_state(format!(
+                "{} is not allowed on a compute channel",
+                crate::server::frame_name(&frame)
+            )))
+        }
+        // conn_ctx was adopted above, before the frame span opened; reply
+        // with our trace clock so the client can align the two processes'
+        // epochs from one round trip
+        (_, ClientFrame::TraceCtx { .. }) => ServerFrame::TraceAck {
+            anchor_us: trace::now_micros(),
+        },
+        // drain every ring (including those of finished threads) and ship
+        // whatever this daemon recorded for the requested trace
+        (_, ClientFrame::TraceExport { trace: trace_id }) => {
+            let spans = trace::collector().collect_trace(trace_id);
+            ServerFrame::TraceSpans(trace::encode_spans(trace_id, &spans))
+        }
+        (Role::Fresh, ClientFrame::Hello(hello)) => {
+            let live = admit(shared, shard, id, &hello, conn.conn_ctx)?;
+            let tier = live.tier;
+            conn.role = Role::Session(live);
+            shard.sessions.fetch_add(1, Ordering::Relaxed);
+            shared.sessions_opened.fetch_add(1, Ordering::Relaxed);
+            ServerFrame::HelloOk {
+                session_id: id,
+                tier,
             }
         }
-        ClientFrame::Flush => {
-            let Some(live) = conn.session.as_ref() else {
-                push_error(&mut conn.out, codes::BAD_STATE, "Flush before Hello".into());
-                conn.closing = true;
-                return Ok(());
-            };
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::Ack {
-                    events_total: live.events,
-                },
-            );
+        (Role::Session(live), ClientFrame::Flush) => ServerFrame::Ack {
+            events_total: live.events,
+        },
+        (Role::Session(_), ClientFrame::Finish) => {
+            end_session(shared, shard, id, conn, End::Finish);
+            return Ok(());
         }
-        ClientFrame::Finish => {
-            let Some(mut live) = conn.session.take() else {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    "Finish before Hello".into(),
-                );
-                conn.closing = true;
-                return Ok(());
-            };
-            if let Some(ps) = live.program.take() {
-                detach_program(ps);
-            }
-            release_session_accounting(shared, shard, &mut live);
-            shared.sessions_finished.fetch_add(1, Ordering::Relaxed);
-            if live.recorded.is_some() {
+        // the session stays open: more events or further resims may follow
+        (Role::Session(live), ClientFrame::Resim(kind)) => resimulate(shared, id, live, kind)?,
+        (Role::Session(_), ClientFrame::Hello(_)) => return Err(bad_state("duplicate Hello")),
+        (Role::Session(_), ClientFrame::Subscribe { watch: true, .. }) => {
+            return Err(bad_state("watch is not allowed on a session connection"))
+        }
+        (Role::Session(_), ClientFrame::SubmitJob { .. }) => {
+            return Err(bad_state(
+                "job frames are not allowed on a session connection",
+            ))
+        }
+        (_, ClientFrame::Subscribe { program, watch }) => {
+            return subscribe(shared, shard, id, conn, &program, watch)
+        }
+        (Role::Fresh, ClientFrame::Events(_)) => return Err(bad_state("Events before Hello")),
+        (Role::Fresh, ClientFrame::Flush) => return Err(bad_state("Flush before Hello")),
+        (Role::Fresh, ClientFrame::Finish) => return Err(bad_state("Finish before Hello")),
+        (Role::Fresh, ClientFrame::Resim(_)) => return Err(bad_state("Resim before Hello")),
+    };
+    push_frame(&mut conn.out, &reply);
+    Ok(())
+}
+
+/// The daemon's compute pool, or the refusal of a daemon without
+/// `--compute`.
+fn compute_pool(shared: &Shared) -> Result<&crate::compute::ComputePool, Refusal> {
+    shared
+        .compute
+        .as_deref()
+        .ok_or_else(|| bad_state("compute service is disabled on this daemon"))
+}
+
+/// Runs one `Events` frame through a session: the event limit and the
+/// site range are checked first, and a frame that fails either is refused
+/// whole.
+fn ingest(
+    shared: &Arc<Shared>,
+    shard: &Arc<ShardState>,
+    id: u64,
+    live: &mut LiveSession,
+    events: &[(u32, bool)],
+) -> Result<(), Refusal> {
+    let n = events.len() as u64;
+    let limit = shared.config.limits.max_events_per_session;
+    if live.events.saturating_add(n) > limit {
+        // explicit backpressure: the session's abort is counted when the
+        // connection closes
+        return Err(busy(format!("event limit {limit} exceeded"), 0));
+    }
+    // one branch-free max over the frame; the search below runs only to
+    // name the offender
+    if events.iter().map(|&(site, _)| site).max() >= Some(live.num_sites) {
+        let (site, _) = events
+            .iter()
+            .find(|&&(site, _)| site >= live.num_sites)
+            .expect("an event past the table");
+        return Err(refusal(
+            codes::SITE_RANGE,
+            format!("site {site} outside table of {}", live.num_sites),
+        ));
+    }
+    live.sim.ingest(
+        events,
+        live.program.as_mut().map(|ps| &mut ps.ingest),
+        live.recorded.as_mut(),
+    );
+    live.events += n;
+    shared.events_ingested.fetch_add(n, Ordering::Relaxed);
+    // spill the recording tail if it crossed the threshold, then fold the
+    // resident/spilled deltas into the shard accounting
+    if let Some(rec) = live.recorded.as_mut() {
+        match rec.maybe_spill() {
+            Ok(0) => {}
+            Ok(bytes) => {
                 twodprof_obs::counter!(
-                    "trace_record_total",
-                    "Branch streams recorded from live workload runs."
+                    "serve_spill_segments_total",
+                    "Session recording segments spilled to disk."
                 )
                 .inc();
-            }
-            let events = live.events;
-            let report = live.sim.finish();
-            shared.log(format_args!(
-                "conn {id}: session finished, {events} event(s), {} site(s)",
-                report.num_sites()
-            ));
-            push_frame(&mut conn.out, &ServerFrame::Report(report.to_bytes()));
-            conn.closing = true;
-        }
-        ClientFrame::Stats => {
-            // valid in any state; replies and keeps the connection going
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::StatsReply(shared.snapshot().to_bytes()),
-            );
-        }
-        ClientFrame::Blackbox => {
-            // sessionless, like Stats: ship the flight recorder's ring as
-            // one checksummed block
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::BlackboxReply(shared.flight.encode()),
-            );
-        }
-        ClientFrame::Resim(kind) => {
-            let Some(live) = conn.session.as_ref() else {
-                push_error(&mut conn.out, codes::BAD_STATE, "Resim before Hello".into());
-                conn.closing = true;
-                return Ok(());
-            };
-            let Some(rec) = live.recorded.as_ref() else {
-                let msg = if live.tier == AdmissionTier::Degrade {
-                    "session was admitted degraded (memory pressure); recording disabled"
-                } else {
-                    "session recording is disabled on this daemon"
-                };
-                push_error(&mut conn.out, codes::BAD_STATE, msg.into());
-                conn.closing = true;
-                return Ok(());
-            };
-            let mut sim = session_sim(kind, live.num_sites as usize, live.slice);
-            if let Err(e) = sim.replay(rec) {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    format!("recorded segments unreadable: {e}"),
+                twodprof_obs::counter!(
+                    "serve_spill_bytes_total",
+                    "Bytes of session recordings spilled to disk."
+                )
+                .add(bytes);
+                shared.flight.record(
+                    FlightKind::Spill,
+                    shard.index as u32,
+                    id,
+                    format!("{bytes} byte(s) spilled to a segment"),
                 );
-                conn.closing = true;
-                return Ok(());
             }
-            let report = sim.finish();
-            twodprof_obs::counter!(
-                "trace_replay_total",
-                "Jobs served by replaying a recorded trace; one simulation may serve several."
-            )
-            .inc();
-            shared.log(format_args!(
-                "conn {id}: resimulated {} event(s) under {kind}",
-                rec.events()
-            ));
-            // the session stays open: more events or further resims may
-            // follow before Finish
-            push_frame(&mut conn.out, &ServerFrame::Report(report.to_bytes()));
-        }
-        ClientFrame::TraceCtx { .. } => {
-            // conn_ctx was adopted above, before the frame span opened;
-            // reply with our trace clock so the client can align the
-            // two processes' epochs from one round trip
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::TraceAck {
-                    anchor_us: trace::now_micros(),
-                },
-            );
-        }
-        ClientFrame::TraceExport { trace: trace_id } => {
-            // sessionless, like Stats: drain every ring (including those
-            // of finished threads) and ship whatever this daemon recorded
-            // for the requested trace
-            let spans = trace::collector().collect_trace(trace_id);
-            let bytes = trace::encode_spans(trace_id, &spans);
-            push_frame(&mut conn.out, &ServerFrame::TraceSpans(bytes));
-        }
-        ClientFrame::Subscribe { program, watch } => {
-            if watch && conn.session.is_some() {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    "watch is not allowed on a session connection".into(),
+            Err(e) => {
+                shared.log(format_args!(
+                    "conn {id}: spill failed ({e}); keeping the session resident"
+                ));
+                shared.flight.record(
+                    FlightKind::Spill,
+                    shard.index as u32,
+                    id,
+                    format!("spill failed: {e}; session kept resident"),
                 );
-                conn.closing = true;
-                return Ok(());
-            }
-            let stream = shared
-                .programs
-                .lock()
-                .expect("program table")
-                .get(&program)
-                .cloned();
-            let Some(stream) = stream else {
-                push_error(
-                    &mut conn.out,
-                    codes::BAD_STATE,
-                    format!("unknown program {program:?}"),
-                );
-                conn.closing = true;
-                return Ok(());
-            };
-            let snapshot = shared.program_snapshot(&stream);
-            push_frame(
-                &mut conn.out,
-                &ServerFrame::VerdictSnapshot(snapshot.to_bytes()),
-            );
-            if watch {
-                let sub = Arc::new(Subscriber {
-                    shard: shard.clone(),
-                    conn: id,
-                });
-                stream
-                    .subscribers
-                    .lock()
-                    .expect("subscriber list")
-                    .push(Arc::downgrade(&sub));
-                shared.log(format_args!("conn {id}: watching program {program:?}"));
-                conn.watch = Some(Watch {
-                    _sub: sub,
-                    lead: conn.out.len() - conn.out_pos,
-                });
             }
         }
-        ClientFrame::SubmitJob { job_id, spec } => {
-            // refused on a session connection or a daemon without
-            // `--compute`; otherwise the connection becomes a compute channel
-            let refusal = if conn.session.is_some() {
-                "job frames are not allowed on a session connection"
-            } else if let Some(pool) = shared.compute.as_deref() {
-                if conn.jobs.is_none() {
-                    shared.log(format_args!("conn {id}: fabric compute channel opened"));
+        let resident = rec.resident_bytes();
+        let spilled = rec.spilled_bytes();
+        apply_delta(&shard.resident_bytes, live.resident_last, resident);
+        apply_delta(&shard.spilled_bytes, live.spilled_last, spilled);
+        live.resident_last = resident;
+        live.spilled_last = spilled;
+    }
+    // hand completed epochs to the program's shared profiler and fan out
+    // any drift its folds confirmed
+    if let Some(ps) = live.program.as_mut() {
+        if ps.ingest.pending_epochs() > 0 {
+            let mut drift = Vec::new();
+            {
+                let mut profiler = ps.stream.profiler.lock().expect("stream profiler");
+                if let Some(p) = profiler.as_mut() {
+                    p.ingest(&mut ps.ingest, &mut drift);
                 }
-                conn.jobs = Some(conn.jobs.unwrap_or(0) + 1);
-                // a worker replies through this shard's inbox, out of
-                // submission order
-                pool.submit(job_id, spec, shard.clone(), id);
-                return Ok(());
-            } else {
-                "compute service is disabled on this daemon"
-            };
-            push_error(&mut conn.out, codes::BAD_STATE, refusal.into());
-            conn.closing = true;
+            }
+            if !drift.is_empty() {
+                publish_drift(&ps.stream, &drift);
+            }
         }
     }
     Ok(())
 }
 
+/// Replays a session's recording under another predictor and returns the
+/// report frame.
+fn resimulate(
+    shared: &Shared,
+    id: u64,
+    live: &LiveSession,
+    kind: PredictorKind,
+) -> Result<ServerFrame, Refusal> {
+    let Some(rec) = live.recorded.as_ref() else {
+        return Err(bad_state(if live.tier == AdmissionTier::Degrade {
+            "session was admitted degraded (memory pressure); recording disabled"
+        } else {
+            "session recording is disabled on this daemon"
+        }));
+    };
+    let mut sim = session_sim(kind, live.num_sites as usize, live.slice);
+    sim.replay(rec)
+        .map_err(|e| bad_state(format!("recorded segments unreadable: {e}")))?;
+    let report = sim.finish();
+    twodprof_obs::counter!(
+        "trace_replay_total",
+        "Jobs served by replaying a recorded trace; one simulation may serve several."
+    )
+    .inc();
+    shared.log(format_args!(
+        "conn {id}: resimulated {} event(s) under {kind}",
+        rec.events()
+    ));
+    Ok(ServerFrame::Report(report.to_bytes()))
+}
+
+/// Answers a `Subscribe` with the program's verdict snapshot; with `watch`
+/// the connection becomes a watcher, its kernel send buffer capped at the
+/// drift bound.
+fn subscribe(
+    shared: &Arc<Shared>,
+    shard: &Arc<ShardState>,
+    id: u64,
+    conn: &mut Conn,
+    program: &str,
+    watch: bool,
+) -> Result<(), Refusal> {
+    let stream = shared
+        .programs
+        .lock()
+        .expect("program table")
+        .get(program)
+        .cloned()
+        .ok_or_else(|| bad_state(format!("unknown program {program:?}")))?;
+    let snapshot = shared.program_snapshot(&stream);
+    push_frame(
+        &mut conn.out,
+        &ServerFrame::VerdictSnapshot(snapshot.to_bytes()),
+    );
+    if watch {
+        let sub = Arc::new(Subscriber {
+            shard: shard.clone(),
+            conn: id,
+        });
+        stream
+            .subscribers
+            .lock()
+            .expect("subscriber list")
+            .push(Arc::downgrade(&sub));
+        shared.log(format_args!("conn {id}: watching program {program:?}"));
+        crate::poll::cap_send_buffer(
+            crate::poll::fd_of(&conn.stream),
+            drift_bound(&shared.config),
+        );
+        conn.role = Role::Watch(Watch {
+            _sub: sub,
+            lead: conn.out.len() - conn.out_pos,
+        });
+    }
+    Ok(())
+}
+
 /// After a watcher's flush, which wrote `sent` bytes, sheds it with `Busy`
-/// once its unsent drift outgrows `limits.max_subscriber_queue` frames, and
-/// closes it cleanly once no session can publish more drift (the watcher
-/// sees EOF after the frames already queued).
+/// once its unsent drift outgrows [`drift_bound`], and closes it cleanly
+/// once no session can publish more drift (the watcher sees EOF after the
+/// frames already queued).
 fn check_watch(shared: &Arc<Shared>, conn: &mut Conn, sent: usize, drained: bool) {
-    let Some(watch) = conn.watch.as_mut() else {
+    let Role::Watch(watch) = &mut conn.role else {
         return;
     };
     watch.lead = watch.lead.saturating_sub(sent);
@@ -1165,28 +1105,19 @@ fn check_watch(shared: &Arc<Shared>, conn: &mut Conn, sent: usize, drained: bool
         return;
     }
     let drift = (conn.out.len() - conn.out_pos).saturating_sub(watch.lead);
-    let bound = shared
-        .config
-        .limits
-        .max_subscriber_queue
-        .saturating_mul(MAX_DRIFT_FRAME_LEN);
-    if drift > bound {
+    if drift > drift_bound(&shared.config) {
         twodprof_obs::counter!(
             "serve_subscriber_drops_total",
             "Watch subscribers shed because their unsent drift outgrew the bound."
         )
         .inc();
-        push_frame(
-            &mut conn.out,
-            &ServerFrame::Busy {
-                msg: format!("subscriber lagging: {drift} unsent drift byte(s)"),
-                tier: AdmissionTier::Shed,
-                retry_after_ms: 0,
-            },
+        let shed = busy(
+            format!("subscriber lagging: {drift} unsent drift byte(s)"),
+            0,
         );
-        conn.closing = true;
+        close_with(conn, Some(shed.0));
     } else if drained {
-        conn.closing = true;
+        close_with(conn, None);
     }
 }
 
@@ -1214,52 +1145,73 @@ fn flush_out(conn: &mut Conn) -> io::Result<usize> {
     Ok(sent)
 }
 
-/// Removes a connection: aborts any open session (with the same
-/// accounting as the old per-connection teardown) and shuts the socket;
-/// dropping a watcher's subscription retires its subscriber-list entry.
+/// Removes a connection: aborts its session, if one is open, and shuts the
+/// socket; dropping a watcher's subscription retires its subscriber-list
+/// entry.
 fn teardown(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, mut conn: Conn) {
-    if let Some(mut live) = conn.session.take() {
-        // the connection ended with a session still open: disconnect,
-        // idle reap, or a protocol error — drop the profiler, account
-        if let Some(ps) = live.program.take() {
-            detach_program(ps);
-        }
-        release_session_accounting(shared, shard, &mut live);
-        shared.sessions_aborted.fetch_add(1, Ordering::SeqCst);
-        shared.flight.record(
-            FlightKind::SessionAbort,
-            shard.index as u32,
-            id,
-            format!("session dropped after {} event(s)", live.events),
-        );
-        shared.log(format_args!(
-            "conn {id}: session dropped after {} event(s)",
-            live.events
-        ));
-    }
+    end_session(shared, shard, id, &mut conn, End::Abort);
     let _ = conn.stream.shutdown(Shutdown::Both);
     shared.conn_gone();
 }
 
-/// Releases a session's slot and folds its memory accounting out of the
-/// shard totals. Shared by the Finish and abort paths.
-fn release_session_accounting(
-    shared: &Arc<Shared>,
-    shard: &Arc<ShardState>,
-    live: &mut LiveSession,
-) {
-    apply_delta(&shard.resident_bytes, live.resident_last, 0);
-    apply_delta(&shard.spilled_bytes, live.spilled_last, 0);
-    live.resident_last = 0;
-    live.spilled_last = 0;
-    shard.sessions.fetch_sub(1, Ordering::Relaxed);
-    shared.release_session_slot();
+/// How a session ends.
+enum End {
+    /// The client's `Finish`: the report is the goodbye.
+    Finish,
+    /// The connection closed under the session: a disconnect, a refused
+    /// frame, an idle reap or a forced close.
+    Abort,
 }
 
-enum Admission {
-    Accept(Box<LiveSession>),
-    Busy(String),
-    Reject(u64, String),
+/// The one way a session ends; a connection without a session is left as
+/// it was. The recording goes first, deleting its spill segments, then
+/// the program detach, which publishes the session's last drift. Only then
+/// are the shard accounting and the session slot released, so a drain that
+/// sees no live session knows every drift frame is in the inboxes. Exactly
+/// one of `finished` or `aborted` is counted, after the release.
+fn end_session(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, conn: &mut Conn, end: End) {
+    let mut live = match std::mem::replace(&mut conn.role, Role::Fresh) {
+        Role::Session(live) => live,
+        role => {
+            conn.role = role;
+            return;
+        }
+    };
+    let recorded = live.recorded.take().is_some();
+    if let Some(ps) = live.program.take() {
+        detach_program(ps);
+    }
+    apply_delta(&shard.resident_bytes, live.resident_last, 0);
+    apply_delta(&shard.spilled_bytes, live.spilled_last, 0);
+    shard.sessions.fetch_sub(1, Ordering::Relaxed);
+    shared.release_session_slot();
+    let events = live.events;
+    match end {
+        End::Finish => {
+            shared.sessions_finished.fetch_add(1, Ordering::SeqCst);
+            if recorded {
+                twodprof_obs::counter!(
+                    "trace_record_total",
+                    "Branch streams recorded from live workload runs."
+                )
+                .inc();
+            }
+            let report = live.sim.finish();
+            shared.log(format_args!(
+                "conn {id}: session finished, {events} event(s), {} site(s)",
+                report.num_sites()
+            ));
+            close_with(conn, Some(ServerFrame::Report(report.to_bytes())));
+        }
+        End::Abort => {
+            shared.sessions_aborted.fetch_add(1, Ordering::SeqCst);
+            let msg = format!("session dropped after {events} event(s)");
+            shared.log(format_args!("conn {id}: {msg}"));
+            shared
+                .flight
+                .record(FlightKind::SessionAbort, shard.index as u32, id, msg);
+        }
+    }
 }
 
 /// Validates a `Hello` and applies tiered admission: protocol checks, the
@@ -1272,33 +1224,46 @@ fn admit(
     id: u64,
     hello: &Hello,
     ctx: TraceContext,
-) -> Admission {
+) -> Result<Box<LiveSession>, Refusal> {
+    let reject = |code: u64, msg: String| {
+        shared.log(format_args!("conn {id}: bad hello ({msg})"));
+        refusal(code, msg)
+    };
+    let shed = |msg: String| {
+        shared.log(format_args!("conn {id}: busy ({msg})"));
+        twodprof_obs::counter!(
+            "serve_admit_shed_total",
+            "Sessions refused by tiered admission control."
+        )
+        .inc();
+        busy(msg, shared.config.limits.retry_after.as_millis() as u64)
+    };
     if hello.protocol != PROTOCOL_VERSION {
-        return Admission::Reject(
+        return Err(reject(
             codes::PROTOCOL,
             format!(
                 "protocol {} unsupported (server speaks {PROTOCOL_VERSION})",
                 hello.protocol
             ),
-        );
+        ));
     }
     if hello.num_sites == 0 || hello.num_sites > MAX_SITES {
-        return Admission::Reject(
+        return Err(reject(
             codes::BAD_HELLO,
             format!("num_sites {} outside 1..={MAX_SITES}", hello.num_sites),
-        );
+        ));
     }
     if hello.slice_len == 0 || hello.exec_threshold >= hello.slice_len {
-        return Admission::Reject(
+        return Err(reject(
             codes::BAD_HELLO,
             format!(
                 "invalid slice config (len {}, threshold {})",
                 hello.slice_len, hello.exec_threshold
             ),
-        );
+        ));
     }
     if shared.is_draining() {
-        return Admission::Busy("daemon is shutting down".into());
+        return Err(shed("daemon is shutting down".into()));
     }
     // atomically claim a session slot
     let claimed = shared
@@ -1307,10 +1272,10 @@ fn admit(
             (cur < shared.config.limits.max_sessions).then_some(cur + 1)
         });
     if claimed.is_err() {
-        return Admission::Busy(format!(
+        return Err(shed(format!(
             "session table full ({} sessions)",
             shared.config.limits.max_sessions
-        ));
+        )));
     }
     // tiered admission against the shard's memory budget: full service
     // below the degrade watermark (half the budget), recording disabled
@@ -1327,7 +1292,7 @@ fn admit(
             shared
                 .flight
                 .record(FlightKind::Shed, shard.index as u32, id, msg.clone());
-            return Admission::Busy(msg);
+            return Err(shed(msg));
         }
         tier => tier,
     };
@@ -1339,7 +1304,7 @@ fn admit(
             Err(msg) => {
                 // release the session slot claimed above
                 shared.release_session_slot();
-                return Admission::Reject(codes::BAD_HELLO, msg);
+                return Err(reject(codes::BAD_HELLO, msg));
             }
         }
     };
@@ -1370,7 +1335,7 @@ fn admit(
             shared.spill_dir.clone(),
         )
     });
-    Admission::Accept(Box::new(LiveSession {
+    Ok(Box::new(LiveSession {
         sim: session_sim(hello.predictor, hello.num_sites as usize, config),
         num_sites: hello.num_sites,
         events: 0,

@@ -922,3 +922,451 @@ fn compute_channel_outlives_idle_timeout_while_a_job_runs() {
     let handle = daemon.handle.clone();
     wait_until("connection teardown", || handle.active_connections() == 0);
 }
+
+/// A frame's reply as the role × frame table pins it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Reply {
+    Nothing,
+    Frame(&'static str),
+    Error(u64),
+}
+
+/// What a connection does after the frame's reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum After {
+    /// Still answers frames: the `Stats` sent behind the frame is answered.
+    Open,
+    /// Still open but ignores the client's bytes: a watcher.
+    Silent,
+    /// The daemon closes it once the reply is sent.
+    Closed,
+}
+
+fn reply_of(frame: &ServerFrame) -> Reply {
+    let name = match frame {
+        ServerFrame::Error { code, .. } => return Reply::Error(*code),
+        ServerFrame::HelloOk { .. } => "HelloOk",
+        ServerFrame::Ack { .. } => "Ack",
+        ServerFrame::Busy { .. } => "Busy",
+        ServerFrame::Report(_) => "Report",
+        ServerFrame::StatsReply(_) => "StatsReply",
+        ServerFrame::TraceAck { .. } => "TraceAck",
+        ServerFrame::TraceSpans(_) => "TraceSpans",
+        ServerFrame::VerdictSnapshot(_) => "VerdictSnapshot",
+        ServerFrame::DriftEvent(_) => "DriftEvent",
+        ServerFrame::JobResult { .. } => "JobResult",
+        ServerFrame::BlackboxReply(_) => "BlackboxReply",
+    };
+    Reply::Frame(name)
+}
+
+/// Every `ClientFrame` kind (a watch `Subscribe` apart from a plain one),
+/// sent on each connection role of a compute daemon: the reply's kind or
+/// error code and whether the connection stays open are pinned per pair.
+/// The frame goes out in one write with a `Stats` behind it, which an
+/// open connection answers and a closing one never reads.
+#[test]
+fn every_frame_on_every_role_gets_its_pinned_reply() {
+    use After::{Closed, Open, Silent};
+    use Reply::{Error, Frame, Nothing};
+    const BAD: Reply = Error(codes::BAD_STATE);
+    const PROGRAM: &str = "roles";
+    let daemon = compute_daemon(Duration::from_secs(30));
+    let slice = SliceConfig::new(64, 4);
+    let job = JobSpec::count("gzip", "train", Scale::Tiny);
+    let hello = Hello {
+        protocol: PROTOCOL_VERSION,
+        num_sites: 4,
+        predictor: PredictorKind::Gshare4Kb,
+        slice_len: 64,
+        exec_threshold: 4,
+        program: String::new(),
+    };
+    // register the program the Subscribe frames name
+    let mut seed = ConnectOptions::new(4, PredictorKind::Gshare4Kb, slice)
+        .program(PROGRAM)
+        .connect(daemon.addr)
+        .expect("connect with program");
+    seed.send_events(&synthetic_stream(31, 1_000, 4))
+        .expect("send");
+    seed.finish().expect("finish");
+
+    let frames: [(&str, ClientFrame); 12] = [
+        ("Hello", ClientFrame::Hello(hello.clone())),
+        ("Events", ClientFrame::Events(vec![(0, true), (3, false)])),
+        ("Flush", ClientFrame::Flush),
+        ("Finish", ClientFrame::Finish),
+        ("Stats", ClientFrame::Stats),
+        ("Resim", ClientFrame::Resim(PredictorKind::Bimodal1Kb)),
+        (
+            "TraceCtx",
+            ClientFrame::TraceCtx {
+                trace: 0x5eed,
+                parent: 7,
+            },
+        ),
+        ("TraceExport", ClientFrame::TraceExport { trace: 0x5eed }),
+        (
+            "Subscribe",
+            ClientFrame::Subscribe {
+                program: PROGRAM.into(),
+                watch: false,
+            },
+        ),
+        (
+            "Subscribe watch",
+            ClientFrame::Subscribe {
+                program: PROGRAM.into(),
+                watch: true,
+            },
+        ),
+        (
+            "SubmitJob",
+            ClientFrame::SubmitJob {
+                job_id: 9,
+                spec: job.clone(),
+            },
+        ),
+        ("Blackbox", ClientFrame::Blackbox),
+    ];
+    // per frame: on a Fresh, Session, Watch and Compute connection
+    let table: [[(Reply, After); 4]; 12] = [
+        [
+            (Frame("HelloOk"), Open),
+            (BAD, Closed),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (BAD, Closed),
+            (Nothing, Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (BAD, Closed),
+            (Frame("Ack"), Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (BAD, Closed),
+            (Frame("Report"), Closed),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("StatsReply"), Open),
+            (Frame("StatsReply"), Open),
+            (Nothing, Silent),
+            (Frame("StatsReply"), Open),
+        ],
+        [
+            (BAD, Closed),
+            (Frame("Report"), Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("TraceAck"), Open),
+            (Frame("TraceAck"), Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("TraceSpans"), Open),
+            (Frame("TraceSpans"), Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("VerdictSnapshot"), Open),
+            (Frame("VerdictSnapshot"), Open),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("VerdictSnapshot"), Silent),
+            (BAD, Closed),
+            (Nothing, Silent),
+            (BAD, Closed),
+        ],
+        [
+            (Frame("JobResult"), Open),
+            (BAD, Closed),
+            (Nothing, Silent),
+            (Frame("JobResult"), Open),
+        ],
+        [
+            (Frame("BlackboxReply"), Open),
+            (Frame("BlackboxReply"), Open),
+            (Nothing, Silent),
+            (Frame("BlackboxReply"), Open),
+        ],
+    ];
+    // the frame that gives a connection each role, and the reply it gets
+    let roles: [(&str, Option<ClientFrame>, Reply); 4] = [
+        ("Fresh", None, Nothing),
+        ("Session", Some(ClientFrame::Hello(hello)), Frame("HelloOk")),
+        (
+            "Watch",
+            Some(ClientFrame::Subscribe {
+                program: PROGRAM.into(),
+                watch: true,
+            }),
+            Frame("VerdictSnapshot"),
+        ),
+        (
+            "Compute",
+            Some(ClientFrame::SubmitJob {
+                job_id: 1,
+                spec: job,
+            }),
+            Frame("JobResult"),
+        ),
+    ];
+
+    for ((name, frame), row) in frames.iter().zip(&table) {
+        for ((role, setup, setup_reply), &(reply, after)) in roles.iter().zip(row) {
+            let what = format!("{name} on a {role} connection");
+            let mut conn = TcpStream::connect(daemon.addr).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            if let Some(setup) = setup {
+                setup.write_to(&mut conn).expect("write role frame");
+                let got = ServerFrame::read_from(&mut conn).expect("role reply");
+                assert_eq!(reply_of(&got), *setup_reply, "{what}: role setup");
+            }
+            let mut bytes = Vec::new();
+            frame.write_to(&mut bytes).expect("encode");
+            ClientFrame::Stats.write_to(&mut bytes).expect("encode");
+            std::io::Write::write_all(&mut conn, &bytes).expect("write frames");
+
+            // an open connection answers the frame and the Stats behind
+            // it, in either order: a JobResult comes from a worker
+            let mut want = vec![reply];
+            if after == Open {
+                want.push(Frame("StatsReply"));
+            }
+            want.retain(|r| *r != Nothing);
+            let mut got = want
+                .iter()
+                .map(|_| reply_of(&ServerFrame::read_from(&mut conn).expect(&what)))
+                .collect::<Vec<_>>();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "{what}: replies");
+            match after {
+                Open => {}
+                Closed => {
+                    let err = ServerFrame::read_from(&mut conn).expect_err(&what);
+                    assert!(
+                        matches!(
+                            err.kind(),
+                            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::ConnectionReset
+                        ),
+                        "{what}: expected the connection closed, got {err}"
+                    );
+                }
+                Silent => {
+                    conn.set_read_timeout(Some(Duration::from_millis(200)))
+                        .expect("read timeout");
+                    let err = ServerFrame::read_from(&mut conn).expect_err(&what);
+                    assert!(
+                        matches!(
+                            err.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ),
+                        "{what}: expected an open, silent connection, got {err}"
+                    );
+                }
+            }
+        }
+    }
+    let stats = daemon.stop();
+    assert_eq!(
+        stats.sessions_aborted + stats.sessions_finished,
+        stats.sessions_opened
+    );
+}
+
+/// How the session-outcome test ends a session.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ending {
+    Finish,
+    Disconnect,
+    EventLimit,
+    BadFrame,
+    IdleReap,
+}
+
+/// Opens a raw session connection: `Hello`, then its `HelloOk`.
+fn raw_session(addr: SocketAddr, num_sites: u32, program: &str) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    ClientFrame::Hello(Hello {
+        protocol: PROTOCOL_VERSION,
+        num_sites,
+        predictor: PredictorKind::Gshare4Kb,
+        slice_len: 512,
+        exec_threshold: 32,
+        program: program.to_owned(),
+    })
+    .write_to(&mut conn)
+    .expect("write hello");
+    match ServerFrame::read_from(&mut conn).expect("hello reply") {
+        ServerFrame::HelloOk { .. } => conn,
+        other => panic!("expected HelloOk, got {other:?}"),
+    }
+}
+
+/// Every way a session can end, in a seeded order, with recordings that
+/// spill and half the sessions joined to a program: afterwards every
+/// admitted session is counted exactly once, and no slot, resident or
+/// spilled byte, or spill file is left behind. The last session is
+/// force-closed by a shutdown whose drain times out.
+#[test]
+fn every_session_ending_is_counted_once_and_leaves_nothing_behind() {
+    const SEED: u64 = 0x0dd5_eed5;
+    const NUM_SITES: u32 = 8;
+    const LIMIT: u64 = 40_000;
+    let spill_dir = std::env::temp_dir().join(format!("twodprof-outcomes-{}", std::process::id()));
+    let daemon = Daemon::start(
+        ServerConfig::builder()
+            .shards(2)
+            .spill_threshold(4 << 10)
+            .spill_dir(&spill_dir)
+            .max_events_per_session(LIMIT)
+            .idle_timeout(Duration::from_millis(500))
+            .drain_timeout(Duration::from_millis(50))
+            .quiet(true)
+            .build()
+            .expect("config"),
+    );
+    let handle = daemon.handle.clone();
+    let mut rng = SEED;
+    let mut next = move |bound: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % bound
+    };
+    let mut endings = [
+        Ending::Finish,
+        Ending::Disconnect,
+        Ending::EventLimit,
+        Ending::BadFrame,
+        Ending::IdleReap,
+    ]
+    .repeat(2);
+    for i in (1..endings.len()).rev() {
+        endings.swap(i, next(i as u64 + 1) as usize);
+    }
+
+    let (mut finished, mut aborted) = (0, 0);
+    let stream_for = |conn: &mut TcpStream, salt: u64, len: usize| {
+        for chunk in synthetic_stream(salt, len, NUM_SITES).chunks(1000) {
+            let events = chunk.iter().map(|&(site, taken)| (site.0, taken)).collect();
+            ClientFrame::Events(events)
+                .write_to(conn)
+                .expect("write events");
+        }
+    };
+    let flush = |conn: &mut TcpStream, what: &str| match ServerFrame::read_from(conn) {
+        Ok(ServerFrame::Ack { .. }) => {}
+        other => panic!("{what}: expected Ack, got {other:?}"),
+    };
+    for (i, &ending) in endings.iter().enumerate() {
+        let what = format!("seed {SEED:#x}, session {i} ({ending:?})");
+        let program = if i % 2 == 0 { "outcomes" } else { "" };
+        let mut conn = raw_session(daemon.addr, NUM_SITES, program);
+        let len = 5_000 + next(25_000) as usize;
+        stream_for(&mut conn, SEED + i as u64, len);
+        match ending {
+            Ending::Finish => {
+                ClientFrame::Finish.write_to(&mut conn).expect("finish");
+                match ServerFrame::read_from(&mut conn) {
+                    Ok(ServerFrame::Report(_)) => finished += 1,
+                    other => panic!("{what}: expected Report, got {other:?}"),
+                }
+            }
+            Ending::Disconnect => {
+                ClientFrame::Flush.write_to(&mut conn).expect("flush");
+                flush(&mut conn, &what);
+                drop(conn);
+                aborted += 1;
+            }
+            Ending::EventLimit => {
+                // one frame, read whole before it is refused
+                ClientFrame::Events(vec![(0, true); LIMIT as usize])
+                    .write_to(&mut conn)
+                    .expect("write events");
+                match ServerFrame::read_from(&mut conn) {
+                    Ok(ServerFrame::Busy { msg, .. }) => assert!(msg.contains("limit"), "{msg}"),
+                    other => panic!("{what}: expected Busy, got {other:?}"),
+                }
+                aborted += 1;
+            }
+            Ending::BadFrame => {
+                // one frame with a tag no client frame has
+                std::io::Write::write_all(&mut conn, &[1, 0x7f]).expect("write bad frame");
+                match ServerFrame::read_from(&mut conn) {
+                    Ok(ServerFrame::Error { code, .. }) => assert_eq!(code, codes::BAD_FRAME),
+                    other => panic!("{what}: expected BAD_FRAME, got {other:?}"),
+                }
+                aborted += 1;
+            }
+            Ending::IdleReap => {
+                ClientFrame::Flush.write_to(&mut conn).expect("flush");
+                flush(&mut conn, &what);
+                aborted += 1;
+                wait_until("idle reap", || handle.stats().sessions_aborted == aborted);
+                let err = ServerFrame::read_from(&mut conn).expect_err(&what);
+                assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{what}");
+            }
+        }
+        wait_until(&what, || {
+            let stats = handle.stats();
+            (stats.sessions_finished, stats.sessions_aborted) == (finished, aborted)
+        });
+    }
+
+    // the last session spills and is force-closed by the drain
+    let mut held = raw_session(daemon.addr, NUM_SITES, "outcomes");
+    stream_for(&mut held, SEED, 30_000);
+    ClientFrame::Flush.write_to(&mut held).expect("flush");
+    flush(&mut held, "held session");
+    let spilled = std::fs::read_dir(&spill_dir).map_or(0, |dir| dir.count());
+    assert!(spilled > 0, "the held session must have spilled");
+    let stats = daemon.stop();
+    assert_eq!(stats.sessions_opened, endings.len() as u64 + 1);
+    assert_eq!(stats.sessions_finished, finished);
+    assert_eq!(
+        stats.sessions_aborted,
+        aborted + 1,
+        "the forced close aborts"
+    );
+    assert_eq!(
+        stats.sessions_opened,
+        stats.sessions_finished + stats.sessions_aborted
+    );
+
+    let snap = handle.snapshot();
+    assert_eq!(snap.gauge("serve_live_sessions"), Some(0));
+    for shard in 0..2 {
+        for level in ["sessions", "resident_bytes", "spilled_bytes"] {
+            let name = format!("serve_shard{shard}_{level}");
+            assert_eq!(snap.gauge(&name), Some(0), "{name}");
+        }
+    }
+    let left: Vec<_> = std::fs::read_dir(&spill_dir)
+        .map(|dir| dir.map(|e| e.expect("entry").path()).collect())
+        .unwrap_or_default();
+    assert!(
+        left.is_empty(),
+        "spill files outlived their sessions: {left:?}"
+    );
+    let _ = std::fs::remove_dir_all(&spill_dir);
+    drop(held);
+}

@@ -100,11 +100,7 @@ fn stats_counters_match_replayed_event_count() {
     );
     assert_eq!(snap.counter("serve_sessions_opened_total"), Some(1));
     assert_eq!(snap.counter("serve_sessions_finished_total"), Some(1));
-    assert_eq!(
-        snap.counter("serve_sessions_busy_rejected_total")
-            .unwrap_or(0),
-        0
-    );
+    assert_eq!(snap.counter("serve_admit_shed_total").unwrap_or(0), 0);
     // the daemon's profiler layer also saw every event: its per-slice
     // accounting (events counted at slice boundaries, partial fold included)
     // must agree with the wire-level ingest counter

@@ -332,8 +332,9 @@ fn flood_until_shed(
 /// A `watch` connection that never reads must be shed once its unsent
 /// drift outgrows `max_subscriber_queue` frames, not buffered without
 /// bound. The shard's reply backlog stays under the bound plus one
-/// publish, and the watcher, once it reads, gets its drift in publish
-/// order, then `Busy`, then EOF.
+/// publish, the kernel buffers hold well under 1 MiB of drift, and the
+/// watcher, once it reads, gets its drift in publish order, then `Busy`,
+/// then EOF.
 #[test]
 fn a_watcher_that_never_reads_is_shed_on_its_unsent_drift() {
     let _guard = flood_lock();
@@ -379,10 +380,16 @@ fn a_watcher_that_never_reads_is_shed_on_its_unsent_drift() {
         other => panic!("expected the verdict snapshot, got {other:?}"),
     }
     let mut drift = Vec::new();
+    let mut drift_bytes = 0;
     loop {
         match ServerFrame::read_from(&mut reader).expect("drift or busy frame") {
             ServerFrame::DriftEvent(bytes) => {
                 drift.push(DriftEvent::from_bytes(&bytes).expect("drift event"));
+                let mut frame = Vec::new();
+                ServerFrame::DriftEvent(bytes)
+                    .write_to(&mut frame)
+                    .expect("vec write");
+                drift_bytes += frame.len();
             }
             ServerFrame::Busy { .. } => break,
             other => panic!("expected drift or Busy, got {other:?}"),
@@ -400,9 +407,15 @@ fn a_watcher_that_never_reads_is_shed_on_its_unsent_drift() {
         drift.windows(2).all(|w| w[0].epoch <= w[1].epoch),
         "drift frames out of publish order"
     );
+    // the watch socket's capped send buffer keeps what the kernels hold
+    // for a watcher that never reads near the bound, not megabytes
+    assert!(
+        drift_bytes < 1 << 20,
+        "{drift_bytes} drift byte(s) were buffered for a watcher that never reads"
+    );
     eprintln!(
-        "shed after {sent} events in {elapsed:.2?}: {} drift frame(s) read, \
-         high water {high_water} byte(s), bound {bound}",
+        "shed after {sent} events in {elapsed:.2?}: {} drift frame(s) ({drift_bytes} \
+         byte(s)) read, high water {high_water} byte(s), bound {bound}",
         drift.len()
     );
     session.finish().expect("finish");

@@ -7,8 +7,8 @@
 #
 # After the replay, a watch soak drives two concurrent sessions of a
 # drifting synthetic workload into one shared program and asserts a live
-# `watch` subscription sees at least one drift event with zero frame-decode
-# errors daemon-side.
+# `watch` subscription, made before the drivers start, sees at least one
+# drift event with zero frame-decode errors daemon-side.
 #
 # The stitched trace is left at TRACE_OUT (default
 # target/daemon-smoke/trace.json) and the watch output at WATCH_OUT
@@ -75,26 +75,26 @@ echo "stats endpoint OK"
 
 # watch soak: two concurrent sessions drive a phase-flipping synthetic
 # workload into the shared program "soak"; a live watch must deliver at
-# least one drift event
+# least one drift event. A one-event session registers the program first,
+# and the drivers start only once the watch holds its snapshot, so the
+# subscription cannot land after the drift it should see.
 mkdir -p "$(dirname "$WATCH_OUT")"
+"$BIN_DIR/twodprof-client" drive soak --addr "$ADDR" --events 1 >/dev/null
+timeout 120 "$BIN_DIR/twodprof-client" watch soak --addr "$ADDR" --limit 1 >"$WATCH_OUT" 2>&1 &
+WATCH_PID=$!
+for _ in $(seq 1 100); do
+    grep -q '^program "soak"' "$WATCH_OUT" && break
+    kill -0 "$WATCH_PID" 2>/dev/null || break
+    sleep 0.1
+done
+grep -q '^program "soak"' "$WATCH_OUT" || { cat "$WATCH_OUT"; echo "watch never printed its snapshot"; exit 1; }
+
 "$BIN_DIR/twodprof-client" drive soak --addr "$ADDR" &
 DRIVE1_PID=$!
 "$BIN_DIR/twodprof-client" drive soak --addr "$ADDR" &
 DRIVE2_PID=$!
 
-# the program registers at the drivers' Hello, so early watch attempts can
-# fail with "unknown program" — retry until the subscription lands, then
-# block (bounded) until the first drift event arrives
-WATCH_OK=
-for _ in $(seq 1 100); do
-    if timeout 120 "$BIN_DIR/twodprof-client" watch soak --addr "$ADDR" --limit 1 >"$WATCH_OUT" 2>&1; then
-        WATCH_OK=1
-        break
-    fi
-    grep -q "unknown program" "$WATCH_OUT" || break
-    sleep 0.1
-done
-[[ -n "$WATCH_OK" ]] || { cat "$WATCH_OUT"; echo "watch never saw a drift event"; exit 1; }
+wait "$WATCH_PID" || { cat "$WATCH_OUT"; echo "watch never saw a drift event"; exit 1; }
 grep -q '^drift: site ' "$WATCH_OUT" || { cat "$WATCH_OUT"; echo "watch output missing drift line"; exit 1; }
 
 wait "$DRIVE1_PID" || { echo "first drive client failed"; exit 1; }
