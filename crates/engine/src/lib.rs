@@ -21,13 +21,16 @@
 //! shared run-driven lane group, and every other job rides a chunked
 //! scalar slot. Either way each predictor kind is simulated once per
 //! trace: the one simulation of a kind serves all of that kind's accuracy
-//! and 2D jobs. A batch hands `fan_out` all of a trace's jobs;
-//! [`Engine::run_one`] hands it one. Branch counts are read from the trace
-//! header. Results pass through
-//! three cache tiers — an in-memory memo, the disk cache, then
-//! computation — each counted distinctly. Callers name work with the
-//! [`ProfileRequest`] builder, which resolves to a spec and a
-//! [`TraceRef`].
+//! and 2D jobs. Branch counts are read from the trace header.
+//! [`Engine::run_jobs`] runs one work unit per trace: the unit fetches the
+//! trace only if one of its jobs missed every cache tier, hands `fan_out`
+//! all of the trace's pending simulations, and drops the trace when it is
+//! done, so a batch holds at most one trace per worker.
+//! [`Engine::run_one`] hands `fan_out` one job and keeps the trace for the
+//! next call. Results pass through three cache tiers — an in-memory memo,
+//! the disk cache, then computation — each counted distinctly. Callers
+//! name work with the [`ProfileRequest`] builder, which resolves to a spec
+//! and a [`TraceRef`].
 //!
 //! ```
 //! use twodprof_engine::{Engine, EngineConfig, JobSpec};
@@ -55,7 +58,7 @@ pub use spec::{scale_id, JobKind, JobSpec, CACHE_SCHEMA_VERSION, MAX_SPEC_NAME_L
 
 use bpred::{site_pc, AccuracyProfile, BranchPredictor, PredictorHost, PredictorKind};
 use btrace::{RecordedTrace, SiteId, Tracer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -294,8 +297,8 @@ impl Engine {
 
     /// Records the outcome of a computed job — caching, memoizing, and
     /// counting on success; isolating the panic as [`JobStatus::Failed`]
-    /// otherwise. The shared tail of [`run_one`](Self::run_one) and the
-    /// fused fan-out path.
+    /// otherwise. The shared tail of [`run_one`](Self::run_one) and
+    /// [`run_unit`](Self::run_unit).
     fn settle(
         &self,
         spec: &JobSpec,
@@ -357,97 +360,27 @@ impl Engine {
     /// order. Failures are isolated per job; the returned vector always has
     /// one entry per spec.
     ///
-    /// The batch runs in two stages: stage one records the deduplicated
-    /// set of (workload, input, scale) traces the batch needs — each exactly
-    /// once — and stage two fans the simulations out against those traces.
-    /// Simulations that share a trace are *fused* into one
-    /// [`fan_out`](Self::fan_out) unit, so a K-predictor sweep pays one
-    /// generation and one decode per trace instead of K of each. Fused
-    /// units are scheduled in the order each trace first appears in
-    /// `specs`. After the batch, recorded traces are dropped from the
-    /// in-memory memo (the disk cache keeps them) so sweep memory stays
-    /// bounded at Full scale.
+    /// The batch is one work unit per distinct (workload, input, scale)
+    /// trace, scheduled in the order each trace first appears in `specs`.
+    /// Every job of a trace rides its unit: the trace job itself, the
+    /// branch count, and every accuracy and 2D simulation, which share one
+    /// replay of the trace. A unit fetches its trace only when one of its
+    /// jobs missed both the memo and the disk, and drops the trace from the
+    /// memo when it is done (the disk cache keeps it), so a batch holds at
+    /// most one trace per worker and a fully cached batch loads none.
     pub fn run_jobs(&self, specs: &[JobSpec]) -> Vec<JobResult> {
-        // only jobs whose results aren't already memoized need a trace;
-        // without this filter a repeated sweep would re-record streams the
-        // post-sweep memo release dropped, violating record-exactly-once
-        let mut seen = HashSet::new();
-        let trace_specs: Vec<JobSpec> = specs
-            .iter()
-            .filter(|s| s.kind != JobKind::Trace && !self.memoized(s))
-            .map(|s| TraceRef::of_spec(s).spec())
-            .filter(|t| seen.insert(t.content_hash()))
-            .collect();
-        let trace_units = (0..trace_specs.len()).map(Unit::Single).collect();
-        self.run_pool(&trace_specs, trace_units);
-
-        // fuse the simulations of each trace into one work unit; counts
-        // (served from the trace header), trace jobs, and memoized results
-        // stay singles — their replay path is O(1)
-        let mut group_of: HashMap<u64, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut units: Vec<Unit> = Vec::new();
+        let mut unit_of: HashMap<u64, usize> = HashMap::new();
+        let mut units: Vec<Vec<usize>> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
-            let fusible = matches!(spec.kind, JobKind::Accuracy(_) | JobKind::TwoD(_))
-                && !self.memoized(spec);
-            if fusible {
-                let g = *group_of
-                    .entry(TraceRef::of_spec(spec).spec().content_hash())
-                    .or_insert_with(|| {
-                        groups.push(Vec::new());
-                        groups.len() - 1
-                    });
-                groups[g].push(i);
-            } else {
-                units.push(Unit::Single(i));
-            }
+            let u = *unit_of
+                .entry(TraceRef::of_spec(spec).spec().content_hash())
+                .or_insert_with(|| {
+                    units.push(Vec::new());
+                    units.len() - 1
+                });
+            units[u].push(i);
         }
-        units.extend(groups.into_iter().map(Unit::Fused));
-        let results = self.run_pool(specs, units);
-        self.release_traces();
-        results
-    }
-
-    /// Retrieves (recording on demand, through every cache tier) the
-    /// recorded branch stream of one (workload, input, scale) trio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recording job fails — inside a sweep the panic is
-    /// caught by the enclosing job's fault isolation.
-    pub fn trace(&self, tref: &TraceRef) -> Arc<RecordedTrace> {
-        match self.run_one(&tref.spec()).output {
-            Some(JobOutput::Trace(trace)) => trace,
-            _ => panic!(
-                "trace recording failed for {}/{} @{}",
-                tref.workload,
-                tref.input,
-                scale_id(tref.scale)
-            ),
-        }
-    }
-
-    /// Drops recorded traces from the in-memory memo; the disk cache (when
-    /// attached) still holds them for later sweeps. [`run_jobs`]
-    /// (Self::run_jobs) calls this after every batch; long-lived hosts that
-    /// drive [`run_one`](Self::run_one) directly (the daemon compute
-    /// service) call it when their queue drains so resident memory stays
-    /// bounded.
-    pub fn release_traces(&self) {
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .retain(|_, output| !matches!(output, JobOutput::Trace(_)));
-    }
-
-    /// Runs `units` of work over `specs` on the worker pool and returns one
-    /// result per spec, in spec order. Every spec index must appear in
-    /// exactly one unit.
-    fn run_pool(&self, specs: &[JobSpec], units: Vec<Unit>) -> Vec<JobResult> {
         let total = specs.len();
-        if total == 0 {
-            return Vec::new();
-        }
         let workers = self.worker_count().min(units.len());
         let queue_depth = twodprof_obs::gauge!(
             "engine_queue_depth",
@@ -461,7 +394,6 @@ impl Engine {
         let sweep_start = Instant::now();
         // progress cadence: ~10 lines per sweep, and always the final one
         let step = (total / 10).max(1);
-        let units = &units;
         // carry the caller's trace context onto every worker thread, so job
         // spans nest under the request span that scheduled the batch
         let trace_ctx = twodprof_obs::trace::current();
@@ -476,11 +408,7 @@ impl Engine {
                         if u >= units.len() {
                             break;
                         }
-                        let produced: Vec<(usize, JobResult)> = match &units[u] {
-                            Unit::Single(i) => vec![(*i, self.run_one(&specs[*i]))],
-                            Unit::Fused(idxs) => self.run_group(specs, idxs),
-                        };
-                        for (i, result) in produced {
+                        for (i, result) in self.run_unit(specs, &units[u]) {
                             if matches!(result.status, JobStatus::Computed) {
                                 computed_events.fetch_add(result.events(), Ordering::Relaxed);
                             }
@@ -511,18 +439,50 @@ impl Engine {
             .collect()
     }
 
-    /// Executes one fused group — simulation jobs that replay the same
-    /// recorded trace — by decoding the stream once and feeding every
-    /// simulation per event. Cache tiers are probed per job first, so a
-    /// disk-cached simulation is never recomputed; failures (an unknown
-    /// workload surfaces when the trace recording job panicked) fail the
-    /// whole group, the same jobs that would fail one at a time.
-    fn run_group(&self, specs: &[JobSpec], idxs: &[usize]) -> Vec<(usize, JobResult)> {
+    /// Retrieves (recording on demand, through every cache tier) the
+    /// recorded branch stream of one (workload, input, scale) trio.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the recording job fails — inside a sweep the panic is
+    /// caught by the enclosing job's fault isolation.
+    pub fn trace(&self, tref: &TraceRef) -> Arc<RecordedTrace> {
+        recorded(&self.run_one(&tref.spec()))
+    }
+
+    /// Drops recorded traces from the in-memory memo; the disk cache (when
+    /// attached) still holds them. [`run_jobs`](Self::run_jobs) needs no
+    /// call (each of its units drops its own trace), but
+    /// [`run_one`](Self::run_one) keeps every trace it fetches for the next
+    /// call, so a long-lived host that drives it directly (the daemon
+    /// compute service) calls this when its queue drains to keep resident
+    /// memory bounded.
+    pub fn release_traces(&self) {
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .retain(|_, output| !matches!(output, JobOutput::Trace(_)));
+    }
+
+    /// Executes one trace's unit of a batch. It probes each job through the
+    /// memo and disk tiers. Only if a job is still pending does it fetch the
+    /// trace through [`run_one`](Self::run_one) (memo, disk, then record),
+    /// and it drops the trace from the memo at once; the unit's own
+    /// reference keeps it alive until the unit returns. A trace job is
+    /// answered by that fetch, which is also its probe; counts are read from
+    /// the trace header and simulations run through one
+    /// [`fan_out`](Self::fan_out). A failed fetch fails the unit's other
+    /// pending jobs, as a panic in `fan_out` does.
+    fn run_unit(&self, specs: &[JobSpec], idxs: &[usize]) -> Vec<(usize, JobResult)> {
         let start = Instant::now();
         let mut out = Vec::with_capacity(idxs.len());
-        let mut pending: Vec<usize> = Vec::new();
+        let mut pending = Vec::new();
         for &i in idxs {
-            match self.probe(&specs[i], start) {
+            // a trace job's probe is the fetch below
+            let hit = (specs[i].kind != JobKind::Trace)
+                .then(|| self.probe(&specs[i], start))
+                .flatten();
+            match hit {
                 Some(hit) => out.push((i, hit)),
                 None => pending.push(i),
             }
@@ -530,10 +490,38 @@ impl Engine {
         if pending.is_empty() {
             return out;
         }
-        match catch_unwind(AssertUnwindSafe(|| self.fan_out(specs, &pending))) {
+        let fetched = self.run_one(&TraceRef::of_spec(&specs[idxs[0]]).spec());
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .remove(&fetched.spec.content_hash());
+        let (traces, pending): (Vec<usize>, Vec<usize>) = pending
+            .into_iter()
+            .partition(|&i| specs[i].kind == JobKind::Trace);
+        out.extend(traces.into_iter().map(|i| (i, fetched.clone())));
+        if pending.is_empty() {
+            return out;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let trace = recorded(&fetched);
+            let sims: Vec<usize> = pending
+                .iter()
+                .copied()
+                .filter(|&i| specs[i].kind != JobKind::BranchCount)
+                .collect();
+            let mut simulated = self.fan_out(&trace, specs, &sims).into_iter();
+            pending
+                .iter()
+                .map(|&i| match specs[i].kind {
+                    JobKind::BranchCount => JobOutput::Count(trace.events()),
+                    _ => simulated.next().expect("one output per simulation"),
+                })
+                .collect::<Vec<_>>()
+        }));
+        match outcome {
             Ok(outputs) => {
-                // the decode pass is shared; attribute an equal share of the
-                // group's wall time to each job it served
+                // the fetch and the decode pass are shared; attribute an
+                // equal share of the unit's wall time to each job it served
                 let share = start.elapsed() / pending.len() as u32;
                 for (&i, output) in pending.iter().zip(outputs) {
                     out.push((i, self.settle(&specs[i], Ok(output), share)));
@@ -553,14 +541,18 @@ impl Engine {
     }
 
     /// The one simulation path of every accuracy and 2D job: the
-    /// `pending` specs (which all share one trace) are served by one
+    /// `pending` specs (which all replay `trace`) are served by one
     /// [`RecordedTrace`] decode pass per lane family. When at least two
     /// jobs are [`bpred::bitslice::eligible`], those jobs share the lane
     /// group in [`bitgroup`]; every other job is seated in the chunked scalar slot
     /// of its kind, one per kind, fed by a second decode pass. Outputs come
     /// back in `pending` order.
-    fn fan_out(&self, specs: &[JobSpec], pending: &[usize]) -> Vec<JobOutput> {
-        let trace = self.trace(&TraceRef::of_spec(&specs[pending[0]]));
+    fn fan_out(
+        &self,
+        trace: &RecordedTrace,
+        specs: &[JobSpec],
+        pending: &[usize],
+    ) -> Vec<JobOutput> {
         let jobs: Vec<SimJob> = pending.iter().map(|&i| SimJob::of(&specs[i])).collect();
         let (mut sliced, mut scalar): (Vec<usize>, Vec<usize>) =
             (0..jobs.len()).partition(|&p| bpred::bitslice::eligible(jobs[p].kind));
@@ -578,7 +570,7 @@ impl Engine {
             let lane_jobs: Vec<SimJob> = sliced.iter().map(|&p| jobs[p]).collect();
             for (&p, output) in sliced
                 .iter()
-                .zip(bitgroup::run_lane_group(&trace, &lane_jobs))
+                .zip(bitgroup::run_lane_group(trace, &lane_jobs))
             {
                 self.note_replay();
                 self.bump(|c| c.bitsliced += 1);
@@ -642,14 +634,6 @@ impl Engine {
         f(&mut self.counters.lock().expect("counter lock"));
     }
 
-    /// Whether the memo already holds the spec's result.
-    fn memoized(&self, spec: &JobSpec) -> bool {
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .contains_key(&spec.content_hash())
-    }
-
     /// Inserts a finished job's output into the in-memory memo. Outputs are
     /// `Arc`-backed, so this clones a reference count, not the payload.
     fn memoize(&self, spec: &JobSpec, output: &JobOutput) {
@@ -664,11 +648,12 @@ impl Engine {
     /// through [`fan_out`](Self::fan_out) as a group of one. Panics (caught
     /// by [`run_one`](Self::run_one)) on unknown workloads or inputs.
     fn execute(&self, spec: &JobSpec) -> JobOutput {
+        let tref = TraceRef::of_spec(spec);
         match spec.kind {
             JobKind::Trace => self.record(spec),
-            JobKind::BranchCount => JobOutput::Count(self.trace(&TraceRef::of_spec(spec)).events()),
+            JobKind::BranchCount => JobOutput::Count(self.trace(&tref).events()),
             JobKind::Accuracy(_) | JobKind::TwoD(_) => self
-                .fan_out(std::slice::from_ref(spec), &[0])
+                .fan_out(&self.trace(&tref), std::slice::from_ref(spec), &[0])
                 .pop()
                 .expect("one output per pending job"),
         }
@@ -711,6 +696,23 @@ fn resolve(spec: &JobSpec) -> (Box<dyn workloads::Workload>, workloads::InputSet
     (workload, input)
 }
 
+/// The recorded trace a trace job produced.
+///
+/// # Panics
+///
+/// Panics if the recording job failed.
+fn recorded(result: &JobResult) -> Arc<RecordedTrace> {
+    match &result.output {
+        Some(JobOutput::Trace(trace)) => Arc::clone(trace),
+        _ => panic!(
+            "trace recording failed for {}/{} @{}",
+            result.spec.workload,
+            result.spec.input,
+            scale_id(result.spec.scale)
+        ),
+    }
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -719,15 +721,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// One schedulable piece of work in [`Engine::run_jobs`]: either a single
-/// spec (runs through [`Engine::run_one`]) or a fused group of simulation
-/// specs sharing one recorded trace (runs through [`Engine::run_group`]).
-/// Indices refer to the batch's spec slice.
-enum Unit {
-    Single(usize),
-    Fused(Vec<usize>),
 }
 
 /// One accuracy or 2D job as a simulation path sees it: the predictor kind

@@ -61,8 +61,11 @@ pub struct FabricConfig {
     pub connect_attempts: u32,
     /// Backoff before the second connect attempt; doubles per retry.
     pub retry_backoff: Duration,
-    /// Configuration of the local fallback engine (used for jobs flagged
-    /// local and for everything left when all nodes are lost).
+    /// Configuration of the local fallback engine. A batch's leftovers
+    /// (jobs whose payload is too large for the wire, jobs that failed
+    /// verification too often, and everything left when all nodes are
+    /// lost) run on it as one [`Engine::run_jobs`] batch, on its own
+    /// worker count, fused per trace, with no trace kept afterwards.
     pub fallback: EngineConfig,
     /// Suppress node-loss log lines on stderr.
     pub quiet: bool,
@@ -117,29 +120,27 @@ impl RemoteBackend {
             }
         });
         let lost_all = lost.into_inner() == self.config.nodes.len();
-        let mut locals = 0usize;
-        let results: Vec<JobResult> = board
-            .into_results()
-            .into_iter()
-            .zip(specs)
-            .map(|(result, spec)| {
-                result.unwrap_or_else(|| {
-                    // leftover: all nodes lost, payload too large for the
-                    // wire, or verification attempts exhausted — compute on
-                    // the local fallback engine
-                    locals += 1;
-                    self.fallback.run_one(spec)
-                })
-            })
-            .collect();
-        if locals > 0 && !self.config.quiet {
+        let mut results = board.into_results();
+        // leftovers: all nodes lost, payload too large for the wire, or
+        // verification attempts exhausted — compute them on the local
+        // fallback engine as one batch
+        let locals: Vec<usize> = (0..specs.len()).filter(|&i| results[i].is_none()).collect();
+        let leftovers: Vec<JobSpec> = locals.iter().map(|&i| specs[i].clone()).collect();
+        for (&i, result) in locals.iter().zip(self.fallback.run_jobs(&leftovers)) {
+            results[i] = Some(result);
+        }
+        if !locals.is_empty() && !self.config.quiet {
             eprintln!(
-                "[fabric] {locals} of {} job(s) computed on the local fallback engine{}",
+                "[fabric] {} of {} job(s) computed on the local fallback engine{}",
+                locals.len(),
                 specs.len(),
                 if lost_all { " (all nodes lost)" } else { "" },
             );
         }
         results
+            .into_iter()
+            .map(|r| r.expect("every job has a result"))
+            .collect()
     }
 }
 
@@ -170,6 +171,7 @@ impl JobBackend for RemoteBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpred::PredictorKind;
     use twodprof_engine::JobStatus;
     use workloads::Scale;
 
@@ -192,6 +194,31 @@ mod tests {
             assert!(matches!(r.status, JobStatus::Computed));
             assert!(r.output.is_some());
         }
+    }
+
+    /// The leftovers run on the fallback engine as one batch: two
+    /// lane-group-eligible accuracy jobs on one trace share one recording
+    /// and one lane group, as they would in a local sweep.
+    #[test]
+    fn leftovers_run_on_the_fallback_as_one_batch() {
+        let backend = RemoteBackend::new(FabricConfig {
+            quiet: true,
+            ..FabricConfig::default()
+        });
+        let kinds = [PredictorKind::Gshare4Kb, PredictorKind::Bimodal1Kb];
+        assert!(kinds.iter().all(|&k| bpred::bitslice::eligible(k)));
+        let specs: Vec<JobSpec> = kinds
+            .iter()
+            .map(|&k| JobSpec::accuracy("gzip", "train", Scale::Tiny, k))
+            .collect();
+        let results = backend.run_jobs(&specs);
+        for (r, s) in results.iter().zip(&specs) {
+            assert_eq!(&r.spec, s, "results follow spec order");
+            assert_eq!(r.status, JobStatus::Computed);
+        }
+        let counters = backend.fallback.counters();
+        assert_eq!(counters.traces_recorded, 1);
+        assert_eq!(counters.bitsliced, 2);
     }
 
     /// Unreachable nodes must not hang or fail the batch: workers die on

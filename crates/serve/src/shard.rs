@@ -786,10 +786,12 @@ fn process_frames(shared: &Arc<Shared>, shard: &Arc<ShardState>, id: u64, conn: 
                     e.to_string(),
                 );
                 shared.log(format_args!("conn {id}: {e}"));
-                // a malformed frame is answered; a body cut short is not
-                let reply = (e.kind() == io::ErrorKind::InvalidData)
-                    .then(|| refusal(codes::BAD_FRAME, format!("bad frame: {e}")).0);
-                close_with(conn, reply);
+                // the decoder yields only whole frames, so any error is a
+                // malformed frame (a body cut short included): answer it
+                close_with(
+                    conn,
+                    Some(refusal(codes::BAD_FRAME, format!("bad frame: {e}")).0),
+                );
                 return;
             }
         };

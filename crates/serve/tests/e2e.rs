@@ -961,8 +961,9 @@ fn reply_of(frame: &ServerFrame) -> Reply {
 }
 
 /// Every `ClientFrame` kind (a watch `Subscribe` apart from a plain one),
-/// sent on each connection role of a compute daemon: the reply's kind or
-/// error code and whether the connection stays open are pinned per pair.
+/// and one whole frame that fails to decode, sent on each connection role
+/// of a compute daemon: the reply's kind or error code and whether the
+/// connection stays open are pinned per pair.
 /// The frame goes out in one write with a `Stats` behind it, which an
 /// open connection answers and a closing one never reads.
 #[test]
@@ -970,6 +971,7 @@ fn every_frame_on_every_role_gets_its_pinned_reply() {
     use After::{Closed, Open, Silent};
     use Reply::{Error, Frame, Nothing};
     const BAD: Reply = Error(codes::BAD_STATE);
+    const MALFORMED: Reply = Error(codes::BAD_FRAME);
     const PROGRAM: &str = "roles";
     let daemon = compute_daemon(Duration::from_secs(30));
     let slice = SliceConfig::new(64, 4);
@@ -991,46 +993,62 @@ fn every_frame_on_every_role_gets_its_pinned_reply() {
         .expect("send");
     seed.finish().expect("finish");
 
-    let frames: [(&str, ClientFrame); 12] = [
-        ("Hello", ClientFrame::Hello(hello.clone())),
-        ("Events", ClientFrame::Events(vec![(0, true), (3, false)])),
-        ("Flush", ClientFrame::Flush),
-        ("Finish", ClientFrame::Finish),
-        ("Stats", ClientFrame::Stats),
-        ("Resim", ClientFrame::Resim(PredictorKind::Bimodal1Kb)),
+    let encode = |frame: ClientFrame| {
+        let mut bytes = Vec::new();
+        frame.write_to(&mut bytes).expect("encode");
+        bytes
+    };
+    let frames: [(&str, Vec<u8>); 13] = [
+        ("Hello", encode(ClientFrame::Hello(hello.clone()))),
+        (
+            "Events",
+            encode(ClientFrame::Events(vec![(0, true), (3, false)])),
+        ),
+        ("Flush", encode(ClientFrame::Flush)),
+        ("Finish", encode(ClientFrame::Finish)),
+        ("Stats", encode(ClientFrame::Stats)),
+        (
+            "Resim",
+            encode(ClientFrame::Resim(PredictorKind::Bimodal1Kb)),
+        ),
         (
             "TraceCtx",
-            ClientFrame::TraceCtx {
+            encode(ClientFrame::TraceCtx {
                 trace: 0x5eed,
                 parent: 7,
-            },
+            }),
         ),
-        ("TraceExport", ClientFrame::TraceExport { trace: 0x5eed }),
+        (
+            "TraceExport",
+            encode(ClientFrame::TraceExport { trace: 0x5eed }),
+        ),
         (
             "Subscribe",
-            ClientFrame::Subscribe {
+            encode(ClientFrame::Subscribe {
                 program: PROGRAM.into(),
                 watch: false,
-            },
+            }),
         ),
         (
             "Subscribe watch",
-            ClientFrame::Subscribe {
+            encode(ClientFrame::Subscribe {
                 program: PROGRAM.into(),
                 watch: true,
-            },
+            }),
         ),
         (
             "SubmitJob",
-            ClientFrame::SubmitJob {
+            encode(ClientFrame::SubmitJob {
                 job_id: 9,
                 spec: job.clone(),
-            },
+            }),
         ),
-        ("Blackbox", ClientFrame::Blackbox),
+        ("Blackbox", encode(ClientFrame::Blackbox)),
+        // a whole frame whose 2-byte Hello body stops short of its fields
+        ("short Hello", vec![0x02, 0x01, 0x02]),
     ];
     // per frame: on a Fresh, Session, Watch and Compute connection
-    let table: [[(Reply, After); 4]; 12] = [
+    let table: [[(Reply, After); 4]; 13] = [
         [
             (Frame("HelloOk"), Open),
             (BAD, Closed),
@@ -1103,6 +1121,12 @@ fn every_frame_on_every_role_gets_its_pinned_reply() {
             (Nothing, Silent),
             (Frame("BlackboxReply"), Open),
         ],
+        [
+            (MALFORMED, Closed),
+            (MALFORMED, Closed),
+            (Nothing, Silent),
+            (MALFORMED, Closed),
+        ],
     ];
     // the frame that gives a connection each role, and the reply it gets
     let roles: [(&str, Option<ClientFrame>, Reply); 4] = [
@@ -1137,8 +1161,7 @@ fn every_frame_on_every_role_gets_its_pinned_reply() {
                 let got = ServerFrame::read_from(&mut conn).expect("role reply");
                 assert_eq!(reply_of(&got), *setup_reply, "{what}: role setup");
             }
-            let mut bytes = Vec::new();
-            frame.write_to(&mut bytes).expect("encode");
+            let mut bytes = frame.clone();
             ClientFrame::Stats.write_to(&mut bytes).expect("encode");
             std::io::Write::write_all(&mut conn, &bytes).expect("write frames");
 
