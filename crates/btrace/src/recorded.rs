@@ -40,6 +40,8 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"2DPR";
 const VERSION: u8 = 1;
+/// Magic, version, `num_sites`, `num_events` and checksum.
+const HEADER_LEN: u64 = 4 + 1 + 4 + 8 + 8;
 
 /// A recorded conditional-branch stream in columnar form.
 ///
@@ -183,28 +185,50 @@ impl RecordedTrace {
 
     /// Serializes the trace to the header described in the module docs.
     ///
+    /// The checksum is folded over the columns in place and the columns are
+    /// then written straight to `w`, so serializing copies nothing beyond a
+    /// small staging buffer for the direction words.
+    ///
     /// # Errors
     ///
     /// Propagates any I/O error from `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut body = Vec::with_capacity(self.site_deltas.len() + self.taken.len() * 8 + 10);
-        write_varint(&mut body, self.site_deltas.len() as u64)?;
-        body.extend_from_slice(&self.site_deltas);
-        for word in &self.taken {
-            body.extend_from_slice(&word.to_le_bytes());
-        }
-        w.write_all(MAGIC)?;
-        w.write_all(&[VERSION])?;
-        w.write_all(&self.num_sites.to_le_bytes())?;
-        w.write_all(&self.num_events.to_le_bytes())?;
+        let mut delta_len = Vec::with_capacity(10);
+        write_varint(&mut delta_len, self.site_deltas.len() as u64)?;
         // the checksum covers the length fields too, so a header bit flip
         // can never pass as a (differently shaped) valid trace
         let mut h = Fnv1a::default();
         h.update(&self.num_sites.to_le_bytes());
         h.update(&self.num_events.to_le_bytes());
-        h.update(&body);
+        h.update(&delta_len);
+        h.update(&self.site_deltas);
+        for word in &self.taken {
+            h.update(&word.to_le_bytes());
+        }
+        w.write_all(MAGIC)?;
+        w.write_all(&[VERSION])?;
+        w.write_all(&self.num_sites.to_le_bytes())?;
+        w.write_all(&self.num_events.to_le_bytes())?;
         w.write_all(&h.finish().to_le_bytes())?;
-        w.write_all(&body)
+        w.write_all(&delta_len)?;
+        w.write_all(&self.site_deltas)?;
+        let mut staged = [0u8; 8 * 512];
+        for words in self.taken.chunks(512) {
+            for (bytes, word) in staged.chunks_exact_mut(8).zip(words) {
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            w.write_all(&staged[..words.len() * 8])?;
+        }
+        Ok(())
+    }
+
+    /// The exact length of [`write_to`](Self::write_to)'s output, computed
+    /// from the column lengths without serializing anything.
+    pub fn encoded_len(&self) -> u64 {
+        let delta_len = self.site_deltas.len() as u64;
+        // one LEB128 byte per started 7 bits of the delta column's length
+        let varint_len = (64 - delta_len.leading_zeros()).max(1).div_ceil(7) as u64;
+        HEADER_LEN + varint_len + delta_len + self.taken.len() as u64 * 8
     }
 
     /// Serializes the trace to a byte vector.
@@ -463,6 +487,18 @@ mod tests {
         let back = RecordedTrace::from_bytes(&empty.to_bytes()).unwrap();
         assert_eq!(back, empty);
         assert!(back.is_empty());
+    }
+
+    #[test]
+    fn encoded_len_is_the_serialized_length() {
+        let mut long = RecordedTrace::new(300);
+        for i in 0..20_000u32 {
+            // far-apart sites give multi-byte deltas and a 3-byte length
+            long.push(SiteId(i * 131 % 300), i % 7 < 3);
+        }
+        for t in [sample(), RecordedTrace::new(3), long] {
+            assert_eq!(t.encoded_len(), t.to_bytes().len() as u64);
+        }
     }
 
     #[test]

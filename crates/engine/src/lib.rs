@@ -205,6 +205,14 @@ impl Engine {
         self.cache.is_some()
     }
 
+    /// The payload length of `spec`'s trace entry in the disk cache, read
+    /// from the entry's file length without loading the trace. `None`
+    /// without a cache, for a spec that is not a trace, or when the trace
+    /// is not on disk.
+    pub fn stored_trace_len(&self, spec: &JobSpec) -> Option<u64> {
+        self.cache.as_ref()?.trace_payload_len(spec)
+    }
+
     /// Cumulative status counters over the engine's lifetime.
     pub fn counters(&self) -> EngineCounters {
         *self.counters.lock().expect("counter lock")
@@ -221,7 +229,9 @@ impl Engine {
             return hit;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(spec)));
-        self.settle(spec, outcome, start.elapsed())
+        let result = self.settle(spec, outcome, start.elapsed());
+        self.persist(std::slice::from_ref(&result));
+        result
     }
 
     /// The lookup tiers of [`run_one`](Self::run_one): the in-memory memo,
@@ -295,10 +305,11 @@ impl Engine {
         None
     }
 
-    /// Records the outcome of a computed job — caching, memoizing, and
-    /// counting on success; isolating the panic as [`JobStatus::Failed`]
-    /// otherwise. The shared tail of [`run_one`](Self::run_one) and
-    /// [`run_unit`](Self::run_unit).
+    /// Records the outcome of a computed job — memoizing and counting on
+    /// success; isolating the panic as [`JobStatus::Failed`] otherwise. The
+    /// shared tail of [`run_one`](Self::run_one) and
+    /// [`run_unit`](Self::run_unit), which then [`persist`](Self::persist)
+    /// what they computed.
     fn settle(
         &self,
         spec: &JobSpec,
@@ -307,15 +318,6 @@ impl Engine {
     ) -> JobResult {
         match outcome {
             Ok(output) => {
-                if let Some(cache) = &self.cache {
-                    let _sp = twodprof_obs::span!("engine.cache_write");
-                    if let Err(e) = cache.store(spec, &output) {
-                        eprintln!(
-                            "[engine] warning: failed to cache {} ({e})",
-                            spec.describe()
-                        );
-                    }
-                }
                 self.memoize(spec, &output);
                 self.bump(|c| {
                     c.computed += 1;
@@ -356,6 +358,33 @@ impl Engine {
         }
     }
 
+    /// Writes the computed results among `results`, all of one trace, to the
+    /// disk cache in one store: a trace to its own entry, everything else in
+    /// one merge into the trace's results file. A failed store only warns.
+    fn persist(&self, results: &[JobResult]) {
+        let Some(cache) = &self.cache else {
+            return;
+        };
+        let computed: Vec<(&JobSpec, &JobOutput)> = results
+            .iter()
+            .filter(|r| r.status == JobStatus::Computed)
+            .filter_map(|r| Some((&r.spec, r.output.as_ref()?)))
+            .collect();
+        let Some(&(first, _)) = computed.first() else {
+            return;
+        };
+        let _sp = twodprof_obs::span!("engine.cache_write");
+        if let Err(e) = cache.store_all(&computed) {
+            eprintln!(
+                "[engine] warning: failed to cache {} result(s) of {}/{} @{} ({e})",
+                computed.len(),
+                first.workload,
+                first.input,
+                scale_id(first.scale)
+            );
+        }
+    }
+
     /// Runs a batch of jobs on the worker pool and returns results in spec
     /// order. Failures are isolated per job; the returned vector always has
     /// one entry per spec.
@@ -365,9 +394,11 @@ impl Engine {
     /// Every job of a trace rides its unit: the trace job itself, the
     /// branch count, and every accuracy and 2D simulation, which share one
     /// replay of the trace. A unit fetches its trace only when one of its
-    /// jobs missed both the memo and the disk, and drops the trace from the
-    /// memo when it is done (the disk cache keeps it), so a batch holds at
-    /// most one trace per worker and a fully cached batch loads none.
+    /// jobs missed both the memo and the disk, stores everything it
+    /// computed in one write to the trace's results file, and drops the
+    /// trace from the memo when it is done (the disk cache keeps it), so a
+    /// batch holds at most one trace per worker and a fully cached batch
+    /// loads none.
     pub fn run_jobs(&self, specs: &[JobSpec]) -> Vec<JobResult> {
         let mut unit_of: HashMap<u64, usize> = HashMap::new();
         let mut units: Vec<Vec<usize>> = Vec::new();
@@ -471,8 +502,9 @@ impl Engine {
     /// reference keeps it alive until the unit returns. A trace job is
     /// answered by that fetch, which is also its probe; counts are read from
     /// the trace header and simulations run through one
-    /// [`fan_out`](Self::fan_out). A failed fetch fails the unit's other
-    /// pending jobs, as a panic in `fan_out` does.
+    /// [`fan_out`](Self::fan_out), and their outputs are persisted in one
+    /// store. A failed fetch fails the unit's other pending jobs, as a
+    /// panic in `fan_out` does.
     fn run_unit(&self, specs: &[JobSpec], idxs: &[usize]) -> Vec<(usize, JobResult)> {
         let start = Instant::now();
         let mut out = Vec::with_capacity(idxs.len());
@@ -523,9 +555,13 @@ impl Engine {
                 // the fetch and the decode pass are shared; attribute an
                 // equal share of the unit's wall time to each job it served
                 let share = start.elapsed() / pending.len() as u32;
-                for (&i, output) in pending.iter().zip(outputs) {
-                    out.push((i, self.settle(&specs[i], Ok(output), share)));
-                }
+                let settled: Vec<JobResult> = pending
+                    .iter()
+                    .zip(outputs)
+                    .map(|(&i, output)| self.settle(&specs[i], Ok(output), share))
+                    .collect();
+                self.persist(&settled);
+                out.extend(pending.iter().copied().zip(settled));
             }
             Err(payload) => {
                 let elapsed = start.elapsed();

@@ -16,7 +16,7 @@ use workloads::Scale;
 /// Version of the cache key scheme *and* payload format. Bump whenever
 /// simulation semantics, spec encoding, or serialized payloads change; old
 /// cache entries then simply stop being found.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// Ceiling on workload/input/predictor name lengths in the spec wire
 /// encoding. Checked *before* allocating the string buffer, so a hostile
@@ -140,7 +140,10 @@ impl JobSpec {
         h.finish()
     }
 
-    /// Cache file name: human-readable slug plus the content hash.
+    /// File name of the spec's own cache entry: human-readable slug plus
+    /// the content hash. The disk cache names trace entries with it; every
+    /// other output lives in its trace's results file
+    /// ([`DiskCache::entry_path`](crate::DiskCache::entry_path)).
     pub fn cache_file_name(&self) -> String {
         format!(
             "{}-{}-{}-{}-{:016x}.bin",
@@ -241,8 +244,10 @@ mod tests {
     fn hash_is_stable_and_field_sensitive() {
         let a = JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
         assert_eq!(a.content_hash(), a.clone().content_hash());
-        // pinned: a moved key would orphan every cache entry on disk
-        assert_eq!(a.content_hash(), 0x8400_16a9_1851_ff7c);
+        // pinned for schema 3: a key that moves without a schema bump
+        // would orphan every cache entry on disk
+        assert_eq!(CACHE_SCHEMA_VERSION, 3);
+        assert_eq!(a.content_hash(), 0x58ae_a449_1e47_3d41);
         let variants = [
             JobSpec::accuracy("gzi", "ptrain", Scale::Tiny, PredictorKind::Gshare4Kb),
             JobSpec::accuracy("gzip", "train", Scale::Small, PredictorKind::Gshare4Kb),

@@ -235,7 +235,8 @@ fn fresh_client_is_served_from_the_shared_cache_tier() {
 /// A cached payload too large for the wire must come back `TooLarge`, as
 /// a freshly computed one does: the client computes that job locally and
 /// the node stays up for the rest of the batch. A long recorded trace is
-/// such a payload.
+/// such a payload, and the node refuses it by its size alone: it never
+/// encodes the trace for the wire, and never decodes its disk entry.
 #[test]
 fn oversized_cached_payload_is_a_miss_not_a_lost_node() {
     let _guard = fabric_lock();
@@ -246,14 +247,29 @@ fn oversized_cached_payload_is_a_miss_not_a_lost_node() {
         JobSpec::count("gzip", "train", Scale::Tiny),
     ];
     let local = Engine::new(EngineConfig::default()).run_jobs(&specs);
+    let encoded_before = counter("fabric_result_payload_bytes_total");
     let backend = remote_backend(vec![node.addr.to_string()], 1);
     // the first batch leaves the trace in the node's cache tier
     assert_bit_identical(&backend.run_jobs(&specs), &local);
     // the second finds it there; the count after it must still be a
-    // remote cache hit rather than a local fallback after a lost node
+    // remote cache hit rather than a local fallback after a lost node.
+    // The count is a memo hit on the node and the fallback engine has no
+    // disk cache, so any disk hit in this batch would be the trace.
+    let disk_hits_before = counter("engine_cache_hits_total");
     let second = backend.run_jobs(&specs);
     assert_bit_identical(&second, &local);
     assert_eq!(second[1].status, JobStatus::Cached, "the node must survive");
+    assert_eq!(
+        counter("engine_cache_hits_total"),
+        disk_hits_before,
+        "the node decoded the oversized trace entry"
+    );
+    // both batches together encoded only the count's few bytes
+    let encoded = counter("fabric_result_payload_bytes_total") - encoded_before;
+    assert!(
+        encoded < 64,
+        "the node encoded {encoded} payload bytes; the oversized trace must not be encoded"
+    );
 }
 
 /// Killing one of two nodes mid-sweep must not lose or corrupt anything:

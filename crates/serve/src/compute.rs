@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use twodprof_engine::{payload_checksum, Engine, EngineConfig, JobSpec, JobStatus};
+use twodprof_engine::{payload_checksum, Engine, EngineConfig, JobOutput, JobSpec, JobStatus};
 
 /// Compute-service knobs, carried inside `ServerConfig`.
 #[derive(Clone, Debug, Default)]
@@ -181,6 +181,13 @@ impl ComputePool {
 
     fn execute(&self, spec: &JobSpec) -> JobOutcome {
         let _span = twodprof_obs::span!("fabric.compute");
+        // a trace too large for the wire is refused by its size alone: the
+        // disk entry's file length, or the encoded length of a memo hit or
+        // fresh recording, so it is never decoded or encoded for nothing
+        let oversized = |len: u64| len > MAX_RESULT_PAYLOAD as u64;
+        if self.engine.stored_trace_len(spec).is_some_and(oversized) {
+            return JobOutcome::TooLarge;
+        }
         let result = self.engine.run_one(spec);
         if let JobStatus::Failed(msg) = &result.status {
             return JobOutcome::Failed(msg.clone());
@@ -188,7 +195,15 @@ impl ComputePool {
         let Some(output) = result.output else {
             return JobOutcome::Failed("job produced no output".into());
         };
+        if matches!(&output, JobOutput::Trace(t) if oversized(t.encoded_len())) {
+            return JobOutcome::TooLarge;
+        }
         let bytes = output.to_payload();
+        twodprof_obs::counter!(
+            "fabric_result_payload_bytes_total",
+            "Result payload bytes this node's compute pool encoded, including any too large to send."
+        )
+        .add(bytes.len() as u64);
         if bytes.len() > MAX_RESULT_PAYLOAD {
             return JobOutcome::TooLarge;
         }

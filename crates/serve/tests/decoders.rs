@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use twodprof_core::{Classification, ProfileReport, SliceConfig, Thresholds, TwoDProfiler};
 use twodprof_engine::{CacheLookup, DiskCache, JobKind, JobOutput, JobSpec};
@@ -181,6 +182,54 @@ fn snapshot() -> Vec<u8> {
     registry.snapshot().to_bytes()
 }
 
+/// A cache directory removed when dropped.
+struct TempCache {
+    cache: DiskCache,
+    dir: PathBuf,
+}
+
+impl TempCache {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "twodprof_decoders_{tag}_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let cache = DiskCache::open(&dir).expect("cache dir");
+        Self { cache, dir }
+    }
+}
+
+impl Drop for TempCache {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// The results file holding `spec()`'s report, decoded through
+/// [`DiskCache::lookup`]: the decoder writes its input over the file, and
+/// anything but a hit is an error.
+fn results_file() -> (Decoder, Vec<u8>) {
+    let temp = TempCache::new("results");
+    temp.cache
+        .store(&spec(), &JobOutput::Report(Arc::new(report())))
+        .expect("store");
+    let path = temp.cache.entry_path(&spec());
+    let valid = std::fs::read(&path).expect("results file");
+    let decode = decoder(move |bytes: &[u8]| {
+        std::fs::write(&path, bytes)?;
+        match temp.cache.lookup(&spec()) {
+            CacheLookup::Hit(_) => Ok(()),
+            other => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{other:?}"),
+            )),
+        }
+    });
+    (decode, valid)
+}
+
 /// Every decoder with one valid encoding of its format.
 fn formats() -> Vec<(&'static str, Decoder, Vec<u8>)> {
     let payload = |output: JobOutput| output.to_payload();
@@ -190,12 +239,14 @@ fn formats() -> Vec<(&'static str, Decoder, Vec<u8>)> {
     accuracy().write_to(&mut accuracy_bytes).expect("vec write");
     let acc_kind = JobKind::Accuracy(PredictorKind::Gshare4Kb);
     let twod_kind = JobKind::TwoD(PredictorKind::Gshare4Kb);
+    let (results_decoder, results_bytes) = results_file();
     vec![
         (
             "2DPR trace",
             decoder(RecordedTrace::from_bytes),
             trace().to_bytes(),
         ),
+        ("results file", results_decoder, results_bytes),
         (
             "profile report",
             decoder(ProfileReport::from_bytes),
@@ -298,44 +349,54 @@ fn random_bytes_never_panic() {
 
 #[test]
 fn random_cache_entries_are_corrupt() {
-    let dir = std::env::temp_dir().join(format!("twodprof_decoders_{}", std::process::id()));
-    let cache = DiskCache::open(&dir).expect("cache dir");
-    let spec = spec();
+    let temp = TempCache::new("random");
+    let cache = &temp.cache;
+    let report_spec = spec();
+    let trace_spec = JobSpec::trace("gzip", "train", Scale::Tiny);
     cache
-        .store(&spec, &JobOutput::Report(Arc::new(report())))
+        .store(&report_spec, &JobOutput::Report(Arc::new(report())))
         .expect("store");
-    let path = cache.entry_path(&spec);
-    let valid = std::fs::read(&path).expect("entry");
-    for len in 0..valid.len() {
-        std::fs::write(&path, &valid[..len]).expect("write");
-        assert!(
-            matches!(cache.lookup(&spec), CacheLookup::Corrupt),
-            "prefix {len}"
-        );
+    cache
+        .store(&trace_spec, &JobOutput::Trace(Arc::new(trace())))
+        .expect("store");
+    // the results file holding the report, then the trace entry
+    for spec in [report_spec, trace_spec] {
+        let path = cache.entry_path(&spec);
+        let valid = std::fs::read(&path).expect("entry");
+        for len in 0..valid.len() {
+            std::fs::write(&path, &valid[..len]).expect("write");
+            assert!(
+                matches!(cache.lookup(&spec), CacheLookup::Corrupt),
+                "{}: prefix {len}",
+                spec.describe()
+            );
+        }
+        for seed in 0..50u64 {
+            std::fs::write(&path, random_bytes(seed, seed as usize * 3)).expect("write");
+            assert!(
+                matches!(cache.lookup(&spec), CacheLookup::Corrupt),
+                "{}: seed {seed}",
+                spec.describe()
+            );
+        }
     }
-    for seed in 0..50u64 {
-        std::fs::write(&path, random_bytes(seed, seed as usize * 3)).expect("write");
-        assert!(
-            matches!(cache.lookup(&spec), CacheLookup::Corrupt),
-            "seed {seed}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cache directory holding `spec`'s entry with `payload` behind a valid
-/// header and checksum.
-fn hostile_cache_entry(spec: &JobSpec, payload: &[u8]) -> (DiskCache, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("twodprof_hostile_{}", std::process::id()));
-    let cache = DiskCache::open(&dir).expect("cache dir");
-    cache.store(spec, &JobOutput::Count(0)).expect("store");
-    let path = cache.entry_path(spec);
-    let mut entry = std::fs::read(&path).expect("entry");
-    entry.truncate(4 + 1 + 8 + 1); // magic, version, spec hash, kind
-    entry[13] = 1; // an accuracy payload
-    entry.extend_from_slice(&with_checksum(payload.to_vec()));
-    std::fs::write(&path, entry).expect("write");
-    (cache, dir)
+/// A cache directory holding the results file of `spec`'s trace: a valid
+/// header, then `body` (the record count and records), then a valid
+/// checksum.
+fn hostile_results_file(spec: &JobSpec, body: &[u8]) -> TempCache {
+    let temp = TempCache::new("hostile");
+    let count = JobSpec::count(&spec.workload, &spec.input, spec.scale);
+    temp.cache
+        .store(&count, &JobOutput::Count(0))
+        .expect("store");
+    let path = temp.cache.entry_path(spec);
+    let mut file = std::fs::read(&path).expect("results file");
+    file.truncate(4 + 1 + 8 + 1); // magic, version, trace hash, kind
+    file.extend_from_slice(body);
+    std::fs::write(&path, with_checksum(file)).expect("write");
+    temp
 }
 
 #[test]
@@ -491,15 +552,33 @@ fn hostile_headers_allocate_within_the_bound() {
             bytes.len()
         );
     }
-    // a cache entry wrapping the hostile accuracy payload is corrupt,
-    // read within the same bound
+    // results files wrapping the hostile accuracy payload, declaring 2^62
+    // records, declaring a 2^40-byte record, or declaring a record one byte
+    // longer than the file are corrupt, each read within the same bound
     let spec = JobSpec::accuracy("gzip", "train", Scale::Tiny, PredictorKind::Gshare4Kb);
-    let (cache, dir) = hostile_cache_entry(&spec, &hostile_accuracy);
-    let (lookup, allocated) = allocated_by(|| cache.lookup(&spec));
-    assert!(matches!(lookup, CacheLookup::Corrupt), "{lookup:?}");
-    assert!(
-        allocated <= ALLOCATION_BOUND,
-        "cache entry: lookup allocated {allocated} (bound {ALLOCATION_BOUND})"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    let record = |len: u64| {
+        let mut r = varints(&[1]);
+        r.extend_from_slice(&spec.content_hash().to_le_bytes());
+        r.push(1); // an accuracy record
+        [r, varints(&[len])].concat()
+    };
+    let files = [
+        (
+            "results accuracy payload",
+            [record(hostile_accuracy.len() as u64), hostile_accuracy].concat(),
+        ),
+        ("results record count", varints(&[1 << 62])),
+        ("results record length", record(1 << 40)),
+        // one byte more than the file holds, under a valid checksum
+        ("results record past the end", record(1)),
+    ];
+    for (name, body) in files {
+        let temp = hostile_results_file(&spec, &body);
+        let (lookup, allocated) = allocated_by(|| temp.cache.lookup(&spec));
+        assert!(matches!(lookup, CacheLookup::Corrupt), "{name}: {lookup:?}");
+        assert!(
+            allocated <= ALLOCATION_BOUND,
+            "{name}: lookup allocated {allocated} (bound {ALLOCATION_BOUND})"
+        );
+    }
 }
