@@ -179,3 +179,114 @@ fn saturated_weights_match_the_reference() {
         assert_agrees(n, h, &events[..50_000]);
     }
 }
+
+/// A stream that walks every live weight of row 0 to a rail and back: for
+/// each lane in turn it trains the lane toward −128, then toward +127,
+/// then toward −128 again, each until the reference's weight sits on the
+/// rail. A row-0 event takes the outcome that moves the lane the wanted
+/// way; it is interleaved at random with events on other rows whose random
+/// outcomes keep every other history input uncorrelated with it. Returns
+/// the stream and, per lane, whether each of the three targets was met
+/// within `cap` events.
+fn rail_walk(num_entries: usize, history_bits: u32, cap: usize) -> (Vec<(u64, bool)>, Vec<bool>) {
+    let mut reference = Reference::new(num_entries, history_bits as usize);
+    let mut state = 0x853c_49e6_748f_ea9bu64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let mut events = Vec::new();
+    let mut met = Vec::new();
+    for lane in 0..=history_bits as usize {
+        let mut all = true;
+        for rail in [-128, 127, -128] {
+            let toward = if rail < 0 { -1 } else { 1 };
+            let mut n = 0;
+            while reference.rows[0][lane] != rail && n < cap {
+                let roll = next();
+                let event = if roll.is_multiple_of(4) {
+                    // the input of `lane`, ±1; the outcome t with t·x = toward
+                    let x = if lane == 0 {
+                        1
+                    } else {
+                        reference.input(lane - 1)
+                    };
+                    (0, x * toward > 0)
+                } else {
+                    let word = 1 + (roll >> 2) % (num_entries as u64 - 1);
+                    (word << 2, (roll >> 20) & 1 == 1)
+                };
+                reference.predict_and_train(event.0, event.1);
+                events.push(event);
+                n += 1;
+            }
+            all &= reference.rows[0][lane] == rail;
+        }
+        met.push(all);
+    }
+    (events, met)
+}
+
+/// With 63 history bits all 64 lanes are live and θ = 135 exceeds the
+/// range of one weight, so every lane of the row reaches −128, then +127,
+/// then −128 again.
+#[test]
+fn every_lane_walks_both_rails() {
+    let (events, met) = rail_walk(8, 63, 20_000);
+    let missed: Vec<usize> = (0..met.len()).filter(|&lane| !met[lane]).collect();
+    assert!(missed.is_empty(), "lanes {missed:?} missed a rail");
+    assert_agrees(8, 63, &events);
+}
+
+/// The paper's configuration under its own rail walk. There θ = 83 < 128,
+/// so a weight reaches a rail only while the rest of its row opposes it by
+/// at least 44; most lanes get there, and the rest are walked as far as
+/// the rule lets them.
+#[test]
+fn paper_configuration_walks_the_rails() {
+    let (events, met) = rail_walk(457, 36, 20_000);
+    let walked = met.iter().filter(|&&m| m).count();
+    assert!(walked >= 20, "only {walked} of 37 lanes reached both rails");
+    assert_agrees(457, 36, &events);
+}
+
+/// Word addresses past `u32::MAX` take the division fallback of the row
+/// index; words at and around that boundary take either path. Each word
+/// leans toward its own direction, so a wrong row shows as a divergence.
+#[test]
+fn word_addresses_past_u32_match_the_reference() {
+    let max = u64::from(u32::MAX);
+    let words = [
+        0,
+        7,
+        456,
+        457,
+        max - 1,
+        max,
+        max + 1,
+        max + 457,
+        1 << 40,
+        (1 << 40) + 3,
+        (u64::MAX >> 2) - 5,
+        u64::MAX >> 2,
+    ];
+    let mut state = 0x6a09_e667_f3bc_c909u64;
+    let events: Vec<(u64, bool)> = (0..20_000)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let roll = state >> 33;
+            let w = (roll % words.len() as u64) as usize;
+            (
+                words[w] << 2,
+                (roll >> 8).is_multiple_of(8) ^ w.is_multiple_of(2),
+            )
+        })
+        .collect();
+    for (n, h) in CONFIGS {
+        assert_agrees(n, h, &events);
+    }
+}

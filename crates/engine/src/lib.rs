@@ -749,7 +749,8 @@ fn recorded(result: &JobResult) -> Arc<RecordedTrace> {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message a panic carried, for a `Failed` status or reply.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {

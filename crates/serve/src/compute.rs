@@ -26,10 +26,13 @@
 use crate::shard::ShardState;
 use crate::wire::{JobOutcome, JobPayload, ServerFrame, MAX_RESULT_PAYLOAD};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use twodprof_engine::{payload_checksum, Engine, EngineConfig, JobOutput, JobSpec, JobStatus};
+use twodprof_engine::{
+    panic_message, payload_checksum, Engine, EngineConfig, JobOutput, JobSpec, JobStatus,
+};
 
 /// Compute-service knobs, carried inside `ServerConfig`.
 #[derive(Clone, Debug, Default)]
@@ -60,6 +63,9 @@ struct Queue {
     shutdown: bool,
 }
 
+/// Runs one job to its outcome: [`ComputePool::execute`], except in tests.
+type Step = fn(&ComputePool, &JobSpec) -> JobOutcome;
+
 /// The worker pool plus the engine it executes against.
 pub(crate) struct ComputePool {
     engine: Arc<Engine>,
@@ -71,6 +77,10 @@ pub(crate) struct ComputePool {
 impl ComputePool {
     /// Builds the engine and spawns the worker threads.
     pub(crate) fn start(config: &ComputeConfig) -> Arc<Self> {
+        Self::start_with(config, Self::execute)
+    }
+
+    fn start_with(config: &ComputeConfig, step: Step) -> Arc<Self> {
         let threads = if config.threads == 0 {
             thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -95,7 +105,7 @@ impl ComputePool {
             workers.push(
                 thread::Builder::new()
                     .name(format!("twodprofd-compute-{i}"))
-                    .spawn(move || pool2.worker_loop())
+                    .spawn(move || pool2.worker_loop(step))
                     .expect("spawn compute worker"),
             );
         }
@@ -138,7 +148,7 @@ impl ComputePool {
         }
     }
 
-    fn worker_loop(&self) {
+    fn worker_loop(&self, step: Step) {
         loop {
             let task = {
                 let mut q = self.queue.lock().expect("compute queue");
@@ -153,7 +163,16 @@ impl ComputePool {
                     q = self.cond.wait(q).expect("compute queue");
                 }
             };
-            let outcome = self.execute(&task.spec);
+            // the engine isolates only the computation: a panic in the disk
+            // probe, the cache store or the payload encoding fails this
+            // job, and the worker lives on to reply and serve the next
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| step(self, &task.spec)))
+                .unwrap_or_else(|payload| {
+                    JobOutcome::Failed(format!(
+                        "compute worker panicked: {}",
+                        panic_message(payload.as_ref())
+                    ))
+                });
             let mut reply = Vec::new();
             ServerFrame::JobResult {
                 job_id: task.job_id,
@@ -221,5 +240,61 @@ impl ComputePool {
             checksum: payload_checksum(&bytes),
             bytes,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workloads::Scale;
+
+    /// A job on workload `panics` panics in the worker; every other job
+    /// answers `TooLarge` at once.
+    fn step(_: &ComputePool, spec: &JobSpec) -> JobOutcome {
+        assert_ne!(spec.workload, "panics", "injected fault");
+        JobOutcome::TooLarge
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_its_worker_serves_the_next() {
+        let pool = ComputePool::start_with(
+            &ComputeConfig {
+                threads: 1,
+                cache_dir: None,
+            },
+            step,
+        );
+        let shard = Arc::new(ShardState::new(0).expect("shard waker"));
+        pool.submit(
+            1,
+            JobSpec::count("panics", "train", Scale::Tiny),
+            shard.clone(),
+            7,
+        );
+        pool.submit(
+            2,
+            JobSpec::count("gzip", "train", Scale::Tiny),
+            shard.clone(),
+            7,
+        );
+        // finishes the queue on the one worker, then joins it: a worker
+        // that died on the first job would fail this join
+        pool.shutdown();
+        let replies: Vec<ServerFrame> = shard
+            .take_replies()
+            .into_iter()
+            .map(|(conn, bytes)| {
+                assert_eq!(conn, 7);
+                ServerFrame::read_from(&mut &bytes[..]).expect("a reply frame")
+            })
+            .collect();
+        assert!(
+            matches!(&replies[..], [
+                ServerFrame::JobResult { job_id: 1, outcome: JobOutcome::Failed(msg) },
+                ServerFrame::JobResult { job_id: 2, outcome: JobOutcome::TooLarge },
+            ] if msg.contains("injected fault")),
+            "{replies:?}"
+        );
+        assert_eq!(pool.queue.lock().expect("compute queue").active, 0);
     }
 }

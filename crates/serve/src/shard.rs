@@ -187,6 +187,19 @@ impl ShardState {
         self.push(Inbox::Reply(conn, bytes));
     }
 
+    /// Takes the queued replies, in push order, as `(connection, frames)`.
+    #[cfg(test)]
+    pub(crate) fn take_replies(&self) -> Vec<(u64, Vec<u8>)> {
+        let inbox = std::mem::take(&mut *self.inbox.lock().expect("shard inbox"));
+        inbox
+            .into_iter()
+            .filter_map(|entry| match entry {
+                Inbox::Reply(conn, bytes) => Some((conn, bytes)),
+                Inbox::Socket(..) => None,
+            })
+            .collect()
+    }
+
     /// Appends to the inbox, waking the shard on the empty → non-empty
     /// edge: a non-empty inbox already has a wake in flight, because the
     /// loop drains its waker before it takes the inbox.
