@@ -330,6 +330,12 @@ mod tests {
     }
 
     #[test]
+    fn every_fused_column_matches_on_a_wide_site_table() {
+        // 300 sites: far jumps are two-byte deltas
+        assert_fused_matches_scalar(300, 30_000);
+    }
+
+    #[test]
     fn eligibility_partitions_the_survey() {
         let eligible_count = PredictorKind::SURVEY
             .iter()

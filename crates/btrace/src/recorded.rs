@@ -175,7 +175,7 @@ impl RecordedTrace {
                     }
                     _ => decode_varint(&mut deltas).expect("validated delta column"),
                 };
-                site += ((z >> 1) as i64) ^ -((z & 1) as i64);
+                site += unzigzag(z);
                 tracer.branch(SiteId(site as u32), bits & 1 == 1);
                 bits >>= 1;
             }
@@ -295,7 +295,7 @@ impl RecordedTrace {
         for _ in 0..num_events {
             let z = decode_varint(&mut cursor)
                 .ok_or_else(|| invalid("delta column holds fewer varints than events"))?;
-            site += ((z >> 1) as i64) ^ -((z & 1) as i64);
+            site += unzigzag(z);
             if site < 0 || site >= num_sites as i64 {
                 return Err(invalid("event site outside the declared table"));
             }
@@ -337,22 +337,46 @@ impl RecordedTrace {
     /// Consecutive events at the same site are grouped into one [`SiteRun`]
     /// carrying the site, the run length, and the packed directions, so a
     /// consumer can hash the site once per run instead of once per event.
-    /// Streaks longer than 64 events are emitted as multiple runs;
-    /// concatenating all runs in order reproduces the stream exactly.
+    /// Runs are word-aligned: a run never straddles a 64-event direction
+    /// word, so a streak is cut at every multiple of 64 events (and a
+    /// longer streak comes out as several runs). Concatenating all runs in
+    /// order reproduces the stream exactly.
     pub fn site_runs(&self) -> SiteRuns<'_> {
+        self.runs_cut_at(u64::MAX)
+    }
+
+    /// [`site_runs`](Self::site_runs) with one more cut: a run also ends
+    /// at every multiple of `period` events, so a consumer that closes a
+    /// window every `period` events (the 2D profiler's slices) gets runs
+    /// that each lie wholly inside one window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn site_runs_cut(&self, period: u64) -> SiteRuns<'_> {
+        assert!(period > 0, "cut period must be positive");
+        self.runs_cut_at(period)
+    }
+
+    fn runs_cut_at(&self, period: u64) -> SiteRuns<'_> {
         SiteRuns {
             deltas: self.site_deltas.as_slice(),
             taken: &self.taken,
+            left: self.num_events,
+            base: 0,
+            period,
+            next_cut: period,
             site: 0,
-            event: 0,
-            num_events: self.num_events,
+            word: Word::EMPTY,
         }
     }
 }
 
-/// A streak of consecutive events at one site, at most 64 events long.
+/// A streak of consecutive events at one site, at most 64 events long and
+/// never straddling a 64-event direction word.
 ///
-/// Produced by [`RecordedTrace::site_runs`].
+/// Produced by [`RecordedTrace::site_runs`] and
+/// [`RecordedTrace::site_runs_cut`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SiteRun {
     /// The static branch all events in the run execute.
@@ -365,57 +389,219 @@ pub struct SiteRun {
 }
 
 /// Iterator over a trace's same-site runs; see [`RecordedTrace::site_runs`].
+///
+/// The decoder works one 64-event direction word at a time. A word whose
+/// events all have one-byte deltas (every built-in workload's words: at
+/// most 27 sites, so every zigzag delta is below 0x80) gets its run starts
+/// from eight SWAR loads — one bit per nonzero delta, plus bit 0 and any
+/// cut bits — and each run then spans one start bit to the next. A word
+/// holding a multi-byte varint finds its starts one event at a time
+/// instead. [`fold`](Iterator::fold) (and so `for_each`) walks words and
+/// start bits in two nested loops with the word state in locals; `next`
+/// takes the same per-run step one run at a time.
 pub struct SiteRuns<'a> {
+    /// Delta bytes of the words not yet loaded.
     deltas: &'a [u8],
+    /// Direction words not yet loaded.
     taken: &'a [u64],
+    /// Events in the words not yet loaded.
+    left: u64,
+    /// Index of the first event of the next word to load.
+    base: u64,
+    /// Cut period in events (`u64::MAX`: no cut beyond the words).
+    period: u64,
+    /// Index of the next event at which a cut starts a run.
+    next_cut: u64,
+    /// Site of the last run emitted.
     site: i64,
-    event: u64,
-    num_events: u64,
+    /// The loaded word; its runs are exhausted when `starts` is zero.
+    word: Word<'a>,
+}
+
+/// One loaded direction word and its run starts not yet emitted.
+#[derive(Clone, Copy)]
+struct Word<'a> {
+    /// Direction bits of the word's events.
+    bits: u64,
+    /// One bit per event that starts a run and has not been emitted yet.
+    starts: u64,
+    /// Number of events in the word, `1..=64`.
+    live: u32,
+    /// The word's deltas: exactly one byte per event when `bytewise`, else
+    /// the varints from the next run's first event onward.
+    deltas: &'a [u8],
+    bytewise: bool,
+}
+
+impl Word<'static> {
+    const EMPTY: Self = Word {
+        bits: 0,
+        starts: 0,
+        live: 0,
+        deltas: &[],
+        bytewise: true,
+    };
+}
+
+impl Word<'_> {
+    /// Emits the run at the lowest start bit, moving `site` to its site.
+    /// `BYTEWISE` must equal the word's `bytewise`; must not be called once
+    /// `starts` is zero.
+    #[inline(always)]
+    fn run<const BYTEWISE: bool>(&mut self, site: &mut i64) -> SiteRun {
+        let i = self.starts.trailing_zeros();
+        self.starts &= self.starts - 1;
+        // no start left: the run goes to the word's last live event
+        let len = self.starts.trailing_zeros().min(self.live) - i;
+        let z = if BYTEWISE {
+            self.deltas[i as usize] as u64
+        } else {
+            self.varint_run(len)
+        };
+        *site += unzigzag(z);
+        SiteRun {
+            site: SiteId(*site as u32),
+            len,
+            bits: (self.bits >> i) & (u64::MAX >> (64 - len)),
+        }
+    }
+
+    /// The start delta of a `len`-event run in a word with multi-byte
+    /// varints, consuming the run's varints. The rest of the run repeats
+    /// the site, but each of its deltas is still decoded: a validated
+    /// column may spell zero in more than one byte.
+    #[cold]
+    fn varint_run(&mut self, len: u32) -> u64 {
+        let z = decode_varint(&mut self.deltas).expect("validated delta column");
+        for _ in 1..len {
+            decode_varint(&mut self.deltas).expect("validated delta column");
+        }
+        z
+    }
+}
+
+impl<'a> SiteRuns<'a> {
+    /// Loads the next direction word and finds its run starts: one bit per
+    /// event whose site differs from the previous event's, bit 0, and one
+    /// bit per cut. `None` once every word is loaded.
+    #[inline(always)]
+    fn load_word(&mut self) -> Option<Word<'a>> {
+        let (&bits, rest) = self.taken.split_first()?;
+        self.taken = rest;
+        let live = self.left.min(64) as u32;
+        self.left -= live as u64;
+        let base = self.base;
+        self.base += 64;
+        let mut cuts = 1u64;
+        while self.next_cut < self.base {
+            cuts |= 1 << (self.next_cut - base);
+            self.next_cut = self.next_cut.saturating_add(self.period);
+        }
+        // a column shorter than 64 bytes is the tail word, all of it
+        let mut pad = [0u8; 64];
+        let block = match self.deltas.first_chunk::<64>() {
+            Some(block) => block,
+            None => {
+                pad[..self.deltas.len()].copy_from_slice(self.deltas);
+                &pad
+            }
+        };
+        let word_deltas = self.deltas;
+        let (changes, bytewise) = match nonzero_bytes(block) {
+            // no continuation bit among the word's first 64 bytes: each of
+            // its events is one byte
+            Some(changes) => {
+                self.deltas = &word_deltas[live as usize..];
+                (changes, true)
+            }
+            None => (self.varint_changes(live), false),
+        };
+        Some(Word {
+            bits,
+            starts: (changes | cuts) & (u64::MAX >> (64 - live)),
+            live,
+            deltas: word_deltas,
+            bytewise,
+        })
+    }
+
+    /// The site-change bits of a `live`-event word that holds a multi-byte
+    /// varint, decoded one event at a time; skips the word's deltas.
+    #[cold]
+    fn varint_changes(&mut self, live: u32) -> u64 {
+        let mut changes = 0u64;
+        for i in 0..live {
+            let z = decode_varint(&mut self.deltas).expect("validated delta column");
+            changes |= ((z != 0) as u64) << i;
+        }
+        changes
+    }
 }
 
 impl Iterator for SiteRuns<'_> {
     type Item = SiteRun;
 
     fn next(&mut self) -> Option<SiteRun> {
-        if self.event == self.num_events {
-            return None;
+        if self.word.starts == 0 {
+            self.word = self.load_word()?;
         }
-        // decode the run's first event, single-byte fast path as in replay
-        let z = match self.deltas.split_first() {
-            Some((&b, rest)) if b < 0x80 => {
-                self.deltas = rest;
-                b as u64
-            }
-            _ => decode_varint(&mut self.deltas).expect("validated delta column"),
-        };
-        self.site += ((z >> 1) as i64) ^ -((z & 1) as i64);
-        // extend while the next event repeats the site: zigzag delta 0 is
-        // the single byte 0x00, so the streak scan is a plain byte compare.
-        // the delta column holds exactly one varint per event, so an empty
-        // slice is exactly the end of the stream.
-        let start = self.event;
-        let mut len = 1u32;
-        while len < 64 && self.deltas.first() == Some(&0) {
-            self.deltas = &self.deltas[1..];
-            len += 1;
-        }
-        self.event = start + len as u64;
-        // gather the run's direction bits, which may straddle a word boundary
-        let w = (start >> 6) as usize;
-        let sh = (start & 63) as u32;
-        let mut bits = self.taken[w] >> sh;
-        if sh != 0 && len > 64 - sh {
-            bits |= self.taken[w + 1] << (64 - sh);
-        }
-        if len < 64 {
-            bits &= (1u64 << len) - 1;
-        }
-        Some(SiteRun {
-            site: SiteId(self.site as u32),
-            len,
-            bits,
+        Some(if self.word.bytewise {
+            self.word.run::<true>(&mut self.site)
+        } else {
+            self.word.run::<false>(&mut self.site)
         })
     }
+
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, SiteRun) -> B,
+    {
+        let mut acc = init;
+        let mut site = self.site;
+        let mut word = self.word;
+        loop {
+            // the word kind is checked once per word, not once per run
+            if word.bytewise {
+                while word.starts != 0 {
+                    acc = f(acc, word.run::<true>(&mut site));
+                }
+            } else {
+                while word.starts != 0 {
+                    acc = f(acc, word.run::<false>(&mut site));
+                }
+            }
+            match self.load_word() {
+                Some(next) => word = next,
+                None => return acc,
+            }
+        }
+    }
+}
+
+/// Bit `j` set where `block[j]` is nonzero, or `None` if any byte has its
+/// continuation bit set. Eight SWAR loads: within a word of bytes below
+/// 0x80, adding 0x7F to each byte sets its top bit exactly when the byte is
+/// nonzero, and one multiply gathers the eight top bits into a byte.
+#[inline(always)]
+fn nonzero_bytes(block: &[u8; 64]) -> Option<u64> {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut any_high = 0u64;
+    let mut mask = 0u64;
+    for (k, chunk) in block.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        any_high |= x;
+        let top = (x.wrapping_add(LOW7) & HIGH) >> 7;
+        mask |= (top.wrapping_mul(GATHER) >> 56) << (8 * k);
+    }
+    (any_high & HIGH == 0).then_some(mask)
+}
+
+/// The signed site delta a zigzag varint value encodes.
+#[inline(always)]
+fn unzigzag(z: u64) -> i64 {
+    ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
 impl Tracer for RecordedTrace {
@@ -593,7 +779,7 @@ mod tests {
     #[test]
     fn site_runs_handle_word_straddling_streaks() {
         // leading single events misalign the streak against the 64-bit
-        // direction words, so each 64-long run straddles two words
+        // direction words, so the streak is cut where each word ends
         for lead in 1..5u32 {
             let mut t = RecordedTrace::new(3);
             for i in 0..lead {
@@ -639,6 +825,152 @@ mod tests {
                 bits: 1
             }]
         );
+    }
+
+    /// A stream over `num_sites` sites: far jumps across the whole table
+    /// (multi-byte deltas once it is wide), near steps, and streaks long
+    /// enough to cross direction words.
+    fn wide_stream(num_sites: u32, events: u64, seed: u64) -> RecordedTrace {
+        let mut t = RecordedTrace::new(num_sites as usize);
+        let mut x = seed | 1;
+        let mut site = 0u32;
+        while t.events() < events {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            site = match x % 4 {
+                0 | 1 => (x >> 8) as u32 % num_sites,
+                2 => (site + 1) % num_sites,
+                _ => site,
+            };
+            let streak = 1 + (x >> 40) % [1u64, 2, 40, 150][(x >> 60) as usize % 4];
+            for i in 0..streak.min(events - t.events()) {
+                t.push(SiteId(site), (x >> (i % 29)) & 1 == 1);
+            }
+        }
+        t
+    }
+
+    /// Checks the run view of `t`, cut every `period` events: the runs
+    /// flatten to the replayed stream, none straddles a word or a cut, each
+    /// ends at a site change, a word boundary, a cut or the end of the
+    /// trace, and `next`, `fold` and a
+    /// `fold` resumed after some `next` calls all yield the same runs.
+    fn check_runs(t: &RecordedTrace, period: u64) {
+        let runs = || {
+            if period == u64::MAX {
+                t.site_runs()
+            } else {
+                t.site_runs_cut(period)
+            }
+        };
+        let mut by_next = Vec::new();
+        for run in runs() {
+            by_next.push(run);
+        }
+        let by_fold = runs().fold(Vec::new(), |mut v, run| {
+            v.push(run);
+            v
+        });
+        assert_eq!(by_next, by_fold, "period {period}");
+        for split in [1, 2, 3, 17, by_next.len() / 2] {
+            let mut it = runs();
+            let mut resumed: Vec<_> = it.by_ref().take(split).collect();
+            resumed = it.fold(resumed, |mut v, run| {
+                v.push(run);
+                v
+            });
+            assert_eq!(resumed, by_next, "period {period}, split {split}");
+        }
+        let events = recorded_events(t);
+        let mut flat = Vec::new();
+        for run in &by_next {
+            assert!((1..=64).contains(&run.len), "run length {}", run.len);
+            if run.len < 64 {
+                assert_eq!(run.bits >> run.len, 0, "bits above len must be zero");
+            }
+            let start = flat.len() as u64;
+            let end = start + run.len as u64;
+            assert_eq!(start / 64, (end - 1) / 64, "run straddles a word");
+            assert_eq!(start / period, (end - 1) / period, "run straddles a cut");
+            for i in 0..run.len {
+                flat.push((run.site, run.bits >> i & 1 == 1));
+            }
+            let at = end as usize;
+            assert!(
+                at == events.len()
+                    || events[at].0 != run.site
+                    || end.is_multiple_of(64)
+                    || end.is_multiple_of(period),
+                "run ending at {end} (period {period}) ends for no reason"
+            );
+        }
+        assert_eq!(flat, events, "period {period}");
+    }
+
+    #[test]
+    fn site_runs_decode_wide_site_tables() {
+        for (num_sites, widest) in [(300, 2), (20_000, 3)] {
+            let t = wide_stream(num_sites, 30_000, 0x5eed ^ num_sites as u64);
+            // the stream reaches the multi-byte varint path, at full width
+            assert!(t.site_deltas.len() as u64 > t.events());
+            let mut cursor = t.site_deltas.as_slice();
+            let mut longest = 0;
+            while !cursor.is_empty() {
+                let before = cursor.len();
+                decode_varint(&mut cursor).unwrap();
+                longest = longest.max(before - cursor.len());
+            }
+            assert_eq!(longest, widest, "{num_sites} sites");
+            assert!(t.site_runs().any(|r| r.len == 64), "streaks fill words");
+            for period in [u64::MAX, 1, 63, 64, 65, 500] {
+                check_runs(&t, period);
+            }
+        }
+    }
+
+    #[test]
+    fn site_runs_cut_ends_runs_at_every_multiple() {
+        // one site throughout: every run boundary is a word or a cut
+        let mut t = RecordedTrace::new(1);
+        for i in 0..1000u32 {
+            t.push(SiteId(0), i % 3 == 0);
+        }
+        let ends = |period| {
+            let mut end = 0u64;
+            t.site_runs_cut(period)
+                .map(|r| {
+                    end += r.len as u64;
+                    end
+                })
+                .collect::<Vec<_>>()
+        };
+        assert!(ends(1).iter().copied().eq(1..=1000));
+        assert!(ends(64)
+            .iter()
+            .copied()
+            .eq((64..1000).step_by(64).chain([1000])));
+        let mut want: Vec<u64> = (64..1000)
+            .step_by(64)
+            .chain((500..1000).step_by(500))
+            .collect();
+        want.push(1000);
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(ends(500), want);
+        for period in [1, 63, 64, 65, 500, u64::MAX] {
+            check_runs(&t, period);
+        }
+        // a trace read back from bytes decodes the same runs
+        let wide = wide_stream(300, 5000, 9);
+        let back = RecordedTrace::from_bytes(&wide.to_bytes()).unwrap();
+        assert!(back.site_runs_cut(65).eq(wide.site_runs_cut(65)));
+    }
+
+    #[test]
+    #[should_panic(expected = "cut period")]
+    fn site_runs_cut_rejects_a_zero_period() {
+        sample().site_runs_cut(0);
     }
 
     #[test]

@@ -2,24 +2,27 @@
 //!
 //! Where the scalar fused path ([`FanOut`](crate::FanOut)) feeds every
 //! seated simulation one `(site, taken)` event at a time, the lane group
-//! steps its simulations over [`RecordedTrace::site_runs`]: maximal
-//! same-site direction streaks of up to 64 events, so the per-site
-//! bookkeeping happens once per run instead of once per event. All replay
-//! jobs whose predictor kind is [`eligible`](bpred::bitslice::eligible)
-//! share one decode pass and one simulation per kind — an accuracy job and
-//! a 2D job of the same kind split a single simulation's correct-bit
-//! counts. When the group seats every kind in [`SurveyFused::KINDS`] (any
-//! full survey sweep does), all ten simulations collapse into one fused
-//! pass sharing a single global history register and one per-event
-//! direction extraction. A partial seating gives each kind one generic
-//! [`RunLane`]: the kind's scalar predictor, stepped through each run's
-//! direction bits in order.
+//! steps its simulations over [`RecordedTrace::site_runs_cut`]: same-site
+//! direction streaks, word-aligned (a run never straddles a 64-event
+//! direction word), so the per-site bookkeeping happens once per run
+//! instead of once per event. All replay jobs whose predictor kind is
+//! [`eligible`](bpred::bitslice::eligible) share one decode pass and one
+//! simulation per kind — an accuracy job and a 2D job of the same kind
+//! split a single simulation's correct-bit counts. When the group seats
+//! every kind in [`SurveyFused::KINDS`] (any full survey sweep does), all
+//! ten simulations collapse into one fused pass sharing a single global
+//! history register and one per-event direction extraction. A partial
+//! seating gives each kind one generic [`RunLane`]: the kind's scalar
+//! predictor, stepped through each run's direction bits in order.
 //!
-//! Slice accounting is exact: runs are split at the global slice boundary
-//! (every 2D job on one trace uses `SliceConfig::auto(trace.events())`, so
-//! they all share the same boundary sequence), per-site `(exec, correct)`
-//! batches are folded into each job's [`SliceAccum`] in site order at every
-//! boundary, and `SliceAccum` performs the identical floating-point fold
+//! Slice accounting is exact: the decoder also cuts the runs at every
+//! slice boundary — one more start bit in its per-word run mask — so each
+//! run lies wholly inside one slice (every 2D job on one trace uses
+//! `SliceConfig::auto(trace.events())`, so they all share the same
+//! boundary sequence). The group counts the events taken into the open
+//! slice and closes it when the count reaches the slice length: per-site
+//! `(exec, correct)` batches are folded into each job's [`SliceAccum`] in
+//! site order, and `SliceAccum` performs the identical floating-point fold
 //! the per-event profiler performs — so reports are bit-identical to the
 //! scalar path's, which the `bitslice_equiv` differential suite enforces.
 
@@ -127,6 +130,80 @@ fn fold_account(account: &mut Account, correct_slice: &mut [u64], exec_slice: &[
     }
 }
 
+/// A lane group's simulations with the runs buffered for them and the
+/// per-site execution counts of the open slice.
+struct Replay {
+    sims: Vec<Sim>,
+    accounts: Vec<(PredictorKind, Account)>,
+    seg: Vec<SiteRun>,
+    /// Per-site execution counts: identical for every kind, so they are
+    /// tallied once outside the accounts.
+    exec_slice: Vec<u64>,
+    exec_total: Vec<u64>,
+    /// One kind's column of the fused pass's rows, transposed for the fold.
+    column: Vec<u64>,
+}
+
+impl Replay {
+    /// Takes one run; a full buffer goes through every simulation.
+    #[inline]
+    fn push(&mut self, run: SiteRun) {
+        self.exec_slice[run.site.index()] += run.len as u64;
+        self.seg.push(run);
+        if self.seg.len() == RUN_SEGMENT {
+            self.flush();
+        }
+    }
+
+    /// Pushes the buffered runs through every simulation.
+    fn flush(&mut self) {
+        for sim in &mut self.sims {
+            match sim {
+                Sim::Fused { pass, correct, .. } => pass.run_segment(&self.seg, correct),
+                Sim::Lane { lane, correct, .. } => lane.run_segment(&self.seg, correct),
+            }
+        }
+        self.seg.clear();
+    }
+
+    /// Flushes the buffer and folds the open slice into every account;
+    /// `roll` as in [`fold_account`]. Out of line: it runs once per slice,
+    /// and inlined into the per-run loop it measurably slowed that loop.
+    #[cold]
+    #[inline(never)]
+    fn close_slice(&mut self, roll: bool) {
+        self.flush();
+        let accounts = &mut self.accounts;
+        for sim in &mut self.sims {
+            match sim {
+                Sim::Fused {
+                    correct,
+                    accounts: at,
+                    ..
+                } => {
+                    // transpose each kind's column out of the row-major
+                    // rows so the shared fold sees a plain per-site slice
+                    for k in 0..10 {
+                        for (s, row) in correct.iter_mut().enumerate() {
+                            self.column[s] = row[k];
+                            row[k] = 0;
+                        }
+                        let account = &mut accounts[at[k]].1;
+                        fold_account(account, &mut self.column, &self.exec_slice, roll);
+                    }
+                }
+                Sim::Lane {
+                    correct, account, ..
+                } => fold_account(&mut accounts[*account].1, correct, &self.exec_slice, roll),
+            }
+        }
+        for (total, e) in self.exec_total.iter_mut().zip(&mut self.exec_slice) {
+            *total += *e;
+            *e = 0;
+        }
+    }
+}
+
 /// Replays `trace` once through one simulation per distinct predictor kind
 /// in `jobs`, returning one output per job in order.
 ///
@@ -137,7 +214,6 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
     let _sp = twodprof_obs::span!("engine.bitslice");
     let num_sites = trace.num_sites();
     let slice_config = SliceConfig::auto(trace.events());
-    let slice_len = slice_config.slice_len();
 
     // Account assignment: jobs of the same kind share one simulation.
     let mut accounts: Vec<(PredictorKind, Account)> = Vec::new();
@@ -205,115 +281,38 @@ pub(crate) fn run_lane_group(trace: &RecordedTrace, jobs: &[SimJob]) -> Vec<JobO
         });
     }
 
-    // Shared per-site execution counts: identical for every kind, so they
-    // are tallied once outside the accounts.
-    let mut exec_slice = vec![0u64; num_sites];
-    let mut exec_total = vec![0u64; num_sites];
-    let mut seg: Vec<SiteRun> = Vec::with_capacity(RUN_SEGMENT);
-    // Events left in the open slice; only consulted when a 2D job exists
-    // (accuracy-only groups never split runs).
-    let mut remaining = slice_len;
-
-    let flush = |seg: &mut Vec<SiteRun>, sims: &mut [Sim]| {
-        if seg.is_empty() {
-            return;
-        }
-        for sim in sims.iter_mut() {
-            match sim {
-                Sim::Fused { pass, correct, .. } => pass.run_segment(seg, correct),
-                Sim::Lane { lane, correct, .. } => lane.run_segment(seg, correct),
-            }
-        }
-        seg.clear();
+    let mut replay = Replay {
+        sims,
+        accounts,
+        seg: Vec::with_capacity(RUN_SEGMENT),
+        exec_slice: vec![0; num_sites],
+        exec_total: vec![0; num_sites],
+        column: vec![0; num_sites],
     };
-
-    let fold_slice = |sims: &mut [Sim],
-                      accounts: &mut [(PredictorKind, Account)],
-                      exec_slice: &mut [u64],
-                      exec_total: &mut [u64],
-                      roll: bool| {
-        for sim in sims.iter_mut() {
-            match sim {
-                Sim::Fused {
-                    correct,
-                    accounts: at,
-                    ..
-                } => {
-                    // transpose each kind's column out of the row-major
-                    // rows so the shared fold sees a plain per-site slice
-                    let mut column = vec![0u64; correct.len()];
-                    for k in 0..10 {
-                        for (s, row) in correct.iter_mut().enumerate() {
-                            column[s] = row[k];
-                            row[k] = 0;
-                        }
-                        fold_account(&mut accounts[at[k]].1, &mut column, exec_slice, roll);
-                    }
-                }
-                Sim::Lane {
-                    correct, account, ..
-                } => fold_account(&mut accounts[*account].1, correct, exec_slice, roll),
-            }
-        }
-        for (s, e) in exec_slice.iter_mut().enumerate() {
-            exec_total[s] += *e;
-            *e = 0;
-        }
+    // With a 2D job seated the runs are cut at every slice boundary, so
+    // each run's batch lands wholly inside one slice and a slice closes
+    // exactly when the events taken reach its length. An accuracy-only
+    // group never closes a slice, so its runs are cut at words only.
+    let slice_len = if has_twod {
+        slice_config.slice_len()
+    } else {
+        u64::MAX
     };
-
-    for run in trace.site_runs() {
-        let mut len = run.len;
-        let mut bits = run.bits;
-        while len > 0 {
-            // Split the run at the slice boundary so each piece's batch
-            // lands wholly inside one slice.
-            let take = if has_twod {
-                len.min(remaining.min(64) as u32)
-            } else {
-                len
-            };
-            let piece = SiteRun {
-                site: run.site,
-                len: take,
-                bits: if take < 64 {
-                    bits & ((1u64 << take) - 1)
-                } else {
-                    bits
-                },
-            };
-            if take < 64 {
-                bits >>= take;
-            }
-            len -= take;
-            exec_slice[piece.site.index()] += take as u64;
-            seg.push(piece);
-            if seg.len() == RUN_SEGMENT {
-                flush(&mut seg, &mut sims);
-            }
-            if has_twod {
-                remaining -= take as u64;
-                if remaining == 0 {
-                    flush(&mut seg, &mut sims);
-                    fold_slice(
-                        &mut sims,
-                        &mut accounts,
-                        &mut exec_slice,
-                        &mut exec_total,
-                        true,
-                    );
-                    remaining = slice_len;
-                }
-            }
+    let mut in_slice = 0u64;
+    trace.site_runs_cut(slice_len).for_each(|run| {
+        replay.push(run);
+        in_slice += run.len as u64;
+        if in_slice == slice_len {
+            replay.close_slice(true);
+            in_slice = 0;
         }
-    }
-    flush(&mut seg, &mut sims);
-    fold_slice(
-        &mut sims,
-        &mut accounts,
-        &mut exec_slice,
-        &mut exec_total,
-        false,
-    );
+    });
+    replay.close_slice(false);
+    let Replay {
+        mut accounts,
+        exec_total,
+        ..
+    } = replay;
 
     // Assemble per-account outputs, then distribute to jobs in order.
     let mut acc_outputs: Vec<Option<JobOutput>> = Vec::with_capacity(accounts.len());
@@ -354,6 +353,7 @@ mod tests {
     use super::*;
     use bpred::PredictorSim;
     use btrace::Tracer;
+    use twodprof_core::TwoDProfiler;
 
     /// Drives a [`ScalarLane`] and the scalar `PredictorSim` of `kind` over
     /// the same pseudo-random stream — single events mixed with streaks
@@ -398,6 +398,115 @@ mod tests {
     fn every_eligible_lane_matches_its_scalar_predictor() {
         for kind in SurveyFused::KINDS {
             assert_lane_matches_scalar(kind, 13, 30_000);
+        }
+    }
+
+    #[test]
+    fn every_eligible_lane_matches_on_a_wide_site_table() {
+        // 300 sites: far jumps are two-byte deltas
+        for kind in SurveyFused::KINDS {
+            assert_lane_matches_scalar(kind, 300, 30_000);
+        }
+    }
+
+    /// `events` events over `num_sites` sites: far jumps (multi-byte deltas
+    /// on a wide table), near steps and streaks that cross direction words,
+    /// plus one 40-event streak centred on event `straddle`.
+    fn synthetic_trace(num_sites: u32, events: u64, straddle: u64) -> RecordedTrace {
+        let mut trace = RecordedTrace::new(num_sites as usize);
+        let mut x = 0x0123_4567_89ab_cdefu64 ^ events;
+        let mut site = 0u32;
+        while trace.events() < events {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            site = match x % 3 {
+                0 => (x >> 8) as u32 % num_sites,
+                1 => (site + 1) % num_sites,
+                _ => site,
+            };
+            let at = trace.events();
+            let mut streak = 1 + (x >> 40) % [1u64, 2, 5, 150][(x >> 60) as usize % 4];
+            if at < straddle && straddle <= at + 40 {
+                streak = straddle + 20 - at;
+            }
+            for i in 0..streak.min(events - at) {
+                trace.push(SiteId(site), (x >> (i % 31)) & 3 != 0);
+            }
+        }
+        trace
+    }
+
+    /// The site of every event, in order.
+    #[derive(Default)]
+    struct SiteLog(Vec<SiteId>);
+
+    impl Tracer for SiteLog {
+        fn branch(&mut self, site: SiteId, _taken: bool) {
+            self.0.push(site);
+        }
+    }
+
+    /// The payload a job's output must have: the trace replayed straight
+    /// into one `PredictorSim` or `TwoDProfiler`, with no lane group.
+    fn oracle(trace: &RecordedTrace, job: &SimJob) -> Vec<u8> {
+        let sites = trace.num_sites();
+        let output = if job.twod {
+            let config = SliceConfig::auto(trace.events());
+            let mut profiler = TwoDProfiler::new(sites, job.kind.build(), config);
+            trace.replay_into(&mut profiler);
+            JobOutput::Report(profiler.finish(Thresholds::paper()).into())
+        } else {
+            let mut sim = PredictorSim::new(sites, job.kind.build());
+            trace.replay_into(&mut sim);
+            JobOutput::Accuracy(sim.into_profile().into())
+        };
+        output.to_payload()
+    }
+
+    #[test]
+    fn lane_group_matches_the_scalar_profilers_on_a_wide_site_table() {
+        let full: Vec<SimJob> = SurveyFused::KINDS
+            .iter()
+            .flat_map(|&kind| [false, true].map(|twod| SimJob { kind, twod }))
+            .collect();
+        let partial = [
+            SimJob {
+                kind: PredictorKind::Gshare4Kb,
+                twod: true,
+            },
+            SimJob {
+                kind: PredictorKind::Local4Kb,
+                twod: true,
+            },
+            SimJob {
+                kind: PredictorKind::Gshare4Kb,
+                twod: false,
+            },
+        ];
+        // 200 slices of 640 events (a whole number of direction words) and
+        // of 777 events (a boundary inside a word), each first boundary
+        // inside a same-site streak
+        for slice_len in [640u64, 777] {
+            let events = slice_len * SliceConfig::AUTO_TARGET_SLICES;
+            assert_eq!(SliceConfig::auto(events).slice_len(), slice_len);
+            let trace = synthetic_trace(300, events, slice_len);
+            let mut stream = SiteLog::default();
+            trace.replay_into(&mut stream);
+            let at = slice_len as usize;
+            assert_eq!(stream.0[at - 1], stream.0[at], "a streak straddles");
+            for jobs in [&full[..], &partial[..]] {
+                let outputs = run_lane_group(&trace, jobs);
+                assert_eq!(outputs.len(), jobs.len());
+                for (job, output) in jobs.iter().zip(&outputs) {
+                    assert!(
+                        output.to_payload() == oracle(&trace, job),
+                        "{} {} differs at slice length {slice_len}",
+                        job.kind,
+                        if job.twod { "2D report" } else { "accuracy" }
+                    );
+                }
+            }
         }
     }
 }
