@@ -12,8 +12,9 @@
 //! Both drivers produce bit-identical [`ProfileReport`]s because every
 //! per-event quantity is a `u64` addition (associative, so batch order
 //! within a slice is irrelevant) and all floating-point arithmetic happens
-//! here, at slice boundaries, in site order — exactly where and how the
-//! per-event path has always done it.
+//! at slice boundaries, in site order, in the one slice fold
+//! ([`BranchState::end_slice_sampled`](crate::BranchState::end_slice_sampled))
+//! — exactly where and how the per-event path has always done it.
 
 use crate::report::{Measured, SeriesData};
 use crate::{ProfileReport, SliceConfig, Thresholds};
@@ -80,11 +81,6 @@ impl SliceAccum {
         &self.states[site.index()]
     }
 
-    /// Events still needed to fill the currently open slice.
-    pub fn remaining_in_slice(&self) -> u64 {
-        self.config.slice_len() - self.in_slice
-    }
-
     /// Records one dynamic branch event, closing the slice automatically
     /// when it fills.
     #[inline]
@@ -103,9 +99,8 @@ impl SliceAccum {
     /// Records a within-slice batch of `executions` events at `site`,
     /// `correct` of them predicted correctly. Unlike [`record`](Self::record)
     /// this never closes the slice: the batching driver must call
-    /// [`roll_slice`](Self::roll_slice) itself exactly when the slice fills
-    /// (and must split batches at slice boundaries — see
-    /// [`remaining_in_slice`](Self::remaining_in_slice)).
+    /// [`roll_slice`](Self::roll_slice) itself exactly when the slice fills,
+    /// so it must split batches at slice boundaries.
     ///
     /// # Panics
     ///
@@ -134,31 +129,22 @@ impl SliceAccum {
         // the O(sites) fold loop that runs anyway.
         let mut fir_updates = 0u64;
         let mut pam_updates = 0u64;
-        match &mut self.series {
-            Some(series) => {
-                for (i, st) in self.states.iter_mut().enumerate() {
-                    let pam_before = st.slices_above_mean();
-                    if let Some(acc) = st.end_slice_sampled(thr) {
-                        series.per_site[i].push((self.slice_index, acc));
-                        fir_updates += 1;
-                    }
-                    pam_updates += st.slices_above_mean() - pam_before;
-                }
-                if self.slice_exec > 0 {
-                    series.overall.push((
-                        self.slice_index,
-                        self.slice_correct as f64 / self.slice_exec as f64,
-                    ));
+        for (i, st) in self.states.iter_mut().enumerate() {
+            let pam_before = st.slices_above_mean();
+            if let Some(acc) = st.end_slice_sampled(thr) {
+                fir_updates += 1;
+                if let Some(series) = &mut self.series {
+                    series.per_site[i].push((self.slice_index, acc));
                 }
             }
-            None => {
-                for st in &mut self.states {
-                    let n_before = st.slices();
-                    let pam_before = st.slices_above_mean();
-                    st.end_slice(thr);
-                    fir_updates += st.slices() - n_before;
-                    pam_updates += st.slices_above_mean() - pam_before;
-                }
+            pam_updates += st.slices_above_mean() - pam_before;
+        }
+        if let Some(series) = &mut self.series {
+            if self.slice_exec > 0 {
+                series.overall.push((
+                    self.slice_index,
+                    self.slice_correct as f64 / self.slice_exec as f64,
+                ));
             }
         }
         twodprof_obs::counter!(
@@ -266,17 +252,5 @@ mod tests {
     fn record_batch_rejects_boundary_crossing() {
         let mut a = SliceAccum::new(1, SliceConfig::new(100, 4));
         a.record_batch(SiteId(0), 101, 0);
-    }
-
-    #[test]
-    fn remaining_in_slice_counts_down() {
-        let mut a = SliceAccum::new(1, SliceConfig::new(10, 1));
-        assert_eq!(a.remaining_in_slice(), 10);
-        a.record_batch(SiteId(0), 4, 2);
-        assert_eq!(a.remaining_in_slice(), 6);
-        a.record_batch(SiteId(0), 6, 3);
-        assert_eq!(a.remaining_in_slice(), 0);
-        a.roll_slice();
-        assert_eq!(a.remaining_in_slice(), 10);
     }
 }

@@ -18,12 +18,16 @@
 //!
 //! - [`TwoDProfiler`] — the profiler (Figure 9 of the paper): per-branch
 //!   7-variable state, FIR-filtered slice accuracies, MEAN/STD/PAM tests.
+//! - [`BranchState`] — those seven variables and the one slice fold over
+//!   them, shared by every batch profiler and the streaming window.
 //! - [`ProfileReport`] — per-branch statistics and classifications.
 //! - [`GroundTruth`] — the multi-input-set definition of input-dependence
 //!   used to *evaluate* the profiler (5% accuracy-delta rule, §2/§4.2).
 //! - [`Metrics`] — COV-dep / ACC-dep / COV-indep / ACC-indep (Table 3).
 //! - [`CostModel`] — the if-conversion cost model motivating the work
 //!   (§2.1, Figure 2), and [`advise`] for the wish-branch decision on top.
+//! - [`detect_phases_in_series`] — segments a recorded slice series into
+//!   phases of roughly constant accuracy (Figure 8).
 //! - [`Bias2DProfiler`] — the edge-profiling variant the paper sketches:
 //!   the same tests applied to per-slice branch *bias* instead of prediction
 //!   accuracy, requiring no predictor model at all.
@@ -68,7 +72,7 @@ pub use bias2d::Bias2DProfiler;
 pub use ground_truth::{GroundTruth, InputDependence};
 pub use ifconv::{CostModel, PredicationDecision};
 pub use metrics::{Confusion, Metrics};
-pub use phases::{detect_phases, detect_phases_in_series, Phase, PhaseConfig};
+pub use phases::{detect_phases_in_series, Phase, PhaseConfig};
 pub use profiler::TwoDProfiler;
 pub use report::{BranchStats, Classification, ProfileReport};
 pub use slice::SliceConfig;

@@ -31,7 +31,7 @@ impl Phase {
     }
 }
 
-/// Configuration for [`detect_phases`].
+/// Configuration for [`detect_phases_in_series`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseConfig {
     /// Minimum samples per phase.
@@ -94,13 +94,9 @@ fn segment(xs: &[f64], offset: usize, config: &PhaseConfig, out: &mut Vec<Phase>
     });
 }
 
-/// Segments a series into phases of roughly constant value.
-///
-/// Returns contiguous, non-overlapping phases covering the whole series (an
-/// empty series yields no phases). Adjacent detected phases differ in mean
-/// by at least roughly `config.min_delta` (up to interactions between
-/// recursion levels).
-pub fn detect_phases(series: &[f64], config: &PhaseConfig) -> Vec<Phase> {
+/// Segments a series into phases of roughly constant value: the body of
+/// [`detect_phases_in_series`].
+fn detect_phases(series: &[f64], config: &PhaseConfig) -> Vec<Phase> {
     if series.is_empty() {
         return Vec::new();
     }
@@ -122,8 +118,14 @@ pub fn detect_phases(series: &[f64], config: &PhaseConfig) -> Vec<Phase> {
     merged
 }
 
-/// Convenience: phases of a recorded `(slice, accuracy)` series as produced
-/// by [`ProfileReport::series`](crate::ProfileReport::series).
+/// Segments a recorded `(slice, accuracy)` series, as produced by
+/// [`ProfileReport::series`](crate::ProfileReport::series), into phases of
+/// roughly constant accuracy.
+///
+/// Returns contiguous, non-overlapping phases covering the whole series (an
+/// empty series yields no phases); `start` and `end` index the samples.
+/// Adjacent detected phases differ in mean by at least roughly
+/// `config.min_delta` (up to interactions between recursion levels).
 pub fn detect_phases_in_series(samples: &[(u64, f64)], config: &PhaseConfig) -> Vec<Phase> {
     let values: Vec<f64> = samples.iter().map(|&(_, v)| v).collect();
     detect_phases(&values, config)

@@ -1,4 +1,8 @@
-//! Per-branch profiling state: the paper's seven variables (Figure 9a).
+//! Per-branch profiling state: the paper's seven variables (Figure 9a) and
+//! the one slice fold over them (Figure 9b). The batch profilers close
+//! slices with [`BranchState::end_slice`]; the streaming window runs the
+//! same fold through [`BranchState::end_slice_with`], evicting old samples
+//! with [`BranchState::remove`].
 
 /// The complete 2D-profiling state for one static branch.
 ///
@@ -63,41 +67,82 @@ impl BranchState {
     /// executed more than `exec_threshold` times in the slice, fold the
     /// slice's FIR-filtered prediction accuracy into the running statistics;
     /// either way, reset the per-slice counters.
+    pub fn end_slice(&mut self, exec_threshold: u64) {
+        self.end_slice_with(exec_threshold, |_| {});
+    }
+
+    /// Like [`end_slice`](Self::end_slice), but also returns the slice's
+    /// filtered accuracy when the slice was counted (used by time-series
+    /// recording for Figure 8).
+    #[inline]
+    pub fn end_slice_sampled(&mut self, exec_threshold: u64) -> Option<f64> {
+        self.end_slice_with(exec_threshold, |_| {})
+            .map(|(filtered, _)| filtered)
+    }
+
+    /// The one slice fold (Figure 9b) behind [`end_slice`](Self::end_slice)
+    /// and the streaming window. A counted slice is FIR-filtered, added to
+    /// `N`, Σ and Σ², then handed to `evict` — which may
+    /// [`remove`](Self::remove) older samples to bound the statistics to a
+    /// window — and finally tested against the running mean `Σ / N`.
+    /// Returns the slice's `(filtered accuracy, counted above the mean)`,
+    /// or `None` if it was discarded.
     ///
     /// The FIR filter averages the current slice accuracy with the previous
     /// slice's filtered accuracy (`LPA`) to suppress high-frequency sampling
     /// noise. The paper leaves `LPA`'s initial value unspecified; seeding it
     /// with the first counted slice's accuracy (rather than zero) avoids
     /// halving the first sample, and is what we do.
-    pub fn end_slice(&mut self, exec_threshold: u64) {
-        if self.exec_counter > exec_threshold {
-            self.n += 1;
-            let pred_acc = self.predict_counter as f64 / self.exec_counter as f64;
-            let filtered = match self.lpa {
-                Some(last) => (pred_acc + last) / 2.0,
-                None => pred_acc,
-            };
-            self.spa += filtered;
-            self.sspa += filtered * filtered;
-            let running_avg = self.spa / self.n as f64;
-            // The epsilon guards against accumulated floating-point rounding
-            // spuriously counting slices of an exactly-constant series.
-            if filtered > running_avg + 1e-9 {
-                self.npam += 1;
-            }
-            self.lpa = Some(filtered);
-        }
+    #[inline]
+    pub fn end_slice_with(
+        &mut self,
+        exec_threshold: u64,
+        evict: impl FnOnce(&mut Self),
+    ) -> Option<(f64, bool)> {
+        let (exec, correct) = (self.exec_counter, self.predict_counter);
         self.exec_counter = 0;
         self.predict_counter = 0;
+        if exec <= exec_threshold {
+            return None;
+        }
+        let pred_acc = correct as f64 / exec as f64;
+        let filtered = match self.lpa {
+            Some(last) => (pred_acc + last) / 2.0,
+            None => pred_acc,
+        };
+        self.lpa = Some(filtered);
+        self.n += 1;
+        self.spa += filtered;
+        self.sspa += filtered * filtered;
+        evict(self);
+        // The epsilon guards against accumulated floating-point rounding
+        // spuriously counting slices of an exactly-constant series.
+        let above = filtered > self.spa / self.n as f64 + 1e-9;
+        self.npam += above as u64;
+        Some((filtered, above))
     }
 
-    /// Like [`end_slice`](Self::end_slice), but also returns the slice's
-    /// filtered accuracy when the slice was counted (used by time-series
-    /// recording for Figure 8).
-    pub fn end_slice_sampled(&mut self, exec_threshold: u64) -> Option<f64> {
-        let counted = self.exec_counter > exec_threshold;
-        self.end_slice(exec_threshold);
-        counted.then(|| self.lpa.expect("counted slice sets LPA"))
+    /// Takes one counted sample back out of the statistics: the inverse of
+    /// the `N`/Σ/Σ² update and the NPAM vote of the
+    /// [`end_slice_with`](Self::end_slice_with) that folded it. `LPA` is
+    /// kept: the FIR filter belongs to the stream, not to the window.
+    pub fn remove(&mut self, filtered: f64, above: bool) {
+        self.n -= 1;
+        self.spa -= filtered;
+        self.sspa -= filtered * filtered;
+        self.npam -= above as u64;
+    }
+
+    /// Recomputes Σ and Σ² exactly from `samples`, the filtered accuracies
+    /// still counted, discarding the rounding that repeated
+    /// [`remove`](Self::remove) calls accumulate.
+    pub fn resum(&mut self, samples: impl IntoIterator<Item = f64>) {
+        self.spa = 0.0;
+        self.sspa = 0.0;
+        for f in samples {
+            self.spa += f;
+            self.sspa += f * f;
+        }
     }
 
     /// Number of counted slices (`N`).
@@ -144,11 +189,6 @@ impl BranchState {
     pub fn aggregate_accuracy(&self) -> Option<f64> {
         (self.total_exec > 0).then(|| self.total_correct as f64 / self.total_exec as f64)
     }
-
-    /// Executions recorded in the currently open slice.
-    pub fn open_slice_executions(&self) -> u64 {
-        self.exec_counter
-    }
 }
 
 #[cfg(test)]
@@ -171,11 +211,14 @@ mod tests {
         s.end_slice(10); // 10 executions, threshold 10: "more than" fails
         assert_eq!(s.slices(), 0);
         assert_eq!(s.mean(), None);
-        // but per-slice counters reset regardless
-        assert_eq!(s.open_slice_executions(), 0);
-        // and the whole-run totals are still kept
+        // but the whole-run totals are still kept
         assert_eq!(s.total_executions(), 10);
         assert_eq!(s.aggregate_accuracy(), Some(0.5));
+        // and the per-slice counters reset regardless: the next slice
+        // counts only its own 11 correct executions, not 16 of 21
+        feed(&mut s, 11, 0);
+        s.end_slice(10);
+        assert_eq!((s.slices(), s.mean()), (1, Some(1.0)));
     }
 
     #[test]

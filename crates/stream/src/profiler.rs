@@ -322,14 +322,7 @@ impl StreamingProfiler {
     /// Merges the session's closed epochs and folds every epoch the
     /// watermark now covers, appending any drift events to `out`.
     pub fn ingest(&mut self, session: &mut SessionIngest, out: &mut Vec<DriftEvent>) {
-        while let Some(batch) = session.closed.pop_front() {
-            let epoch = *self
-                .sessions
-                .get(&session.id)
-                .expect("session not attached to this profiler");
-            self.merge(epoch, batch);
-            *self.sessions.get_mut(&session.id).expect("just read") += 1;
-        }
+        self.drain(session);
         self.fold_ready(out);
     }
 
@@ -338,23 +331,10 @@ impl StreamingProfiler {
     /// partial slice), then folds — everything still pending if this was the
     /// last session.
     pub fn finish_session(&mut self, mut session: SessionIngest, out: &mut Vec<DriftEvent>) {
-        while let Some(batch) = session.closed.pop_front() {
-            let epoch = *self
-                .sessions
-                .get(&session.id)
-                .expect("session not attached to this profiler");
-            self.merge(epoch, batch);
-            *self.sessions.get_mut(&session.id).expect("just read") += 1;
-        }
         if session.in_slice > 0 {
             session.close_epoch();
-            let batch = session.closed.pop_front().expect("just closed");
-            let epoch = *self
-                .sessions
-                .get(&session.id)
-                .expect("session not attached to this profiler");
-            self.merge(epoch, batch);
         }
+        self.drain(&mut session);
         self.sessions.remove(&session.id);
         if self.sessions.is_empty() {
             self.flush_all(out);
@@ -371,12 +351,15 @@ impl StreamingProfiler {
             slice_len: self.config.slice.slice_len(),
             program_accuracy: self.global.accuracy(),
             sites: (0..self.num_sites)
-                .map(|i| SiteVerdict {
-                    verdict: self.published[i],
-                    slices: self.sites[i].len() as u64,
-                    mean: self.sites[i].mean(),
-                    std_dev: self.sites[i].std_dev(),
-                    pam_fraction: self.sites[i].pam_fraction(),
+                .map(|i| {
+                    let stats = self.sites[i].stats();
+                    SiteVerdict {
+                        verdict: self.published[i],
+                        slices: stats.slices(),
+                        mean: stats.mean(),
+                        std_dev: stats.std_dev(),
+                        pam_fraction: stats.points_above_mean(),
+                    }
                 })
                 .collect(),
         }
@@ -385,6 +368,20 @@ impl StreamingProfiler {
     /// Published classifications, indexed by site.
     pub fn verdicts(&self) -> &[Classification] {
         &self.published
+    }
+
+    /// Merges the session's closed epochs in order, each at the session's
+    /// next epoch index.
+    fn drain(&mut self, session: &mut SessionIngest) {
+        while let Some(batch) = session.closed.pop_front() {
+            let epoch = self
+                .sessions
+                .get_mut(&session.id)
+                .expect("session not attached to this profiler");
+            let index = *epoch;
+            *epoch += 1;
+            self.merge(index, batch);
+        }
     }
 
     fn merge(&mut self, epoch: u64, batch: EpochBatch) {
@@ -482,11 +479,15 @@ impl StreamingProfiler {
     /// Classifies one site from its current windowed statistics — the exact
     /// decision rule of the batch report, fed sliding-window inputs.
     fn classify(&self, site: usize, program_accuracy: Option<f64>) -> Classification {
-        let w = &self.sites[site];
-        let (mean, std, pam) = (w.mean(), w.std_dev(), w.pam_fraction());
+        let w = self.sites[site].stats();
         self.config
             .thresholds
-            .classify(mean, std, pam, program_accuracy)
+            .classify(
+                w.mean(),
+                w.std_dev(),
+                w.points_above_mean(),
+                program_accuracy,
+            )
             .1
     }
 

@@ -1,17 +1,18 @@
 //! Per-branch sliding-window slice statistics.
 //!
-//! [`SiteWindow`] is the streaming counterpart of `core`'s `BranchState`: it
-//! keeps the paper's seven per-branch variables over a bounded ring of the
-//! most recent counted slices instead of the whole run. Pushes and evictions
-//! are O(1); the running Σ and Σ² are rebuilt from the ring once per full
-//! window turnover to keep float cancellation from accumulating.
+//! [`SiteWindow`] is the streaming counterpart of `core`'s `BranchState`,
+//! and is built from one: the same Figure 9b fold, plus a bounded ring of
+//! the most recent counted slices whose oldest sample the fold's eviction
+//! hook takes back out of the statistics. Pushes and evictions are O(1);
+//! Σ and Σ² are rebuilt from the ring once per full window turnover to keep
+//! float cancellation from accumulating.
 //!
-//! When the window is at least as large as the run (so nothing is ever
-//! evicted) every floating-point operation happens in the same order and on
-//! the same values as in `BranchState`, which is what the window == run
-//! equivalence test pins down.
+//! When the window is at least as large as the run nothing is ever evicted
+//! or rebuilt, so the statistics are exactly `BranchState`'s, which is what
+//! the window == run equivalence test pins down.
 
 use std::collections::VecDeque;
+use twodprof_core::BranchState;
 
 /// One counted slice retained in the window.
 #[derive(Clone, Copy, Debug)]
@@ -25,25 +26,19 @@ struct Sample {
 /// Sliding-window MEAN/STD/PAM/FIR state for one static branch site.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SiteWindow {
-    /// Last filtered accuracy — the FIR filter's memory. Survives eviction:
-    /// the filter is a property of the stream, not of the window.
-    lpa: Option<f64>,
+    /// The fold's statistics over exactly the samples in `ring`; its FIR
+    /// memory survives eviction.
+    state: BranchState,
     ring: VecDeque<Sample>,
-    /// Σ filtered over the ring.
-    sum: f64,
-    /// Σ filtered² over the ring.
-    sumsq: f64,
-    /// Points-above-mean count over the ring.
-    npam: u64,
     /// Evictions since the last Σ/Σ² rebuild.
     stale: usize,
 }
 
 impl SiteWindow {
     /// Folds one closed slice in which this site executed `exec` times with
-    /// `correct` correct predictions. Slices at or below `exec_threshold`
-    /// are discarded exactly as in the batch profiler (strictly-greater
-    /// test). Returns whether the slice was counted.
+    /// `correct` correct predictions, keeping at most `window` samples.
+    /// Slices at or below `exec_threshold` are discarded exactly as in the
+    /// batch profiler. Returns whether the slice was counted.
     pub(crate) fn fold(
         &mut self,
         exec: u64,
@@ -51,104 +46,38 @@ impl SiteWindow {
         exec_threshold: u64,
         window: usize,
     ) -> bool {
-        if exec <= exec_threshold {
-            return false;
-        }
-        let raw = correct as f64 / exec as f64;
-        // FIR filter (paper §3.2): average the current slice accuracy with
-        // the previous filtered value; the first counted slice seeds the
-        // filter unfiltered.
-        let filtered = match self.lpa {
-            Some(prev) => (raw + prev) / 2.0,
-            None => raw,
-        };
-        self.lpa = Some(filtered);
-        self.sum += filtered;
-        self.sumsq += filtered * filtered;
-        self.ring.push_back(Sample {
-            filtered,
-            above: false,
+        let (ring, stale) = (&mut self.ring, &mut self.stale);
+        self.state.record_batch(exec, correct);
+        let counted = self.state.end_slice_with(exec_threshold, |state| {
+            // The new sample is already in Σ; points-above-mean then tests
+            // it against the window it enters.
+            if ring.len() >= window {
+                let old = ring.pop_front().expect("window is at least 1");
+                state.remove(old.filtered, old.above);
+                *stale += 1;
+            }
         });
-        if self.ring.len() > window {
-            self.evict();
-        }
-        // Points-above-mean compares against the window mean *including* the
-        // new sample (and after any eviction), mirroring the batch
-        // profiler's running average; the epsilon keeps a sample exactly at
-        // the mean from counting.
-        let mean = self.sum / self.ring.len() as f64;
-        if filtered > mean + 1e-9 {
-            self.npam += 1;
-            self.ring.back_mut().expect("just pushed").above = true;
-        }
-        if self.stale >= self.ring.len() {
-            self.rebuild();
+        let Some((filtered, above)) = counted else {
+            return false;
+        };
+        ring.push_back(Sample { filtered, above });
+        if *stale >= ring.len() {
+            self.state.resum(ring.iter().map(|s| s.filtered));
+            *stale = 0;
         }
         true
     }
 
-    fn evict(&mut self) {
-        let old = self.ring.pop_front().expect("ring over capacity");
-        self.sum -= old.filtered;
-        self.sumsq -= old.filtered * old.filtered;
-        self.npam -= old.above as u64;
-        self.stale += 1;
-    }
-
-    /// Recomputes Σ and Σ² exactly from the retained samples. Amortized
-    /// O(1) per fold: triggered once per window turnover, never in the
-    /// eviction-free (window == run) regime.
-    fn rebuild(&mut self) {
-        self.sum = 0.0;
-        self.sumsq = 0.0;
-        for s in &self.ring {
-            self.sum += s.filtered;
-            self.sumsq += s.filtered * s.filtered;
-        }
-        self.stale = 0;
-    }
-
-    /// Counted slices currently in the window.
-    pub(crate) fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Mean filtered accuracy over the window, `None` while empty.
-    pub(crate) fn mean(&self) -> Option<f64> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        Some(self.sum / self.ring.len() as f64)
-    }
-
-    /// Standard deviation over the window (population form, clamped at
-    /// zero exactly like `BranchState::std_dev`), `None` while empty.
-    pub(crate) fn std_dev(&self) -> Option<f64> {
-        let m = self.mean()?;
-        let n = self.ring.len() as f64;
-        Some((self.sumsq / n - m * m).max(0.0).sqrt())
-    }
-
-    /// Fraction of window samples above the running mean, `None` while
-    /// empty.
-    pub(crate) fn pam_fraction(&self) -> Option<f64> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        Some(self.npam as f64 / self.ring.len() as f64)
-    }
-
-    /// Points-above-mean count (for invariant checks).
-    #[cfg(test)]
-    pub(crate) fn npam(&self) -> u64 {
-        self.npam
+    /// The windowed statistics: `slices()` counted slices in the window and
+    /// their mean, standard deviation and points-above-mean fraction.
+    pub(crate) fn stats(&self) -> &BranchState {
+        &self.state
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twodprof_core::BranchState;
 
     fn feed_batch(slices: &[(u64, u64)], threshold: u64) -> BranchState {
         let mut s = BranchState::new();
@@ -184,11 +113,11 @@ mod tests {
         let data = slices(64);
         let batch = feed_batch(&data, 10);
         let win = feed_window(&data, 10, 64);
-        assert_eq!(win.len() as u64, 64);
-        assert_eq!(win.mean(), batch.mean(), "bit-identical mean");
-        assert_eq!(win.std_dev(), batch.std_dev(), "bit-identical std");
+        assert_eq!(win.stats().slices(), 64);
+        assert_eq!(win.stats().mean(), batch.mean(), "bit-identical mean");
+        assert_eq!(win.stats().std_dev(), batch.std_dev(), "bit-identical std");
         assert_eq!(
-            win.pam_fraction(),
+            win.stats().points_above_mean(),
             batch.points_above_mean(),
             "bit-identical PAM"
         );
@@ -199,14 +128,14 @@ mod tests {
         let mut w = SiteWindow::default();
         assert!(!w.fold(10, 5, 10, 8), "exec == threshold is not counted");
         assert!(w.fold(11, 5, 10, 8), "exec > threshold is counted");
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.stats().slices(), 1);
     }
 
     #[test]
     fn eviction_keeps_len_bounded_and_stats_fresh() {
         let data = slices(200);
         let w = feed_window(&data, 10, 16);
-        assert_eq!(w.len(), 16);
+        assert_eq!(w.stats().slices(), 16);
         // Stats must agree with a from-scratch fold of only what the filter
         // would have produced — check against a reference recomputation.
         let mut lpa: Option<f64> = None;
@@ -219,23 +148,52 @@ mod tests {
         }
         let tail = &filt[filt.len() - 16..];
         let mean = tail.iter().sum::<f64>() / 16.0;
-        assert!((w.mean().unwrap() - mean).abs() < 1e-12);
+        assert!((w.stats().mean().unwrap() - mean).abs() < 1e-12);
         let var = tail.iter().map(|f| f * f).sum::<f64>() / 16.0 - mean * mean;
-        assert!((w.std_dev().unwrap() - var.max(0.0).sqrt()).abs() < 1e-12);
+        assert!((w.stats().std_dev().unwrap() - var.max(0.0).sqrt()).abs() < 1e-12);
+        // PAM: each retained sample was tested against the mean of the
+        // window it entered (itself and the 15 before it, once full).
+        let above = (filt.len() - 16..filt.len())
+            .filter(|&i| {
+                let entered = &filt[i + 1 - 16..=i];
+                filt[i] > entered.iter().sum::<f64>() / 16.0 + 1e-9
+            })
+            .count();
+        assert_eq!(w.stats().points_above_mean(), Some(above as f64 / 16.0));
+    }
+
+    /// Pins the windowed statistics bit for bit through 5000 evicting
+    /// folds (window 7, so the ring turns over and rebuilds Σ/Σ² hundreds
+    /// of times). Moving the eviction past the PAM test, skipping a
+    /// rebuild or keeping an evicted sample's NPAM vote moves the hash.
+    #[test]
+    fn evicting_window_statistics_are_pinned_bit_for_bit() {
+        let mut w = SiteWindow::default();
+        let mut h = 0u64;
+        for i in 0..5000u64 {
+            let exec = 20 + (i * 7919) % 97;
+            let correct = exec * ((i * 104729) % 101) / 100;
+            w.fold(exec, correct, 25, 7);
+            let s = w.stats();
+            for stat in [s.mean(), s.std_dev(), s.points_above_mean()] {
+                h = h.wrapping_mul(0x100000001b3) ^ stat.map_or(0, f64::to_bits);
+            }
+        }
+        assert_eq!(h, 0x5d74_3373_f0de_c562);
     }
 
     #[test]
     fn npam_never_exceeds_window() {
         let w = feed_window(&slices(500), 10, 32);
-        assert!(w.npam() <= 32);
-        assert!(w.pam_fraction().unwrap() <= 1.0);
+        assert!(w.stats().slices_above_mean() <= 32);
+        assert!(w.stats().points_above_mean().unwrap() <= 1.0);
     }
 
     #[test]
     fn empty_window_yields_none() {
         let w = SiteWindow::default();
-        assert_eq!(w.mean(), None);
-        assert_eq!(w.std_dev(), None);
-        assert_eq!(w.pam_fraction(), None);
+        assert_eq!(w.stats().mean(), None);
+        assert_eq!(w.stats().std_dev(), None);
+        assert_eq!(w.stats().points_above_mean(), None);
     }
 }

@@ -1,18 +1,20 @@
 //! A compiler-style predication advisor — the use case the paper builds
 //! 2D-profiling for (§2.1).
 //!
-//! Profiles a workload once (single input set), then advises per branch:
+//! Profiles a workload once (single input set), then prints
+//! `twodprof_core::advise`'s treatment per branch:
 //!
 //! - **predicate** — equation (3) says predicated code wins and the branch
 //!   is predicted input-*independent*, so the profile can be trusted;
-//! - **keep branch** — the branch code wins and the profile can be trusted;
-//! - **defer to hardware** — the branch is predicted input-*dependent*, so
-//!   the compiler should leave the choice to a dynamic mechanism (the
-//!   paper cites wish branches / dynamic optimizers).
+//! - **keep-branch** — the branch code wins and the profile can be trusted;
+//! - **wish-branch** — the branch is predicted input-*dependent*, so the
+//!   compiler should leave the choice to a dynamic mechanism (the paper
+//!   cites wish branches / dynamic optimizers);
+//! - **keep-branch(no-data)** — too few counted slices to classify.
 
 use twodprof::bpred::Gshare;
 use twodprof::btrace::{EdgeProfiler, Tee};
-use twodprof::core2d::{CostModel, PredicationDecision, SliceConfig, Thresholds, TwoDProfiler};
+use twodprof::core2d::{advise, CostModel, SliceConfig, Thresholds, TwoDProfiler};
 use twodprof::workloads::{self, Scale};
 
 fn main() {
@@ -43,34 +45,21 @@ fn main() {
         workload.name(),
         input.name
     );
-    println!(
-        "{:<30} {:>9} {:>9} {:>9}  advice",
-        "branch", "taken", "misp", "2D-class"
-    );
-    for (i, decl) in workload.sites().iter().enumerate() {
-        let site = twodprof::btrace::SiteId(i as u32);
-        let stats = report.stats(site);
-        let Some(agg) = stats.aggregate_accuracy else {
+    println!("{:<30} {:>9} {:>9}  advice", "branch", "taken", "misp");
+    let taken_rates: Vec<Option<f64>> = edges.iter().map(|(_, e)| e.taken_rate()).collect();
+    for (advice, decl) in advise(&report, &taken_rates, &model)
+        .iter()
+        .zip(workload.sites())
+    {
+        let Some(misp) = advice.misprediction_rate else {
             continue; // never executed
         };
-        let taken = edges.edge(site).taken_rate().unwrap_or(0.0);
-        let misp = 1.0 - agg;
-        let dependent = stats.classification.is_dependent();
-        let advice = if dependent {
-            "defer to hardware (input-dependent)"
-        } else {
-            match model.decide(taken, misp) {
-                PredicationDecision::Predicate => "predicate",
-                PredicationDecision::KeepBranch => "keep branch",
-            }
-        };
         println!(
-            "{:<30} {:>8.1}% {:>8.1}% {:>9}  {}",
+            "{:<30} {:>8.1}% {:>8.1}%  {}",
             decl.name,
-            taken * 100.0,
+            taken_rates[advice.site.index()].unwrap_or(0.0) * 100.0,
             misp * 100.0,
-            if dependent { "dep" } else { "indep" },
-            advice
+            advice.treatment
         );
     }
     println!(
